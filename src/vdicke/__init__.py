@@ -20,6 +20,7 @@ from .meanfield import (
     MeanFieldSolution,
     brute_force_minimize,
     classify,
+    classify_arrays,
     energy,
     gradient,
     on_degenerate_line,
@@ -65,6 +66,7 @@ __all__ = [
     "alpha_beta",
     "brute_force_minimize",
     "classify",
+    "classify_arrays",
     "critical_coupling_by_zero_mode",
     "critical_g1",
     "critical_g2",

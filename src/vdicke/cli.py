@@ -228,7 +228,7 @@ def _handle_phase_diagram(opts: dict) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    records = phase_diagram(grid, jobs=opts["jobs"])
+    records = phase_diagram(grid)
     _emit(records_to_csv_text(records), opts.get("output"))
     return 0
 
@@ -349,12 +349,8 @@ def _handle_parity_check(opts: dict) -> int:
         basis=exactdiag.build_basis(n_atoms),
         cutoff_a=opts["cutoff_a"], cutoff_b=opts["cutoff_b"],
     )
-    h = exactdiag.build_hamiltonian(params, space)
     names = ("commutator_l", "commutator_r", "commutator_g")
-    norms = {}
-    for name, op in zip(names, exactdiag.parity_operators(space)):
-        commutator = h @ op - op @ h
-        norms[name] = float(abs(commutator.data).max()) if commutator.nnz else 0.0
+    norms = dict(zip(names, exactdiag.parity_commutator_norms(params, space)))
     payload = {
         "params": _params_dict(params),
         "n_atoms": n_atoms,
@@ -402,7 +398,6 @@ _COMMANDS = (
             _Opt("g2_max", float, required=True, help="upper g2 bound"),
             _Opt("n1", int, 50, "grid points along g1"),
             _Opt("n2", int, 50, "grid points along g2"),
-            _Opt("jobs", int, 1, "worker processes (output order is fixed)"),
         ), _handle_phase_diagram,
     ),
     _Command(

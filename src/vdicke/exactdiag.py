@@ -41,6 +41,7 @@ __all__ = [
     "collective_operator",
     "build_hamiltonian",
     "parity_operators",
+    "parity_commutator_norms",
     "parity_check",
     "ground_state",
     "lowest_two",
@@ -214,16 +215,18 @@ def parity_operators(space: TruncatedSpace):
     )
 
 
+def parity_commutator_norms(params: ModelParams, space: TruncatedSpace,
+                            dim_limit: int = DEFAULT_DIM_LIMIT) -> tuple[float, float, float]:
+    """Largest entry of [H, P] for each parity operator (left, right, global)."""
+    h = build_hamiltonian(params, space, dim_limit=dim_limit)
+    commutators = [h @ p - p @ h for p in parity_operators(space)]
+    return tuple(float(np.abs(c.data).max()) if c.nnz else 0.0 for c in commutators)
+
+
 def parity_check(params: ModelParams, space: TruncatedSpace,
                  dim_limit: int = DEFAULT_DIM_LIMIT) -> float:
     """Largest entry of [H, P] over the three parity operators."""
-    h = build_hamiltonian(params, space, dim_limit=dim_limit)
-    worst = 0.0
-    for p in parity_operators(space):
-        commutator = h @ p - p @ h
-        if commutator.nnz:
-            worst = max(worst, float(np.abs(commutator.data).max()))
-    return worst
+    return max(parity_commutator_norms(params, space, dim_limit=dim_limit))
 
 
 def _seed_vector(dimension: int, seed: int) -> np.ndarray:

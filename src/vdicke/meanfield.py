@@ -26,7 +26,8 @@ for diagnostics only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +40,6 @@ from .model import (
     critical_g2,
     mu_left,
     mu_right,
-    renormalized_critical_g1,
-    renormalized_critical_g2,
 )
 
 __all__ = [
@@ -50,6 +49,9 @@ __all__ = [
     "stationarity_brackets",
     "on_degenerate_line",
     "stationary_branches",
+    "PhaseArrays",
+    "PHASES",
+    "classify_arrays",
     "classify",
     "brute_force_minimize",
 ]
@@ -195,28 +197,27 @@ def _right_energy(params: ModelParams) -> float:
     return -params.omega21 * (1.0 - mu) ** 2 / (4.0 * mu)
 
 
-def _left_solutions(params: ModelParams, signs=(1.0, -1.0)):
+def _left_solutions(params: ModelParams):
     mu = mu_left(params)
     amp = math.sqrt(max(0.0, (1.0 - mu) / 2.0))
     e = _left_energy(params)
     return [
         _solution(params, 0.0, sign * amp, PhaseLabel.LEFT_SR, energy_value=e)
-        for sign in signs
+        for sign in (1.0, -1.0)
     ]
 
 
-def _right_solutions(params: ModelParams, signs=(1.0, -1.0)):
+def _right_solutions(params: ModelParams):
     mu = mu_right(params)
     amp = math.sqrt(max(0.0, (1.0 - mu) / 2.0))
     e = _right_energy(params)
     return [
         _solution(params, sign * amp, 0.0, PhaseLabel.RIGHT_SR, energy_value=e)
-        for sign in signs
+        for sign in (1.0, -1.0)
     ]
 
 
-def _balanced_solutions(params: ModelParams, sign_pairs=((1, 1), (1, -1), (-1, 1), (-1, -1)),
-                        bistable=False):
+def _balanced_solutions(params: ModelParams, bistable=False):
     # Symmetric split of the degenerate valley: psi2^2 = psi3^2 = (1-mu)/4.
     mul = mu_left(params)
     mur = mu_right(params)
@@ -228,7 +229,7 @@ def _balanced_solutions(params: ModelParams, sign_pairs=((1, 1), (1, -1), (-1, 1
             params, s2 * amp2, s3 * amp3, PhaseLabel.LEFT_RIGHT_SR,
             energy_value=e, bistable=bistable, degenerate_valley=True,
         )
-        for s2, s3 in sign_pairs
+        for s2, s3 in ((1, 1), (1, -1), (-1, 1), (-1, -1))
     ]
 
 
@@ -255,29 +256,8 @@ def _generic_mixed_squares(params: ModelParams):
     return s2, s3
 
 
-def _both_branches_locally_stable(params: ModelParams) -> bool:
-    """Both condensates exist and each is strictly stable against the other.
-
-    Left condensate stability against right-branch condensation means
-    g2 < renormalized_critical_g2(g1), and mirrored for the right.  The
-    same inequalities are the positivity conditions of the mean-field
-    Hessian transverse to each condensate.
-    """
-    if params.g1 < critical_g1(params) or params.g2 < critical_g2(params):
-        return False
-    if params.g2 >= renormalized_critical_g2(params):
-        return False
-    if params.g1 >= renormalized_critical_g1(params):
-        return False
-    return True
-
-
 def _point_bistable(params: ModelParams) -> bool:
-    if on_degenerate_line(params):
-        # The degenerate valley is a single connected ground manifold,
-        # not a pair of competing local minima.
-        return False
-    return _both_branches_locally_stable(params)
+    return bool(classify_arrays(*astuple(params)).bistable)
 
 
 def stationary_branches(params: ModelParams) -> list[MeanFieldSolution]:
@@ -316,49 +296,102 @@ def stationary_branches(params: ModelParams) -> list[MeanFieldSolution]:
     return out
 
 
-def classify(params: ModelParams) -> MeanFieldSolution:
-    """Global minimum of the energy surface, as a canonical representative.
+PHASES = tuple(PhaseLabel)  # phase code -> label: Normal, LeftSR, RightSR, LeftRightSR
 
-    Returns the positive-sign copy of the winning branch.  On the
-    degenerate line with mu < 1 the symmetric mixed split is returned
-    (any other valley point has the same energy).  Off the line, an
-    exact left/right tie (|dE| <= 1e-12) is resolved toward the larger
-    total excitation psi2^2 + psi3^2 and flagged bistable.
+
+class PhaseArrays(NamedTuple):
+    """Global minima over an array of points; ``phase`` holds codes into PHASES."""
+
+    phase: np.ndarray
+    psi1: np.ndarray
+    psi2: np.ndarray
+    psi3: np.ndarray
+    phi_a: np.ndarray
+    phi_b: np.ndarray
+    energy: np.ndarray
+    bistable: np.ndarray
+    degenerate_valley: np.ndarray
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def classify_arrays(omega21, omega31, omega_a, omega_b, g1, g2) -> PhaseArrays:
+    """Global minimum of the energy surface at every point of broadcast arrays.
+
+    Arguments follow the field order of ModelParams and must satisfy its
+    constraints.  The canonical representative is the positive-sign copy
+    of the winning branch.  On the degenerate line with mu < 1 it is the
+    symmetric mixed split (any other valley point has the same energy).
+    Off the line, an exact left/right tie (|dE| <= 1e-12) is resolved
+    toward the larger total excitation psi2^2 + psi3^2, the one with the
+    smaller mu, and flagged bistable.
     """
-    gc1 = critical_g1(params)
-    gc2 = critical_g2(params)
-    has_left = params.g1 >= gc1
-    has_right = params.g2 >= gc2
+    w21, w31, wa, wb, g1, g2 = (np.asarray(v, dtype=float)
+                                for v in (omega21, omega31, omega_a, omega_b, g1, g2))
+    gc1 = 0.5 * np.sqrt(wa * w31)
+    gc2 = 0.5 * np.sqrt(wb * w21)
+    has_left = g1 >= gc1
+    has_right = g2 >= gc2
+    # Where a coupling is 0 its mu is infinite and the branch quantities
+    # below are inf or nan (hence the errstate); every use of them is
+    # masked by has_left, has_right or the degenerate-line test.  Squares
+    # use np.square, which rounds alike for one point and for many (** on
+    # numpy scalars goes through C pow, which can differ by one ulp).
+    mul = np.square(gc1 / g1)
+    mur = np.square(gc2 / g2)
+    alpha = 4.0 * np.square(g1) / wa
+    beta = 4.0 * np.square(g2) / wb
+    e_left = -w31 * np.square(1.0 - mul) / (4.0 * mul)
+    e_right = -w21 * np.square(1.0 - mur) / (4.0 * mur)
+    gt2 = 0.5 * np.sqrt(1.0 / (1.0 + mul)) * np.sqrt(2.0 * w21 * wb + w31 * wb * (1.0 - mul) / mul)
+    gt1 = 0.5 * np.sqrt(1.0 / (1.0 + mur)) * np.sqrt(2.0 * w31 * wa + w21 * wa * (1.0 - mur) / mur)
+    degenerate = ((g1 > 0.0) & (g2 > 0.0)
+                  & (np.abs(alpha - beta) <= DEGENERATE_LINE_RTOL * np.maximum(alpha, beta))
+                  & (np.abs(w21 - w31) <= DEGENERATE_LINE_RTOL * np.maximum(w21, w31)))
+    valley = degenerate & (mul < 1.0)
 
-    if on_degenerate_line(params) and params.g1 > 0.0 and mu_left(params) < 1.0:
-        sol = _balanced_solutions(params, sign_pairs=((1, 1),))[0]
-        return replace(sol, bistable=False)
+    e_left = np.where(has_left, e_left, np.inf)
+    e_right = np.where(has_right, e_right, np.inf)
+    tie = (has_left & has_right & (np.abs(e_left - e_right) <= ENERGY_TIE_TOL)
+           & (np.minimum(e_left, e_right) < 0.0))
+    left = np.where(tie, mul < mur, (e_left < e_right) & (e_left < 0.0))
+    right = np.where(tie, mul >= mur, ~left & (e_right <= e_left) & (e_right < 0.0))
+    # Both condensates exist and each is strictly stable against the
+    # other: g2 below the renormalized threshold gt2(g1), and mirrored.
+    # These are the positivity conditions of the mean-field Hessian
+    # transverse to each condensate.  The degenerate valley is one
+    # connected ground manifold, not a pair of competing minima.
+    both_stable = has_left & has_right & (g2 < gt2) & (g1 < gt1)
+    bistable = ~valley & (tie | (~degenerate & both_stable))
 
-    bistable = _point_bistable(params)
-    e_left = _left_energy(params) if has_left else math.inf
-    e_right = _right_energy(params) if has_right else math.inf
+    # Every output depends on all six inputs, so each has their broadcast shape.
+    phase = np.where(valley, 3, np.where(left, 1, np.where(right, 2, 0))).astype(np.int8)
+    psi2 = np.where(valley, np.sqrt(np.maximum(0.0, 1.0 - mur)) / 2.0,
+                    np.where(right, np.sqrt(np.maximum(0.0, (1.0 - mur) / 2.0)), 0.0))
+    psi3 = np.where(valley, np.sqrt(np.maximum(0.0, 1.0 - mul)) / 2.0,
+                    np.where(left, np.sqrt(np.maximum(0.0, (1.0 - mul) / 2.0)), 0.0))
+    energy_value = np.where(valley | left, e_left, np.where(right, e_right, 0.0))
+    psi1 = np.sqrt(np.maximum(0.0, 1.0 - np.square(psi2) - np.square(psi3)))
+    phi_a = -2.0 * g1 * psi1 * psi3 / wa
+    phi_b = -2.0 * g2 * psi1 * psi2 / wb
+    return PhaseArrays(phase, psi1, psi2, psi3, phi_a, phi_b, energy_value, bistable, valley)
 
-    if has_left and has_right and abs(e_left - e_right) <= ENERGY_TIE_TOL \
-            and min(e_left, e_right) < 0.0:
-        mul = mu_left(params)
-        mur = mu_right(params)
-        # Total excitation (1-mu)/2 is larger for the smaller mu.
-        winner = "left" if mul < mur else "right"
-        bistable = True
-    elif e_left < e_right and e_left < 0.0:
-        winner = "left"
-    elif e_right <= e_left and e_right < 0.0:
-        winner = "right"
-    else:
-        winner = "normal"
 
-    if winner == "left":
-        sol = _left_solutions(params, signs=(1.0,))[0]
-    elif winner == "right":
-        sol = _right_solutions(params, signs=(1.0,))[0]
-    else:
-        sol = _solution(params, 0.0, 0.0, PhaseLabel.NORMAL, energy_value=0.0)
-    return replace(sol, bistable=bistable)
+def classify(params: ModelParams) -> MeanFieldSolution:
+    """Global minimum of the energy surface: :func:`classify_arrays` at one point."""
+    result = classify_arrays(*astuple(params))
+    phase = PHASES[int(result.phase)]
+    return MeanFieldSolution(
+        psi1=float(result.psi1),
+        psi2=float(result.psi2),
+        psi3=float(result.psi3),
+        phi_a=float(result.phi_a),
+        phi_b=float(result.phi_b),
+        energy=float(result.energy),
+        phase=phase,
+        bistable=bool(result.bistable),
+        degeneracy=_DEGENERACY[phase],
+        degenerate_valley=bool(result.degenerate_valley),
+    )
 
 
 # ---------------------------------------------------------------------------

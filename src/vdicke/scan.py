@@ -1,18 +1,19 @@
 """Phase-diagram sweeps, boundary traces, and structured record output.
 
 Everything here is a thin, deterministic driver over the closed-form
-classification: grids are evaluated in row-major order (g1 outer, g2
-inner) whatever the worker count, boundary curves are cross-checked
-against the fluctuation zero mode, and records serialize to a fixed
-CSV column order that round-trips through :func:`read_records_csv`.
+classification: each grid or sweep is one call of
+:func:`vdicke.meanfield.classify_arrays`, records come out in row-major
+order (g1 outer, g2 inner), boundary curves are cross-checked against
+the fluctuation zero mode, and records serialize to a fixed CSV column
+order that round-trips through :func:`read_records_csv`.  Every grid is
+capped at MAX_GRID_POINTS points, checked before anything is allocated.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .fluctuations import (
     normal_phase_forms,
     right_branch_form,
 )
-from .meanfield import MeanFieldSolution, classify
+from .meanfield import PHASES, classify_arrays
 from .model import (
     ModelParams,
     PhaseLabel,
@@ -35,6 +36,7 @@ from .model import (
 )
 
 __all__ = [
+    "MAX_GRID_POINTS",
     "GridSpec",
     "SweepRecord",
     "BOUNDARY_KINDS",
@@ -50,6 +52,8 @@ __all__ = [
 
 # Agreement demanded between closed-form boundaries and the zero mode.
 _BOUNDARY_XCHECK_TOL = 1e-8
+# Largest number of points one grid or sweep may have (a 1000 x 1000 grid).
+MAX_GRID_POINTS = 1_000_000
 
 CSV_COLUMNS = ("g1", "g2", "phase", "psi2", "psi3", "phi_a", "phi_b", "energy", "bistable")
 ED_COLUMNS = ("photon_a", "photon_b", "n_atoms", "cutoff_a", "cutoff_b")
@@ -72,6 +76,7 @@ class GridSpec:
     def __post_init__(self):
         if self.n1 < 2 or self.n2 < 2:
             raise ValueError("grid needs at least 2 points per axis")
+        _check_size(self.n1 * self.n2, f"grid of {self.n1} x {self.n2}")
         if not (0.0 <= self.g1_min < self.g1_max) or not (0.0 <= self.g2_min < self.g2_max):
             raise ValueError("grid bounds must satisfy 0 <= min < max on both axes")
 
@@ -106,36 +111,31 @@ class SweepRecord:
         return self.n_atoms is not None
 
 
-def _record_from_solution(params: ModelParams, solution: MeanFieldSolution) -> SweepRecord:
-    return SweepRecord(
-        g1=params.g1,
-        g2=params.g2,
-        phase=solution.phase,
-        psi2=solution.psi2,
-        psi3=solution.psi3,
-        phi_a=solution.phi_a,
-        phi_b=solution.phi_b,
-        energy=solution.energy,
-        bistable=solution.bistable,
-    )
+def _check_size(points: int, what: str) -> None:
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"{what} has {points} points, above the limit of "
+                         f"{MAX_GRID_POINTS} (MAX_GRID_POINTS)")
 
 
-def _classify_point(params: ModelParams) -> SweepRecord:
-    return _record_from_solution(params, classify(params))
-
-
-def phase_diagram(grid: GridSpec, jobs: int = 1) -> list[SweepRecord]:
-    """Classify every grid point, row-major (g1 outer, g2 inner)."""
-    points = [
-        replace(grid.base, g1=float(g1), g2=float(g2))
-        for g1 in grid.g1_values()
-        for g2 in grid.g2_values()
+def _classified_records(omega21, omega31, omega_a, omega_b, g1, g2) -> list[SweepRecord]:
+    """Classify broadcast arrays in one call; one record per point, C order."""
+    result = classify_arrays(omega21, omega31, omega_a, omega_b, g1, g2)
+    shape = result.phase.shape
+    columns = [np.broadcast_to(g1, shape), np.broadcast_to(g2, shape), result.phase,
+               result.psi2, result.psi3, result.phi_a, result.phi_b, result.energy,
+               result.bistable]
+    return [
+        SweepRecord(g1=a, g2=b, phase=PHASES[code], psi2=p2, psi3=p3, phi_a=fa,
+                    phi_b=fb, energy=e, bistable=flag)
+        for a, b, code, p2, p3, fa, fb, e, flag in zip(*(c.ravel().tolist() for c in columns))
     ]
-    if jobs > 1:
-        chunk = max(1, len(points) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_classify_point, points, chunksize=chunk))
-    return [_classify_point(p) for p in points]
+
+
+def phase_diagram(grid: GridSpec) -> list[SweepRecord]:
+    """Classify every grid point, row-major (g1 outer, g2 inner)."""
+    b = grid.base
+    return _classified_records(b.omega21, b.omega31, b.omega_a, b.omega_b,
+                               grid.g1_values()[:, None], grid.g2_values()[None, :])
 
 
 def trace_boundary(which: str, base: ModelParams, lo: float, hi: float,
@@ -153,6 +153,7 @@ def trace_boundary(which: str, base: ModelParams, lo: float, hi: float,
         raise ValueError(f"unknown boundary kind {which!r}; expected one of {BOUNDARY_KINDS}")
     if steps < 2:
         raise ValueError("steps must be >= 2")
+    _check_size(steps, "boundary trace")
     if not lo < hi:
         raise ValueError("boundary range must satisfy lo < hi")
     abscissas = np.linspace(lo, hi, steps)
@@ -196,17 +197,15 @@ def overlap_area(base: ModelParams, ratio: float, resolution: int = 100) -> floa
         raise DomainError(f"ratio must be >= 1, got {ratio}")
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
+    _check_size(resolution * resolution, f"overlap window of {resolution} x {resolution}")
     params0 = replace(base, omega31=ratio * base.omega21)
     gc1 = critical_g1(params0)
     gc2 = critical_g2(params0)
     g1s = np.linspace(gc1, 2.0 * gc1, resolution)
     g2s = np.linspace(gc2, 2.0 * gc2, resolution)
-    flagged = 0
-    for g1 in g1s:
-        for g2 in g2s:
-            record = classify(replace(params0, g1=float(g1), g2=float(g2)))
-            if record.bistable:
-                flagged += 1
+    result = classify_arrays(params0.omega21, params0.omega31, params0.omega_a,
+                             params0.omega_b, g1s[:, None], g2s[None, :])
+    flagged = int(np.count_nonzero(result.bistable))
     return flagged / float(resolution * resolution)
 
 
@@ -219,7 +218,7 @@ def ed_sweep(sweep: list[ModelParams], n_atoms: int, cutoff_tol: float = 1e-4,
     (largest default cutoffs) and that single truncation is reused
     across the sweep, keeping the truncation error uniform along it.
     """
-    records = [_classify_point(p) for p in sweep]
+    records = _classified_records(*np.array([astuple(p) for p in sweep]).T)
     defaults = [exactdiag.default_cutoffs(p, n_atoms) for p in sweep]
     widest = max(range(len(sweep)), key=lambda i: defaults[i][0] * defaults[i][1])
     space, _ = exactdiag.converge_cutoffs(
@@ -247,12 +246,14 @@ def line_cut(base: ModelParams, g2: float, g1_min: float, g1_max: float, steps: 
     """Sweep g1 at fixed g2; optionally attach finite-N observables."""
     if steps < 2:
         raise ValueError("steps must be >= 2")
+    _check_size(steps, "line cut")
     if not g1_min < g1_max:
         raise ValueError("g1 range must satisfy min < max")
-    sweep = [replace(base, g1=float(g1), g2=float(g2))
-             for g1 in np.linspace(g1_min, g1_max, steps)]
+    g1s = np.linspace(g1_min, g1_max, steps)
     if n_atoms is None:
-        return [_classify_point(p) for p in sweep]
+        return _classified_records(base.omega21, base.omega31, base.omega_a, base.omega_b,
+                                   g1s, float(g2))
+    sweep = [replace(base, g1=g1, g2=float(g2)) for g1 in g1s.tolist()]
     return ed_sweep(sweep, n_atoms, cutoff_tol=cutoff_tol, eig_tol=eig_tol,
                     seed=seed, dim_limit=dim_limit)
 

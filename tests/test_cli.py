@@ -71,6 +71,26 @@ def test_phase_diagram_rejects_bad_grid(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_grid_size_limit_exits_2(capsys):
+    # rejected before anything is allocated
+    huge = str(10 ** 9)
+    window = ["--g1-min", "0", "--g1-max", "1", "--g2-min", "0", "--g2-max", "1"]
+    for argv in (["phase-diagram", *window, "--n1", huge, "--n2", huge],
+                 ["overlap-area", "--ratios", "1.2", "--resolution", huge],
+                 ["line-cut", "--g2", "0.5", "--g1-min", "0", "--g1-max", "1",
+                  "--steps", huge],
+                 ["boundary", "--which", "normal_right", "--from", "0", "--to", "1",
+                  "--steps", huge]):
+        assert run(argv) == 2
+        assert "above the limit of 1000000" in capsys.readouterr().err
+
+
+def test_phase_diagram_jobs_option_is_gone(capsys):
+    assert run(["phase-diagram", "--g1-min", "0", "--g1-max", "1", "--g2-min", "0",
+                "--g2-max", "1", "--n1", "3", "--n2", "3", "--jobs", "2"]) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_boundary_csv(capsys):
     code = run(["boundary", "--which", "gtilde_c2", "--omega31", "1.7",
                 "--from", "0.66", "--to", "1.0", "--steps", "4"])
@@ -166,7 +186,8 @@ def test_parity_check_json(capsys):
     assert code == 0
     payload = _json_out(capsys)
     assert payload["max_commutator"] <= 1e-10
-    assert set(payload) >= {"commutator_l", "commutator_r", "commutator_g"}
+    norms = [payload[key] for key in ("commutator_l", "commutator_r", "commutator_g")]
+    assert payload["max_commutator"] == max(norms)
 
 
 def test_parity_check_requires_atom_count():

@@ -63,21 +63,39 @@ def test_form_requires_positive_frequencies():
         QuadraticBosonForm(1.0, -0.2, 0.1)
 
 
+def _symplectic_squares(form):
+    # Quadratures z = (x1, x2, p1, p2): the potential block carries the
+    # coupling, the kinetic block is diagonal, and the motion is
+    # z' = K z with K = [[0, T], [-V, 0]].  Eigenvalues of K come in
+    # pairs +-i*eps, so -lambda^2 recovers the squared frequencies
+    # whatever their sign.
+    w1, w2, lam = form.freq1, form.freq2, form.coupling
+    v = np.array([[w1, 2.0 * lam], [2.0 * lam, w2]])
+    t = np.diag([w1, w2])
+    zeros = np.zeros((2, 2))
+    k = np.block([[zeros, t], [-v, zeros]])
+    eigenvalues = np.linalg.eigvals(k)
+    squares = np.sort(np.real(-eigenvalues ** 2))
+    return 0.5 * (squares[0] + squares[1]), 0.5 * (squares[2] + squares[3])
+
+
 def test_closed_form_agrees_with_symplectic_route():
-    # diagonalize() raises if its two internal routes disagree; here we
-    # also pin the closed form against an independent reimplementation
+    # couplings up to 3 lam_c, the bracket trace_boundary bisects over,
+    # so unstable forms are checked as well as stable ones
     rng = np.random.default_rng(11)
     for _ in range(1000):
         w1 = rng.uniform(0.05, 3.0)
         w2 = rng.uniform(0.05, 3.0)
-        lam = rng.uniform(0.0, 0.999) * 0.5 * math.sqrt(w1 * w2)
-        spec = diagonalize(QuadraticBosonForm(w1, w2, lam))
-        disc = math.sqrt((w1 ** 2 - w2 ** 2) ** 2 + 16.0 * lam ** 2 * w1 * w2)
-        lo = 0.5 * (w1 ** 2 + w2 ** 2 - disc)
-        hi = 0.5 * (w1 ** 2 + w2 ** 2 + disc)
-        assert abs(spec.eps_minus ** 2 - lo) < 1e-10 * max(1.0, hi)
-        assert abs(spec.eps_plus ** 2 - hi) < 1e-10 * max(1.0, hi)
-        assert spec.stable
+        lam_c = 0.5 * math.sqrt(w1 * w2)
+        lam = rng.uniform(0.0, 3.0) * lam_c
+        form = QuadraticBosonForm(w1, w2, lam)
+        spec = diagonalize(form)
+        lo, hi = _symplectic_squares(form)
+        scale = max(1.0, abs(hi))
+        assert abs(spec.eps_minus_sq - lo) < 1e-10 * scale
+        assert abs(spec.eps_plus ** 2 - hi) < 1e-10 * scale
+        if abs(lam - lam_c) > 1e-9 * lam_c:
+            assert spec.stable == (lam < lam_c)
 
 
 def test_normal_phase_forms_decouple_into_the_two_branches():

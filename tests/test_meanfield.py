@@ -1,19 +1,23 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from vdicke.errors import DomainError
 from vdicke.meanfield import (
+    PHASES,
     MeanFieldSolution,
     brute_force_minimize,
     classify,
+    classify_arrays,
     energy,
     gradient,
     on_degenerate_line,
     stationary_branches,
 )
 from vdicke.model import ModelParams, PhaseLabel, critical_g1, critical_g2
+from vdicke.scan import GridSpec, phase_diagram
 
 # ---------------------------------------------------------------------------
 # frozen single-branch reference point: all omegas 1, g1 = 1 (mu_l = 1/4)
@@ -245,3 +249,126 @@ def test_solution_record_is_frozen():
     assert isinstance(sol, MeanFieldSolution)
     with pytest.raises(Exception):
         sol.energy = 0.0
+
+
+# ---------------------------------------------------------------------------
+# Exact reference, sharing no code with the classification: in
+# (s2, s3) = (psi2^2, psi3^2) the energy is a quadratic on the triangle
+# s2, s3 >= 0, s2 + s3 <= 1, so its global minimum is one of a few KKT
+# candidates.  On the edge s2 + s3 = 1 (psi1 = 0) it is linear, so that
+# edge contributes only its vertices.
+
+KKT_TOL = 1e-12
+
+
+def _quadratic(p, s2, s3):
+    w21, w31, wa, wb, g1, g2 = p
+    a = 4.0 * g1 ** 2 / wa
+    b = 4.0 * g2 ** 2 / wb
+    return (w21 - b) * s2 + (w31 - a) * s3 + b * s2 ** 2 + a * s3 ** 2 + (a + b) * s2 * s3
+
+
+def _kkt_candidates(p):
+    w21, w31, wa, wb, g1, g2 = p
+    a = 4.0 * g1 ** 2 / wa
+    b = 4.0 * g2 ** 2 / wb
+    points = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    if b > w21:
+        points.append(((b - w21) / (2.0 * b), 0.0))
+    if a > w31:
+        points.append((0.0, (a - w31) / (2.0 * a)))
+    det = 4.0 * a * b - (a + b) ** 2
+    if det != 0.0:
+        s2 = (2.0 * a * (b - w21) - (a + b) * (a - w31)) / det
+        s3 = (2.0 * b * (a - w31) - (a + b) * (b - w21)) / det
+        if s2 > 0.0 and s3 > 0.0 and s2 + s3 <= 1.0:
+            points.append((s2, s3))
+    return [(s2, s3, _quadratic(p, s2, s3)) for s2, s3 in points]
+
+
+def _support(s2, s3):
+    return PHASES[int(s3 > 0.0) + 2 * int(s2 > 0.0)]
+
+
+def _exact_minimum(p):
+    """Least energy, and the labels of every minimiser within KKT_TOL."""
+    candidates = _kkt_candidates(p)
+    e_min = min(e for _, _, e in candidates)
+    near = [(s2, s3) for s2, s3, e in candidates if e <= e_min + KKT_TOL]
+    labels = {_support(s2, s3) for s2, s3 in near}
+    right = [s2 for s2, s3 in near if s3 == 0.0 and s2 > 0.0]
+    left = [s3 for s2, s3 in near if s2 == 0.0 and s3 > 0.0]
+    # Two tied one-branch minima joined by a flat segment: the
+    # degenerate valley, where every mixed split is a minimiser too.
+    if right and left and _quadratic(p, right[0] / 2, left[0] / 2) <= e_min + KKT_TOL:
+        labels.add(PhaseLabel.LEFT_RIGHT_SR)
+    return e_min, labels
+
+
+def _reference_points():
+    """Seeded points: generic, degenerate ray, exact ties, g = 0 edges, thresholds."""
+    rng = np.random.default_rng(2024)
+    rows = [(1.0, 1.7, 1.0, 1.0, 0.75, 0.60), (1.0, 1.0, 1.0, 1.0, 0.5, 0.5),
+            (1.0, 1.0, 1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0, 0.0, 0.0)]
+    kinds = ["named"] * len(rows)
+    for i in range(2500):
+        w21, w31, wa, wb = rng.uniform(0.3, 2.5, 4)
+        g1, g2 = rng.uniform(0.0, 2.0, 2)
+        gc1, gc2 = 0.5 * math.sqrt(wa * w31), 0.5 * math.sqrt(wb * w21)
+        kind = ("generic", "ray", "tie", "zero", "threshold")[i % 5]
+        if kind == "ray":
+            w31, g2 = w21, g1 * math.sqrt(wb / wa)
+        elif kind == "tie":
+            # equal condensate energies (a - w31)^2/a = (b - w21)^2/b
+            g1 = gc1 * rng.uniform(1.01, 3.0)
+            a = 4.0 * g1 ** 2 / wa
+            c = (a - w31) ** 2 / a
+            b = 0.5 * (2.0 * w21 + c + math.sqrt((2.0 * w21 + c) ** 2 - 4.0 * w21 ** 2))
+            g2 = 0.5 * math.sqrt(b * wb)
+        elif kind == "zero":
+            g1, g2 = ((0.0, g2), (g1, 0.0), (0.0, 0.0))[rng.integers(3)]
+        elif kind == "threshold":
+            g1, g2 = ((gc1, g2), (g1, gc2), (gc1, gc2))[rng.integers(3)]
+        rows.append((w21, w31, wa, wb, g1, g2))
+        kinds.append(kind)
+    return np.array(rows), kinds
+
+
+def test_classify_arrays_attains_the_exact_minimum():
+    points, kinds = _reference_points()
+    result = classify_arrays(*points.T)
+    assert result.phase.shape == (len(points),)
+    for k, (p, kind) in enumerate(zip(points, kinds)):
+        e_min, labels = _exact_minimum(p)
+        label = PHASES[result.phase[k]]
+        assert abs(result.energy[k] - e_min) <= KKT_TOL, f"energy at {p}"
+        assert label in labels, f"{label} at {p}, exact minimisers {labels}"
+        # the reported amplitudes carry the reported energy and label
+        psi2, psi3 = result.psi2[k], result.psi3[k]
+        assert abs(energy(ModelParams(*p), psi2, psi3) - result.energy[k]) <= KKT_TOL
+        assert _support(psi2 ** 2, psi3 ** 2) is label
+        if kind == "tie":
+            assert result.bistable[k], f"tie at {p} not flagged bistable"
+        if kind == "ray" and result.degenerate_valley[k]:
+            assert label is PhaseLabel.LEFT_RIGHT_SR and not result.bistable[k]
+
+
+def test_classify_arrays_broadcasts_frequencies_and_couplings():
+    g1s = np.linspace(0.0, 1.4, 6)[:, None]
+    g2s = np.linspace(0.0, 1.2, 5)[None, :]
+    grid = classify_arrays(1.0, 1.7, 0.9, 1.2, g1s, g2s)
+    assert grid.energy.shape == (6, 5)
+    rows = classify_arrays(np.full((6, 1), 1.0), 1.7, 0.9, np.full(5, 1.2), g1s, g2s)
+    for field in grid._fields:
+        np.testing.assert_array_equal(getattr(rows, field), getattr(grid, field))
+
+
+@pytest.mark.parametrize("base", [ModelParams(), ModelParams(omega31=1.7, omega_a=0.8)])
+def test_phase_diagram_records_equal_scalar_classify(base):
+    grid = GridSpec(base, 0.0, 1.4, 0.0, 1.4, n1=15, n2=15)
+    records = phase_diagram(grid)
+    assert len(records) == 15 * 15
+    for r in records:
+        s = classify(replace(base, g1=r.g1, g2=r.g2))
+        assert (r.phase, r.psi2, r.psi3, r.phi_a, r.phi_b, r.energy, r.bistable) == \
+            (s.phase, s.psi2, s.psi3, s.phi_a, s.phi_b, s.energy, s.bistable)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from vdicke.errors import DomainError
@@ -131,3 +132,10 @@ def test_alpha_beta_values_and_internal_agreement():
     # the mu-based route is undefined at zero coupling
     with pytest.raises(DomainError):
         alpha_beta(ModelParams(g1=0.5))
+    # alpha = omega31/mu_left and beta = omega21/mu_right
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        q = ModelParams(*rng.uniform(0.3, 2.5, 4), *rng.uniform(0.01, 3.0, 2))
+        a, b = alpha_beta(q)
+        assert math.isclose(a, q.omega31 / mu_left(q), rel_tol=1e-12)
+        assert math.isclose(b, q.omega21 / mu_right(q), rel_tol=1e-12)

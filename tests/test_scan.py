@@ -7,6 +7,7 @@ from vdicke.errors import DomainError
 from vdicke.model import ModelParams, PhaseLabel, critical_g1, critical_g2
 from vdicke.scan import (
     CSV_COLUMNS,
+    MAX_GRID_POINTS,
     GridSpec,
     SweepRecord,
     ed_sweep,
@@ -47,11 +48,20 @@ def test_phase_diagram_row_major_and_corner_labels():
     assert by_point[(1.0, 1.0)] is PhaseLabel.LEFT_RIGHT_SR
 
 
-def test_phase_diagram_parallel_matches_serial():
-    grid = GridSpec(BASE, 0.4, 1.0, 0.3, 0.9, n1=7, n2=5)
-    serial = phase_diagram(grid, jobs=1)
-    parallel = phase_diagram(grid, jobs=2)
-    assert serial == parallel
+def test_grid_sizes_are_bounded_before_allocation():
+    # none of these sizes could be allocated; each is refused first
+    huge = 10 ** 9
+    GridSpec(BASE, 0.0, 1.0, 0.0, 1.0, n1=1000, n2=MAX_GRID_POINTS // 1000)
+    with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+        GridSpec(BASE, 0.0, 1.0, 0.0, 1.0, n1=huge, n2=huge)
+    with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+        GridSpec(BASE, 0.0, 1.0, 0.0, 1.0, n1=1001, n2=MAX_GRID_POINTS // 1000)
+    with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+        overlap_area(ModelParams(), 1.2, resolution=huge)
+    with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+        line_cut(BASE, g2=0.3, g1_min=0.4, g1_max=1.0, steps=huge)
+    with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+        trace_boundary("normal_right", BASE, 0.0, 0.4, steps=huge)
 
 
 def test_trace_boundary_endpoints_and_crosscheck():
