@@ -44,6 +44,7 @@ from .scan import (
     overlap_area,
     phase_diagram,
     records_to_csv_text,
+    sweep_values,
     trace_boundary,
 )
 
@@ -250,11 +251,8 @@ def _handle_line_cut(opts: dict) -> int:
     if opts.get("g2") is None:
         raise ConfigError("line-cut requires g2 (the fixed right-branch coupling)")
     try:
-        records = line_cut(
-            params, g2=opts["g2"], g1_min=opts["g1_min"], g1_max=opts["g1_max"],
-            steps=opts["steps"], n_atoms=opts.get("n_atoms"),
-            cutoff_tol=opts["cutoff_tol"], eig_tol=opts["tol"], seed=opts["seed"],
-        )
+        records = line_cut(params, g2=opts["g2"], g1_min=opts["g1_min"],
+                           g1_max=opts["g1_max"], steps=opts["steps"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _emit(records_to_csv_text(records), opts.get("output"))
@@ -290,9 +288,7 @@ def _handle_ed(opts: dict) -> int:
         raise ConfigError("ed sweep mode needs all of g1_min, g1_max, steps")
 
     if sweep_keys:
-        import numpy as np
-
-        g1s = np.linspace(opts["g1_min"], opts["g1_max"], opts["steps"])
+        g1s = sweep_values(opts["g1_min"], opts["g1_max"], opts["steps"], "ed sweep")
         if opts.get("diagonal"):
             slope = math.sqrt(params.omega_b / params.omega_a)
             sweep = [replace(params, g1=float(g1), g2=float(g1) * slope) for g1 in g1s]
@@ -307,10 +303,7 @@ def _handle_ed(opts: dict) -> int:
     if opts.get("cutoff_a") is not None or opts.get("cutoff_b") is not None:
         if opts.get("cutoff_a") is None or opts.get("cutoff_b") is None:
             raise ConfigError("give both cutoff_a and cutoff_b, or neither")
-        space = exactdiag.TruncatedSpace(
-            basis=exactdiag.build_basis(n_atoms),
-            cutoff_a=opts["cutoff_a"], cutoff_b=opts["cutoff_b"],
-        )
+        space = exactdiag.truncated_space(n_atoms, opts["cutoff_a"], opts["cutoff_b"])
     else:
         space, trace = exactdiag.converge_cutoffs(
             params, n_atoms, tol=opts["cutoff_tol"], eig_tol=opts["tol"],
@@ -345,10 +338,7 @@ def _handle_parity_check(opts: dict) -> int:
     n_atoms = opts.get("n_atoms")
     if n_atoms is None:
         raise ConfigError("parity-check requires --N (number of atoms)")
-    space = exactdiag.TruncatedSpace(
-        basis=exactdiag.build_basis(n_atoms),
-        cutoff_a=opts["cutoff_a"], cutoff_b=opts["cutoff_b"],
-    )
+    space = exactdiag.truncated_space(n_atoms, opts["cutoff_a"], opts["cutoff_b"])
     names = ("commutator_l", "commutator_r", "commutator_g")
     norms = dict(zip(names, exactdiag.parity_commutator_norms(params, space)))
     payload = {
@@ -401,7 +391,7 @@ _COMMANDS = (
         ), _handle_phase_diagram,
     ),
     _Command(
-        "boundary", "trace one phase boundary, closed form vs zero mode",
+        "boundary", "sample one phase boundary from its closed form",
         _MODEL_OPTS + _IO_OPTS + (
             _Opt("which", str, required=True, choices=BOUNDARY_KINDS,
                  help="boundary to trace"),
@@ -411,17 +401,12 @@ _COMMANDS = (
         ), _handle_boundary,
     ),
     _Command(
-        "line-cut", "sweep g1 at fixed g2 (optionally with finite-N data)",
+        "line-cut", "sweep g1 at fixed g2 (mean field; ed sweeps add finite-N data)",
         _MODEL_OPTS + _IO_OPTS + (
             _Opt("g2", float, required=True, help="fixed right-branch coupling"),
             _Opt("g1_min", float, required=True, help="sweep start"),
             _Opt("g1_max", float, required=True, help="sweep end"),
             _Opt("steps", int, 41, "number of samples"),
-            _Opt("n_atoms", int, None, "attach exact-diagonalization data for N atoms",
-                 flag="--N"),
-            _Opt("cutoff_tol", float, 1e-4, "photon-number convergence tolerance"),
-            _Opt("tol", float, 1e-8, "eigensolver residual tolerance"),
-            _Opt("seed", int, 0, "eigensolver start-vector seed"),
         ), _handle_line_cut,
     ),
     _Command(

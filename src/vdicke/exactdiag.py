@@ -38,6 +38,7 @@ __all__ = [
     "TruncatedSpace",
     "GroundStateResult",
     "build_basis",
+    "truncated_space",
     "collective_operator",
     "build_hamiltonian",
     "parity_operators",
@@ -120,6 +121,27 @@ def build_basis(n_atoms: int) -> SymmetricBasis:
         for n2 in range(n_atoms - n3 + 1)
     )
     return SymmetricBasis(n_atoms=n_atoms, states=states)
+
+
+def truncated_space(n_atoms: int, cutoff_a: int, cutoff_b: int,
+                    dim_limit: int = DEFAULT_DIM_LIMIT, trace=None) -> TruncatedSpace:
+    """Symmetric sector tensor two truncated modes, bounded before enumeration.
+
+    The dimension (N+1)(N+2)/2 * (cutoff_a+1) * (cutoff_b+1) is checked
+    against ``dim_limit`` before the basis is built, so an oversized
+    request raises CapacityError (carrying ``trace``) without allocating.
+    """
+    if n_atoms < 1 or cutoff_a < 1 or cutoff_b < 1:
+        raise ValueError(f"n_atoms and both cutoffs must be >= 1, got "
+                         f"{n_atoms}, {cutoff_a}, {cutoff_b}")
+    dimension = (n_atoms + 1) * (n_atoms + 2) // 2 * (cutoff_a + 1) * (cutoff_b + 1)
+    if dimension > dim_limit:
+        raise CapacityError(
+            f"space dimension {dimension} (N = {n_atoms}, cutoffs {cutoff_a} and "
+            f"{cutoff_b}) exceeds the dimension limit {dim_limit}",
+            trace=trace,
+        )
+    return TruncatedSpace(basis=build_basis(n_atoms), cutoff_a=cutoff_a, cutoff_b=cutoff_b)
 
 
 def collective_operator(basis: SymmetricBasis, m: int, n: int) -> sparse.csr_matrix:
@@ -369,17 +391,11 @@ def converge_cutoffs(params: ModelParams, n_atoms: int, start: tuple[int, int] |
     CapacityError (with the trace attached) if the dimension limit is
     hit first.
     """
-    basis = build_basis(n_atoms)
     cutoff_a, cutoff_b = start if start is not None else default_cutoffs(params, n_atoms)
     trace = []
     previous = None
     while True:
-        space = TruncatedSpace(basis=basis, cutoff_a=cutoff_a, cutoff_b=cutoff_b)
-        if space.dimension > dim_limit:
-            raise CapacityError(
-                f"dimension {space.dimension} exceeds limit {dim_limit} before convergence",
-                trace=trace,
-            )
+        space = truncated_space(n_atoms, cutoff_a, cutoff_b, dim_limit=dim_limit, trace=trace)
         h = build_hamiltonian(params, space, dim_limit=dim_limit)
         e0, vec = ground_state(h, tol=eig_tol, seed=seed)
         result = observables(params, space, vec, energy=e0)
@@ -410,8 +426,7 @@ def solve_point(params: ModelParams, n_atoms: int, space: TruncatedSpace | None 
     directly (no convergence doubling; see converge_cutoffs for that).
     """
     if space is None:
-        cutoff_a, cutoff_b = default_cutoffs(params, n_atoms)
-        space = TruncatedSpace(basis=build_basis(n_atoms), cutoff_a=cutoff_a, cutoff_b=cutoff_b)
+        space = truncated_space(n_atoms, *default_cutoffs(params, n_atoms), dim_limit=dim_limit)
     h = build_hamiltonian(params, space, dim_limit=dim_limit)
     if with_gap:
         e0, e1, vec = lowest_two(h, tol=tol, seed=seed)

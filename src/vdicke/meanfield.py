@@ -26,21 +26,13 @@ for diagnostics only.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
-from .model import (
-    ModelParams,
-    PhaseLabel,
-    alpha_beta,
-    critical_g1,
-    critical_g2,
-    mu_left,
-    mu_right,
-)
+from .model import ModelParams, PhaseLabel, alpha_beta
 
 __all__ = [
     "MeanFieldSolution",
@@ -62,6 +54,8 @@ DEGENERATE_LINE_RTOL = 1e-9
 ENERGY_TIE_TOL = 1e-12
 # Squared-amplitude threshold below which the oracle calls a component zero.
 _ORACLE_AMP_SQ_TOL = 1e-5
+
+_FOUR_SIGNS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 
 _DEGENERACY = {
     PhaseLabel.NORMAL: 1,
@@ -160,24 +154,18 @@ def gradient(params: ModelParams, psi2, psi3):
     return g2c, g3c
 
 
-def _elimination_phi(params: ModelParams, psi1: float, psi2: float, psi3: float):
-    phi_a = -2.0 * params.g1 * psi1 * psi3 / params.omega_a
-    phi_b = -2.0 * params.g2 * psi1 * psi2 / params.omega_b
-    return phi_a, phi_b
-
-
 def _solution(params, psi2, psi3, phase, *, energy_value=None, degeneracy=None,
               physical=True, bistable=False, degenerate_valley=False):
-    psi1 = math.sqrt(max(0.0, 1.0 - psi2 ** 2 - psi3 ** 2))
-    phi_a, phi_b = _elimination_phi(params, psi1, psi2, psi3)
+    # x * x rounds as np.square does, so entries match classify_arrays bitwise.
+    psi1 = math.sqrt(max(0.0, 1.0 - psi2 * psi2 - psi3 * psi3))
     if energy_value is None:
         energy_value = energy(params, psi2, psi3)
     return MeanFieldSolution(
         psi1=psi1,
         psi2=float(psi2),
         psi3=float(psi3),
-        phi_a=phi_a,
-        phi_b=phi_b,
+        phi_a=-2.0 * params.g1 * psi1 * psi3 / params.omega_a,
+        phi_b=-2.0 * params.g2 * psi1 * psi2 / params.omega_b,
         energy=float(energy_value),
         phase=phase,
         bistable=bistable,
@@ -187,64 +175,13 @@ def _solution(params, psi2, psi3, phase, *, energy_value=None, degeneracy=None,
     )
 
 
-def _left_energy(params: ModelParams) -> float:
-    mu = mu_left(params)
-    return -params.omega31 * (1.0 - mu) ** 2 / (4.0 * mu)
-
-
-def _right_energy(params: ModelParams) -> float:
-    mu = mu_right(params)
-    return -params.omega21 * (1.0 - mu) ** 2 / (4.0 * mu)
-
-
-def _left_solutions(params: ModelParams):
-    mu = mu_left(params)
-    amp = math.sqrt(max(0.0, (1.0 - mu) / 2.0))
-    e = _left_energy(params)
-    return [
-        _solution(params, 0.0, sign * amp, PhaseLabel.LEFT_SR, energy_value=e)
-        for sign in (1.0, -1.0)
-    ]
-
-
-def _right_solutions(params: ModelParams):
-    mu = mu_right(params)
-    amp = math.sqrt(max(0.0, (1.0 - mu) / 2.0))
-    e = _right_energy(params)
-    return [
-        _solution(params, sign * amp, 0.0, PhaseLabel.RIGHT_SR, energy_value=e)
-        for sign in (1.0, -1.0)
-    ]
-
-
-def _balanced_solutions(params: ModelParams, bistable=False):
-    # Symmetric split of the degenerate valley: psi2^2 = psi3^2 = (1-mu)/4.
-    mul = mu_left(params)
-    mur = mu_right(params)
-    amp3 = math.sqrt(max(0.0, 1.0 - mul)) / 2.0
-    amp2 = math.sqrt(max(0.0, 1.0 - mur)) / 2.0
-    e = _left_energy(params)
-    return [
-        _solution(
-            params, s2 * amp2, s3 * amp3, PhaseLabel.LEFT_RIGHT_SR,
-            energy_value=e, bistable=bistable, degenerate_valley=True,
-        )
-        for s2, s3 in ((1, 1), (1, -1), (-1, 1), (-1, -1))
-    ]
-
-
-def on_degenerate_line(params: ModelParams, rtol: float = DEGENERATE_LINE_RTOL) -> bool:
-    """True when alpha = beta and omega21 = omega31 within tolerance.
+def on_degenerate_line(params: ModelParams) -> bool:
+    """True when alpha = beta and omega21 = omega31 (relative 1e-9), g1, g2 > 0.
 
     Both conditions are needed for the fully mixed stationary family to
     exist; on the line they imply mu_left = mu_right.
     """
-    if params.g1 <= 0.0 or params.g2 <= 0.0:
-        return False
-    alpha, beta = alpha_beta(params)
-    if abs(alpha - beta) > rtol * max(alpha, beta):
-        return False
-    return abs(params.omega21 - params.omega31) <= rtol * max(params.omega21, params.omega31)
+    return bool(_branch_table(*astuple(params)).degenerate)
 
 
 def _generic_mixed_squares(params: ModelParams):
@@ -256,43 +193,41 @@ def _generic_mixed_squares(params: ModelParams):
     return s2, s3
 
 
-def _point_bistable(params: ModelParams) -> bool:
-    return bool(classify_arrays(*astuple(params)).bistable)
-
-
 def stationary_branches(params: ModelParams) -> list[MeanFieldSolution]:
     """Every stationary point of the energy surface at these parameters.
 
-    Sign-related copies are returned as separate entries.  The generic
-    mixed point (present only off the degenerate line, and only when
-    its squared amplitudes are admissible) is flagged physical=False:
-    it is a saddle and never wins the classification.
+    Sign-related copies are returned as separate entries, positive sign
+    first; the positive copy of the winning branch equals
+    :func:`classify` field for field.  The generic mixed point (present
+    only off the degenerate line, and only when its squared amplitudes
+    are admissible) is flagged physical=False: it is a saddle and never
+    wins the classification.
     """
-    bistable = _point_bistable(params)
-    out = [_solution(params, 0.0, 0.0, PhaseLabel.NORMAL, energy_value=0.0,
-                     bistable=bistable)]
-    if params.g1 >= critical_g1(params):
-        out.extend(replace(s, bistable=bistable) for s in _left_solutions(params))
-    if params.g2 >= critical_g2(params):
-        out.extend(replace(s, bistable=bistable) for s in _right_solutions(params))
-    degenerate = on_degenerate_line(params)
-    if degenerate and mu_left(params) < 1.0:
-        out.extend(_balanced_solutions(params, bistable=bistable))
-    if not degenerate and params.g1 > 0.0 and params.g2 > 0.0:
+    t = _branch_table(*astuple(params))
+    bistable = bool(t.bistable)
+
+    def copies(psi2, psi3, phase, energy_value, signs, **flags):
+        return [_solution(params, s2 * psi2, s3 * psi3, phase, energy_value=energy_value,
+                          bistable=bistable, **flags) for s2, s3 in signs]
+
+    out = copies(0.0, 0.0, PhaseLabel.NORMAL, 0.0, [(1.0, 1.0)])
+    if t.has_left:
+        out += copies(0.0, float(t.psi3_left), PhaseLabel.LEFT_SR, float(t.e_left),
+                      [(1.0, 1.0), (1.0, -1.0)])
+    if t.has_right:
+        out += copies(float(t.psi2_right), 0.0, PhaseLabel.RIGHT_SR, float(t.e_right),
+                      [(1.0, 1.0), (-1.0, 1.0)])
+    if t.valley:
+        # Symmetric split of the degenerate valley: psi2^2 = psi3^2 = (1-mu)/4.
+        out += copies(float(t.psi2_valley), float(t.psi3_valley), PhaseLabel.LEFT_RIGHT_SR,
+                      float(t.e_left), _FOUR_SIGNS, degenerate_valley=True)
+    elif not t.degenerate and params.g1 > 0.0 and params.g2 > 0.0:
         alpha, beta = alpha_beta(params)
         if abs(alpha - beta) > DEGENERATE_LINE_RTOL * max(alpha, beta):
             s2, s3 = _generic_mixed_squares(params)
             if s2 > 1e-12 and s3 > 1e-12 and s2 + s3 <= 1.0 + 1e-12:
-                p2 = math.sqrt(s2)
-                p3 = math.sqrt(min(s3, 1.0 - s2))
-                for sign2 in (1.0, -1.0):
-                    for sign3 in (1.0, -1.0):
-                        out.append(
-                            _solution(params, sign2 * p2, sign3 * p3,
-                                      PhaseLabel.LEFT_RIGHT_SR,
-                                      degeneracy=4, physical=False,
-                                      bistable=bistable)
-                        )
+                out += copies(math.sqrt(s2), math.sqrt(min(s3, 1.0 - s2)),
+                              PhaseLabel.LEFT_RIGHT_SR, None, _FOUR_SIGNS, physical=False)
     return out
 
 
@@ -313,17 +248,38 @@ class PhaseArrays(NamedTuple):
     degenerate_valley: np.ndarray
 
 
-@np.errstate(divide="ignore", invalid="ignore")
-def classify_arrays(omega21, omega31, omega_a, omega_b, g1, g2) -> PhaseArrays:
-    """Global minimum of the energy surface at every point of broadcast arrays.
+class _BranchTable(NamedTuple):
+    """Closed forms of every branch at broadcast points (see _branch_table)."""
 
-    Arguments follow the field order of ModelParams and must satisfy its
-    constraints.  The canonical representative is the positive-sign copy
-    of the winning branch.  On the degenerate line with mu < 1 it is the
-    symmetric mixed split (any other valley point has the same energy).
-    Off the line, an exact left/right tie (|dE| <= 1e-12) is resolved
-    toward the larger total excitation psi2^2 + psi3^2, the one with the
-    smaller mu, and flagged bistable.
+    has_left: np.ndarray
+    has_right: np.ndarray
+    degenerate: np.ndarray
+    valley: np.ndarray
+    mul: np.ndarray
+    mur: np.ndarray
+    gt1: np.ndarray
+    gt2: np.ndarray
+    e_left: np.ndarray
+    e_right: np.ndarray
+    psi3_left: np.ndarray
+    psi2_right: np.ndarray
+    psi2_valley: np.ndarray
+    psi3_valley: np.ndarray
+    tie: np.ndarray
+    bistable: np.ndarray
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _branch_table(omega21, omega31, omega_a, omega_b, g1, g2) -> _BranchTable:
+    """Existence, energy and positive-sign amplitudes of each branch.
+
+    Arguments follow the field order of ModelParams.  A condensate
+    exists from its bare threshold on (``has_left``, ``has_right``);
+    its energy is +inf where it does not.  ``degenerate`` marks the
+    line alpha = beta with omega21 = omega31, and ``valley`` the part of
+    it beyond threshold, where the balanced split is a minimum.  ``tie``
+    marks an exact left/right energy tie below zero; ``bistable``
+    either such a tie or two competing, locally stable condensates.
     """
     w21, w31, wa, wb, g1, g2 = (np.asarray(v, dtype=float)
                                 for v in (omega21, omega31, omega_a, omega_b, g1, g2))
@@ -353,8 +309,6 @@ def classify_arrays(omega21, omega31, omega_a, omega_b, g1, g2) -> PhaseArrays:
     e_right = np.where(has_right, e_right, np.inf)
     tie = (has_left & has_right & (np.abs(e_left - e_right) <= ENERGY_TIE_TOL)
            & (np.minimum(e_left, e_right) < 0.0))
-    left = np.where(tie, mul < mur, (e_left < e_right) & (e_left < 0.0))
-    right = np.where(tie, mul >= mur, ~left & (e_right <= e_left) & (e_right < 0.0))
     # Both condensates exist and each is strictly stable against the
     # other: g2 below the renormalized threshold gt2(g1), and mirrored.
     # These are the positivity conditions of the mean-field Hessian
@@ -362,18 +316,43 @@ def classify_arrays(omega21, omega31, omega_a, omega_b, g1, g2) -> PhaseArrays:
     # connected ground manifold, not a pair of competing minima.
     both_stable = has_left & has_right & (g2 < gt2) & (g1 < gt1)
     bistable = ~valley & (tie | (~degenerate & both_stable))
+    return _BranchTable(
+        has_left, has_right, degenerate, valley, mul, mur, gt1, gt2, e_left, e_right,
+        psi3_left=np.sqrt(np.maximum(0.0, (1.0 - mul) / 2.0)),
+        psi2_right=np.sqrt(np.maximum(0.0, (1.0 - mur) / 2.0)),
+        psi2_valley=np.sqrt(np.maximum(0.0, 1.0 - mur)) / 2.0,
+        psi3_valley=np.sqrt(np.maximum(0.0, 1.0 - mul)) / 2.0,
+        tie=tie, bistable=bistable,
+    )
+
+
+def classify_arrays(omega21, omega31, omega_a, omega_b, g1, g2) -> PhaseArrays:
+    """Global minimum of the energy surface at every point of broadcast arrays.
+
+    Arguments follow the field order of ModelParams and must satisfy its
+    constraints.  The canonical representative is the positive-sign copy
+    of the winning branch.  On the degenerate line with mu < 1 it is the
+    symmetric mixed split (any other valley point has the same energy).
+    Off the line, an exact left/right tie (|dE| <= 1e-12) is resolved
+    toward the larger total excitation psi2^2 + psi3^2, the one with the
+    smaller mu, and flagged bistable.
+    """
+    w21, w31, wa, wb, g1, g2 = (np.asarray(v, dtype=float)
+                                for v in (omega21, omega31, omega_a, omega_b, g1, g2))
+    t = _branch_table(w21, w31, wa, wb, g1, g2)
+    valley = t.valley
+    left = np.where(t.tie, t.mul < t.mur, (t.e_left < t.e_right) & (t.e_left < 0.0))
+    right = np.where(t.tie, t.mul >= t.mur, ~left & (t.e_right <= t.e_left) & (t.e_right < 0.0))
 
     # Every output depends on all six inputs, so each has their broadcast shape.
     phase = np.where(valley, 3, np.where(left, 1, np.where(right, 2, 0))).astype(np.int8)
-    psi2 = np.where(valley, np.sqrt(np.maximum(0.0, 1.0 - mur)) / 2.0,
-                    np.where(right, np.sqrt(np.maximum(0.0, (1.0 - mur) / 2.0)), 0.0))
-    psi3 = np.where(valley, np.sqrt(np.maximum(0.0, 1.0 - mul)) / 2.0,
-                    np.where(left, np.sqrt(np.maximum(0.0, (1.0 - mul) / 2.0)), 0.0))
-    energy_value = np.where(valley | left, e_left, np.where(right, e_right, 0.0))
+    psi2 = np.where(valley, t.psi2_valley, np.where(right, t.psi2_right, 0.0))
+    psi3 = np.where(valley, t.psi3_valley, np.where(left, t.psi3_left, 0.0))
+    energy_value = np.where(valley | left, t.e_left, np.where(right, t.e_right, 0.0))
     psi1 = np.sqrt(np.maximum(0.0, 1.0 - np.square(psi2) - np.square(psi3)))
     phi_a = -2.0 * g1 * psi1 * psi3 / wa
     phi_b = -2.0 * g2 * psi1 * psi2 / wb
-    return PhaseArrays(phase, psi1, psi2, psi3, phi_a, phi_b, energy_value, bistable, valley)
+    return PhaseArrays(phase, psi1, psi2, psi3, phi_a, phi_b, energy_value, t.bistable, valley)
 
 
 def classify(params: ModelParams) -> MeanFieldSolution:
@@ -450,7 +429,7 @@ def brute_force_minimize(params: ModelParams, resolution: int = 400) -> MeanFiel
         b3 = 0.0
     else:
         label = PhaseLabel.LEFT_RIGHT_SR
-    return _solution(params, b2, b3, label, bistable=_point_bistable(params))
+    return _solution(params, b2, b3, label, bistable=bool(_branch_table(*astuple(params)).bistable))
 
 
 def _refine(params: ModelParams, start, window, npts: int = 41, shrink: float = 0.25,

@@ -3,10 +3,12 @@
 Everything here is a thin, deterministic driver over the closed-form
 classification: each grid or sweep is one call of
 :func:`vdicke.meanfield.classify_arrays`, records come out in row-major
-order (g1 outer, g2 inner), boundary curves are cross-checked against
-the fluctuation zero mode, and records serialize to a fixed CSV column
-order that round-trips through :func:`read_records_csv`.  Every grid is
-capped at MAX_GRID_POINTS points, checked before anything is allocated.
+order (g1 outer, g2 inner), boundary curves are sampled from the
+closed-form thresholds of :mod:`vdicke.model` (checked against the
+fluctuation zero mode in the tests), and records serialize to a fixed
+CSV column order that round-trips through :func:`read_records_csv`.
+Every grid and sweep is capped at MAX_GRID_POINTS points, checked
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -19,12 +21,6 @@ import numpy as np
 
 from . import exactdiag
 from .errors import DomainError
-from .fluctuations import (
-    critical_coupling_by_zero_mode,
-    left_branch_form,
-    normal_phase_forms,
-    right_branch_form,
-)
 from .meanfield import PHASES, classify_arrays
 from .model import (
     ModelParams,
@@ -39,6 +35,7 @@ __all__ = [
     "MAX_GRID_POINTS",
     "GridSpec",
     "SweepRecord",
+    "sweep_values",
     "BOUNDARY_KINDS",
     "phase_diagram",
     "trace_boundary",
@@ -50,15 +47,20 @@ __all__ = [
     "records_to_csv_text",
 ]
 
-# Agreement demanded between closed-form boundaries and the zero mode.
-_BOUNDARY_XCHECK_TOL = 1e-8
 # Largest number of points one grid or sweep may have (a 1000 x 1000 grid).
 MAX_GRID_POINTS = 1_000_000
 
 CSV_COLUMNS = ("g1", "g2", "phase", "psi2", "psi3", "phi_a", "phi_b", "energy", "bistable")
 ED_COLUMNS = ("photon_a", "photon_b", "n_atoms", "cutoff_a", "cutoff_b")
 
-BOUNDARY_KINDS = ("gtilde_c1", "gtilde_c2", "normal_left", "normal_right")
+# Boundary kind -> (coupling sampled as the abscissa, closed form of the boundary).
+_BOUNDARIES = {
+    "gtilde_c1": ("g2", renormalized_critical_g1),
+    "gtilde_c2": ("g1", renormalized_critical_g2),
+    "normal_left": ("g2", critical_g1),
+    "normal_right": ("g1", critical_g2),
+}
+BOUNDARY_KINDS = tuple(_BOUNDARIES)
 
 
 @dataclass(frozen=True)
@@ -117,6 +119,16 @@ def _check_size(points: int, what: str) -> None:
                          f"{MAX_GRID_POINTS} (MAX_GRID_POINTS)")
 
 
+def sweep_values(lo: float, hi: float, steps: int, what: str) -> np.ndarray:
+    """``steps`` evenly spaced values from lo to hi, validated before allocation."""
+    if steps < 2:
+        raise ValueError("steps must be >= 2")
+    _check_size(steps, what)
+    if not lo < hi:
+        raise ValueError(f"{what} range must satisfy start < end")
+    return np.linspace(lo, hi, steps)
+
+
 def _classified_records(omega21, omega31, omega_a, omega_b, g1, g2) -> list[SweepRecord]:
     """Classify broadcast arrays in one call; one record per point, C order."""
     result = classify_arrays(omega21, omega31, omega_a, omega_b, g1, g2)
@@ -142,47 +154,16 @@ def trace_boundary(which: str, base: ModelParams, lo: float, hi: float,
                    steps: int) -> list[tuple[float, float]]:
     """Sample one phase boundary as (abscissa, critical coupling) pairs.
 
-    The closed form is emitted; at every sample it is cross-checked
-    against the fluctuation zero mode located by bisection, and a
-    disagreement beyond 1e-8 raises RuntimeError.  For ``gtilde_c2``
+    The closed form is evaluated at every sample.  For ``gtilde_c2``
     the abscissa is g1 (>= critical_g1 required); for ``gtilde_c1`` it
     is g2; the two normal-state boundaries are constants sampled
     against the opposite coupling.
     """
-    if which not in BOUNDARY_KINDS:
+    if which not in _BOUNDARIES:
         raise ValueError(f"unknown boundary kind {which!r}; expected one of {BOUNDARY_KINDS}")
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
-    _check_size(steps, "boundary trace")
-    if not lo < hi:
-        raise ValueError("boundary range must satisfy lo < hi")
-    abscissas = np.linspace(lo, hi, steps)
-    out = []
-    for x in abscissas:
-        x = float(x)
-        if which == "gtilde_c2":
-            params = replace(base, g1=x)
-            value = renormalized_critical_g2(params)
-            family = lambda g, p=params: right_branch_form(replace(p, g2=g))
-        elif which == "gtilde_c1":
-            params = replace(base, g2=x)
-            value = renormalized_critical_g1(params)
-            family = lambda g, p=params: left_branch_form(replace(p, g1=g))
-        elif which == "normal_left":
-            params = replace(base, g2=x)
-            value = critical_g1(params)
-            family = lambda g, p=params: normal_phase_forms(replace(p, g1=g))[0]
-        else:  # normal_right
-            params = replace(base, g1=x)
-            value = critical_g2(params)
-            family = lambda g, p=params: normal_phase_forms(replace(p, g2=g))[1]
-        located = critical_coupling_by_zero_mode(family, (0.2 * value, 3.0 * value))
-        if abs(located - value) > _BOUNDARY_XCHECK_TOL:
-            raise RuntimeError(
-                f"boundary {which} at abscissa {x}: closed form {value} vs zero mode {located}"
-            )
-        out.append((x, value))
-    return out
+    axis, closed_form = _BOUNDARIES[which]
+    abscissas = sweep_values(lo, hi, steps, "boundary trace").tolist()
+    return [(x, closed_form(replace(base, **{axis: x}))) for x in abscissas]
 
 
 def overlap_area(base: ModelParams, ratio: float, resolution: int = 100) -> float:
@@ -239,23 +220,12 @@ def ed_sweep(sweep: list[ModelParams], n_atoms: int, cutoff_tol: float = 1e-4,
     return out
 
 
-def line_cut(base: ModelParams, g2: float, g1_min: float, g1_max: float, steps: int,
-             n_atoms: int | None = None, cutoff_tol: float = 1e-4,
-             eig_tol: float = 1e-8, seed: int = 0,
-             dim_limit: int = exactdiag.DEFAULT_DIM_LIMIT) -> list[SweepRecord]:
-    """Sweep g1 at fixed g2; optionally attach finite-N observables."""
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
-    _check_size(steps, "line cut")
-    if not g1_min < g1_max:
-        raise ValueError("g1 range must satisfy min < max")
-    g1s = np.linspace(g1_min, g1_max, steps)
-    if n_atoms is None:
-        return _classified_records(base.omega21, base.omega31, base.omega_a, base.omega_b,
-                                   g1s, float(g2))
-    sweep = [replace(base, g1=g1, g2=float(g2)) for g1 in g1s.tolist()]
-    return ed_sweep(sweep, n_atoms, cutoff_tol=cutoff_tol, eig_tol=eig_tol,
-                    seed=seed, dim_limit=dim_limit)
+def line_cut(base: ModelParams, g2: float, g1_min: float, g1_max: float,
+             steps: int) -> list[SweepRecord]:
+    """Sweep g1 at fixed g2 (mean field; :func:`ed_sweep` adds finite-N data)."""
+    g1s = sweep_values(g1_min, g1_max, steps, "line cut")
+    return _classified_records(base.omega21, base.omega31, base.omega_a, base.omega_b,
+                               g1s, float(g2))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from vdicke import exactdiag
 from vdicke.cli import run
 from vdicke.scan import CSV_COLUMNS
 
@@ -80,7 +81,8 @@ def test_grid_size_limit_exits_2(capsys):
                  ["line-cut", "--g2", "0.5", "--g1-min", "0", "--g1-max", "1",
                   "--steps", huge],
                  ["boundary", "--which", "normal_right", "--from", "0", "--to", "1",
-                  "--steps", huge]):
+                  "--steps", huge],
+                 ["ed", "--N", "2", "--g1-min", "0", "--g1-max", "1", "--steps", huge]):
         assert run(argv) == 2
         assert "above the limit of 1000000" in capsys.readouterr().err
 
@@ -100,6 +102,12 @@ def test_boundary_csv(capsys):
     assert len(lines) == 5
     first = [float(tok) for tok in lines[1].split(",")]
     assert first[0] == 0.66
+    # a large frequency ratio: the closed form g_c2 = sqrt(omega_b*omega21)/2
+    assert run(["boundary", "--which", "normal_right", "--omega-b", "1e4",
+                "--from", "0", "--to", "1"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert len(rows) == 50
+    assert all(row.split(",")[1] == "50" for row in rows)
 
 
 def test_boundary_unknown_kind_exits_2():
@@ -116,6 +124,10 @@ def test_line_cut_csv(capsys):
     phases = [line.split(",")[2] for line in lines[1:]]
     assert phases[0] == "RightSR"
     assert phases[-1] == "LeftSR"
+    # finite-N sweeps belong to `ed`; line-cut has no --N
+    assert run(["line-cut", "--g2", "0.75", "--g1-min", "0.5", "--g1-max", "1.0",
+                "--steps", "5", "--N", "3"]) == 2
+    assert "unrecognized arguments: --N 3" in capsys.readouterr().err
 
 
 def test_overlap_area_csv(capsys):
@@ -169,15 +181,29 @@ def test_ed_requires_atom_count(capsys):
     assert "requires --N" in capsys.readouterr().err
 
 
-def test_ed_partial_sweep_flags_exit_2():
+def test_ed_partial_sweep_flags_exit_2(capsys):
     assert run(["ed", "--N", "2", "--g1-min", "0.3", "--steps", "3"]) == 2
+    assert run(["ed", "--N", "2", "--g1-min", "0.5", "--g1-max", "1", "--steps", "0"]) == 2
+    assert "steps must be >= 2" in capsys.readouterr().err
+    assert run(["ed", "--N", "2", "--g1-min", "1", "--g1-max", "0.5", "--steps", "3"]) == 2
+    assert "range must satisfy start < end" in capsys.readouterr().err
 
 
-def test_ed_capacity_exhaustion_exits_3(capsys):
+def test_ed_capacity_exhaustion_exits_3(capsys, monkeypatch):
+    # every size here is refused before the basis is enumerated
+    def refuse(n_atoms):
+        raise AssertionError(f"build_basis({n_atoms}) called for a rejected size")
+
+    monkeypatch.setattr(exactdiag, "build_basis", refuse)
     code = run(["ed", "--N", "40", "--g1", "0.7", "--cutoff-a", "400",
                 "--cutoff-b", "400"])
     assert code == 3
     assert "did not converge" in capsys.readouterr().err
+    huge = str(10 ** 6)
+    for argv in (["ed", "--N", huge], ["ed", "--N", huge, "--cutoff-a", "8", "--cutoff-b", "8"],
+                 ["parity-check", "--N", huge]):
+        assert run(argv) == 3
+        assert "exceeds the dimension limit 2000000" in capsys.readouterr().err
 
 
 def test_parity_check_json(capsys):

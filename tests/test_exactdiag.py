@@ -19,6 +19,7 @@ from vdicke.exactdiag import (
     parity_check,
     parity_operators,
     solve_point,
+    truncated_space,
 )
 from vdicke.model import ModelParams
 
@@ -135,6 +136,17 @@ def test_capacity_limit_raises_before_allocation():
     space = TruncatedSpace(build_basis(10), 40, 40)
     with pytest.raises(CapacityError):
         build_hamiltonian(ModelParams(g1=0.7), space, dim_limit=1000)
+    # the dimension is checked before the basis is enumerated: a basis of
+    # 5e11 states is never built
+    with pytest.raises(CapacityError, match="dimension limit 2000000"):
+        truncated_space(10 ** 6, 8, 8)
+    with pytest.raises(CapacityError, match="dimension limit 1000"):
+        truncated_space(10, 40, 40, dim_limit=1000)
+    for bad in ((0, 8, 8), (-(10 ** 6), 8, 8), (3, 0, 8)):
+        with pytest.raises(ValueError):
+            truncated_space(*bad)
+    small = truncated_space(10, 40, 40)
+    assert small.dimension == space.dimension == 66 * 41 * 41
 
 
 def test_exchange_relabeling_is_a_permutation_conjugation():

@@ -80,7 +80,7 @@ def _symplectic_squares(form):
 
 
 def test_closed_form_agrees_with_symplectic_route():
-    # couplings up to 3 lam_c, the bracket trace_boundary bisects over,
+    # couplings up to 3 lam_c, the bracket the zero-mode bisections use,
     # so unstable forms are checked as well as stable ones
     rng = np.random.default_rng(11)
     for _ in range(1000):

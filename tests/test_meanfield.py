@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from vdicke.errors import DomainError
 from vdicke.meanfield import (
     PHASES,
     MeanFieldSolution,
+    _branch_table,
     brute_force_minimize,
     classify,
     classify_arrays,
@@ -16,7 +17,16 @@ from vdicke.meanfield import (
     on_degenerate_line,
     stationary_branches,
 )
-from vdicke.model import ModelParams, PhaseLabel, critical_g1, critical_g2
+from vdicke.model import (
+    ModelParams,
+    PhaseLabel,
+    critical_g1,
+    critical_g2,
+    mu_left,
+    mu_right,
+    renormalized_critical_g1,
+    renormalized_critical_g2,
+)
 from vdicke.scan import GridSpec, phase_diagram
 
 # ---------------------------------------------------------------------------
@@ -372,3 +382,71 @@ def test_phase_diagram_records_equal_scalar_classify(base):
         s = classify(replace(base, g1=r.g1, g2=r.g2))
         assert (r.phase, r.psi2, r.psi3, r.phi_a, r.phi_b, r.energy, r.bistable) == \
             (s.phase, s.psi2, s.psi3, s.phi_a, s.phi_b, s.energy, s.bistable)
+
+
+def test_classify_is_the_positive_copy_of_its_branch():
+    # classify and stationary_branches read one branch table, so the
+    # winner's positive-sign entry must match bit for bit
+    points, _ = _reference_points()
+    for p in points:
+        params = ModelParams(*p)
+        picked = classify(params)
+        entry = next(s for s in stationary_branches(params)
+                     if s.physical and s.phase is picked.phase and s.psi2 >= 0.0 and s.psi3 >= 0.0)
+        assert entry == picked, f"at {params}"
+
+
+def _close(x, y):
+    return abs(x - y) <= 1e-12 * max(1.0, abs(y))
+
+
+def test_kernel_thresholds_match_model_scalars():
+    points, _ = _reference_points()
+    table = _branch_table(*points.T)
+    for k, p in enumerate(points):
+        params = ModelParams(*p)
+        if params.g1 > 0.0:
+            mu = mu_left(params)
+            assert _close(table.mul[k], mu)
+            if table.has_left[k]:
+                assert _close(table.e_left[k], -params.omega31 * (1.0 - mu) ** 2 / (4.0 * mu))
+                assert _close(table.gt2[k], renormalized_critical_g2(params))
+        if params.g2 > 0.0:
+            mu = mu_right(params)
+            assert _close(table.mur[k], mu)
+            if table.has_right[k]:
+                assert _close(table.e_right[k], -params.omega21 * (1.0 - mu) ** 2 / (4.0 * mu))
+                assert _close(table.gt1[k], renormalized_critical_g1(params))
+        assert table.has_left[k] == (params.g1 >= critical_g1(params))
+        assert table.has_right[k] == (params.g2 >= critical_g2(params))
+
+
+_MIRROR = {PhaseLabel.NORMAL: PhaseLabel.NORMAL, PhaseLabel.LEFT_SR: PhaseLabel.RIGHT_SR,
+           PhaseLabel.RIGHT_SR: PhaseLabel.LEFT_SR,
+           PhaseLabel.LEFT_RIGHT_SR: PhaseLabel.LEFT_RIGHT_SR}
+
+
+def _branch_key(s):
+    return (s.phase.value, s.physical, math.copysign(1.0, s.psi2), math.copysign(1.0, s.psi3))
+
+
+def test_exchange_symmetry_mirrors_the_branch_list():
+    # swapping levels 2<->3 with modes a<->b and g1<->g2 relabels left as
+    # right; on the degenerate line the valley energy is e_left on one
+    # side and e_right on the other, equal only to roundoff
+    points, _ = _reference_points()
+    for p in points:
+        params = ModelParams(*p)
+        w21, w31, wa, wb, g1, g2 = p
+        swapped = ModelParams(w31, w21, wb, wa, g2, g1)
+        mirrored = [replace(s, psi2=s.psi3, psi3=s.psi2, phi_a=s.phi_b, phi_b=s.phi_a,
+                            phase=_MIRROR[s.phase]) for s in stationary_branches(swapped)]
+        branches = sorted(stationary_branches(params), key=_branch_key)
+        mirrored.sort(key=_branch_key)
+        assert [_branch_key(s) for s in branches] == [_branch_key(s) for s in mirrored], \
+            f"at {params}"
+        for a, b in zip(branches, mirrored):
+            assert (a.bistable, a.degeneracy, a.degenerate_valley) == \
+                (b.bistable, b.degeneracy, b.degenerate_valley)
+            for x, y in zip(astuple(a)[:6], astuple(b)[:6]):
+                assert _close(x, y), f"{a} vs {b}"

@@ -1,9 +1,16 @@
 import io
-import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from vdicke.errors import DomainError
+from vdicke.fluctuations import (
+    critical_coupling_by_zero_mode,
+    left_branch_form,
+    normal_phase_forms,
+    right_branch_form,
+)
 from vdicke.model import ModelParams, PhaseLabel, critical_g1, critical_g2
 from vdicke.scan import (
     CSV_COLUMNS,
@@ -64,10 +71,20 @@ def test_grid_sizes_are_bounded_before_allocation():
         trace_boundary("normal_right", BASE, 0.0, 0.4, steps=huge)
 
 
+# Boundary kind -> (abscissa coupling, fluctuation block whose zero mode
+# marks the boundary, as a function of the params and the probed coupling).
+_ZERO_MODES = {
+    "gtilde_c1": ("g2", lambda p, g: left_branch_form(replace(p, g1=g))),
+    "gtilde_c2": ("g1", lambda p, g: right_branch_form(replace(p, g2=g))),
+    "normal_left": ("g2", lambda p, g: normal_phase_forms(replace(p, g1=g))[0]),
+    "normal_right": ("g1", lambda p, g: normal_phase_forms(replace(p, g2=g))[1]),
+}
+
+
 def test_trace_boundary_endpoints_and_crosscheck():
     gc1 = critical_g1(BASE)
     # the renormalized boundary leaves the quadruple point at the bare
-    # threshold pair; every sample is bisection-verified internally
+    # threshold pair
     pairs = trace_boundary("gtilde_c2", BASE, gc1, 2.0 * gc1, steps=9)
     assert len(pairs) == 9
     assert pairs[0][0] == gc1
@@ -76,6 +93,22 @@ def test_trace_boundary_endpoints_and_crosscheck():
     assert values == sorted(values)  # monotone in g1
     flat = trace_boundary("normal_right", BASE, 0.0, 0.4, steps=3)
     assert all(abs(v - critical_g2(BASE)) < 1e-15 for _, v in flat)
+
+    # every closed form against the fluctuation zero mode, located by
+    # bisection over the 0.2x-3x bracket; the renormalized boundaries
+    # start at the bare threshold of the condensed branch
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        base = ModelParams(*rng.uniform(0.4, 2.0, 4))
+        starts = {"g1": critical_g1(base), "g2": critical_g2(base)}
+        for which, (axis, block) in _ZERO_MODES.items():
+            lo = starts[axis] if which.startswith("gtilde") else 0.0
+            for x, value in trace_boundary(which, base, lo, lo + 2.0, steps=5):
+                params = replace(base, **{axis: x})
+                located = critical_coupling_by_zero_mode(
+                    lambda g, params=params, block=block: block(params, g),
+                    (0.2 * value, 3.0 * value))
+                assert abs(located - value) <= 1e-8, f"{which} at {params}"
 
 
 def test_trace_boundary_rejects_bad_input():
@@ -126,21 +159,12 @@ def test_ed_sweep_reuses_one_truncation():
     assert records[0].photon_a < records[-1].photon_a
 
 
-def test_line_cut_with_finite_n_attaches_photons():
-    records = line_cut(ModelParams(), g2=0.2, g1_min=0.3, g1_max=0.9,
-                       steps=3, n_atoms=2)
-    assert all(r.has_finite_n for r in records)
-    assert all(r.photon_a is not None and r.photon_b is not None
-               for r in records)
-
-
 # ---------------------------------------------------------------------------
 # CSV round trip
 
 def _sample_records():
     recs = line_cut(BASE, g2=0.55, g1_min=0.5, g1_max=0.9, steps=5)
-    recs_ed = line_cut(ModelParams(), g2=0.2, g1_min=0.3, g1_max=0.7,
-                       steps=3, n_atoms=2)
+    recs_ed = ed_sweep([ModelParams(g1=g1, g2=0.2) for g1 in (0.3, 0.5, 0.7)], n_atoms=2)
     return recs, recs_ed
 
 
