@@ -9,15 +9,30 @@ collective operators act like bilinears of three Schwinger bosons:
 
     <.., n_m + 1, .., n_n - 1, ..| J_mn |n1, n2, n3> = sqrt((n_m + 1) n_n)
 
-for m != n, and J_mm is diagonal with eigenvalue n_m.  Each bosonic
-mode is truncated at a Fock cutoff; the full space is the tensor
-product (symmetric sector) x (mode a) x (mode b), ordered with the mode
-b index fastest.
+for m != n, and J_mm is diagonal with eigenvalue n_m.
+
+Layout.  Each bosonic mode is truncated at a Fock cutoff, and a basis
+vector is (n2, n3) x (n_a) x (n_b), with n1 = N - n2 - n3 implied and
+the mode-b index fastest.  The atomic states run over n3, then n2, so
+(n2, n3) sits at
+
+    n3 (N + 1) - n3 (n3 - 1) / 2 + n2
+
+and the basis index is (atomic index * (cutoff_a + 1) + n_a) *
+(cutoff_b + 1) + n_b.  One helper, ``_occupations``, returns n2, n3,
+n_a and n_b broadcastable over (atom, mode a, mode b) in that order; the
+diagonal of H, the parity operators and the observables are all read
+from it.  The two atomic hops J_13 + J_31 and J_12 + J_21 come from the
+index formula, with amplitude sqrt(n1 (n_l + 1)) for an atom moving
+from level 1 to level l, and each meets its mode's position operator in
+one Kronecker product.
 
 All matrices are real sparse CSR.  The ground state comes from an
 implicitly restarted Lanczos iteration with a seeded start vector and
 an explicit residual acceptance test, falling back to dense
-diagonalization for tiny spaces.
+diagonalization for tiny spaces.  Every space is checked against
+DEFAULT_DIM_LIMIT, read at call time, before anything of its size is
+allocated.
 """
 
 from __future__ import annotations
@@ -39,7 +54,6 @@ __all__ = [
     "GroundStateResult",
     "build_basis",
     "truncated_space",
-    "collective_operator",
     "build_hamiltonian",
     "parity_operators",
     "parity_commutator_norms",
@@ -53,6 +67,7 @@ __all__ = [
 ]
 
 DEFAULT_DIM_LIMIT = 2_000_000
+CUTOFF_FLOOR = 8  # smallest cutoff default_cutoffs returns
 _DENSE_THRESHOLD = 16  # below this dimension just diagonalize densely
 
 
@@ -123,132 +138,112 @@ def build_basis(n_atoms: int) -> SymmetricBasis:
     return SymmetricBasis(n_atoms=n_atoms, states=states)
 
 
-def truncated_space(n_atoms: int, cutoff_a: int, cutoff_b: int,
-                    dim_limit: int = DEFAULT_DIM_LIMIT, trace=None) -> TruncatedSpace:
+def _check_dimension(n_atoms: int, cutoff_a: int, cutoff_b: int, trace=None) -> None:
+    dimension = (n_atoms + 1) * (n_atoms + 2) // 2 * (cutoff_a + 1) * (cutoff_b + 1)
+    if dimension > DEFAULT_DIM_LIMIT:
+        raise CapacityError(
+            f"space dimension {dimension} (N = {n_atoms}, cutoffs {cutoff_a} and "
+            f"{cutoff_b}) exceeds the dimension limit {DEFAULT_DIM_LIMIT}",
+            trace=trace,
+        )
+
+
+def truncated_space(n_atoms: int, cutoff_a: int, cutoff_b: int, trace=None) -> TruncatedSpace:
     """Symmetric sector tensor two truncated modes, bounded before enumeration.
 
     The dimension (N+1)(N+2)/2 * (cutoff_a+1) * (cutoff_b+1) is checked
-    against ``dim_limit`` before the basis is built, so an oversized
+    against DEFAULT_DIM_LIMIT before the basis is built, so an oversized
     request raises CapacityError (carrying ``trace``) without allocating.
     """
     if n_atoms < 1 or cutoff_a < 1 or cutoff_b < 1:
         raise ValueError(f"n_atoms and both cutoffs must be >= 1, got "
                          f"{n_atoms}, {cutoff_a}, {cutoff_b}")
-    dimension = (n_atoms + 1) * (n_atoms + 2) // 2 * (cutoff_a + 1) * (cutoff_b + 1)
-    if dimension > dim_limit:
-        raise CapacityError(
-            f"space dimension {dimension} (N = {n_atoms}, cutoffs {cutoff_a} and "
-            f"{cutoff_b}) exceeds the dimension limit {dim_limit}",
-            trace=trace,
-        )
+    _check_dimension(n_atoms, cutoff_a, cutoff_b, trace=trace)
     return TruncatedSpace(basis=build_basis(n_atoms), cutoff_a=cutoff_a, cutoff_b=cutoff_b)
 
 
-def collective_operator(basis: SymmetricBasis, m: int, n: int) -> sparse.csr_matrix:
-    """Collective transition operator J_mn = sum_j |m><n|_j on the symmetric sector."""
-    if m not in (1, 2, 3) or n not in (1, 2, 3):
-        raise ValueError("level indices must be 1, 2, or 3")
-    size = basis.size
-    if m == n:
-        diag = np.array([state[m - 1] for state in basis.states], dtype=float)
-        return sparse.diags(diag, format="csr")
-    index = {state: i for i, state in enumerate(basis.states)}
-    rows, cols, vals = [], [], []
-    for i, state in enumerate(basis.states):
-        occ = list(state)
-        if occ[n - 1] == 0:
-            continue
-        amp = math.sqrt((occ[m - 1] + 1) * occ[n - 1])
-        occ[m - 1] += 1
-        occ[n - 1] -= 1
-        rows.append(index[tuple(occ)])
-        cols.append(i)
-        vals.append(amp)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
+def _atom_index(n_atoms: int, n2, n3):
+    """Position of the atomic state (n2, n3) in SymmetricBasis order."""
+    return n3 * (n_atoms + 1) - n3 * (n3 - 1) // 2 + n2
 
 
-def _lowering(levels: int) -> sparse.csr_matrix:
-    return sparse.diags(np.sqrt(np.arange(1.0, levels)), 1, format="csr")
+def _occupations(space: TruncatedSpace):
+    """n2, n3, n_a and n_b of the basis, broadcastable over (atom, mode a, mode b).
+
+    The shapes are (S, 1, 1), (S, 1, 1), (A, 1) and (B,) for S atomic
+    states and A, B Fock levels; broadcast together, their C-order ravel
+    runs along the basis index.
+    """
+    n_atoms = space.basis.n_atoms
+    n3 = np.repeat(np.arange(n_atoms + 1), np.arange(n_atoms + 1, 0, -1))
+    n2 = np.arange(n3.size) - _atom_index(n_atoms, 0, n3)
+    return (n2[:, None, None], n3[:, None, None],
+            np.arange(space.cutoff_a + 1)[:, None], np.arange(space.cutoff_b + 1))
 
 
-def _kron3(a, b, c) -> sparse.csr_matrix:
-    return sparse.kron(sparse.kron(a, b, format="coo"), c, format="csr")
+def _level1_hop(n_atoms: int, n2: np.ndarray, n3: np.ndarray, level: int) -> sparse.csr_matrix:
+    """J_1l + J_l1 on the atomic states (n2, n3), for level l = 2 or 3."""
+    n1 = n_atoms - n2 - n3
+    src = np.flatnonzero(n1 > 0)
+    n_l = (n2 if level == 2 else n3)[src]
+    dst = _atom_index(n_atoms, n2[src] + (level == 2), n3[src] + (level == 3))
+    up = sparse.csr_matrix((np.sqrt(n1[src] * (n_l + 1)), (dst, src)),
+                           shape=(n2.size, n2.size))
+    return up + up.T
 
 
-def build_hamiltonian(params: ModelParams, space: TruncatedSpace,
-                      dim_limit: int = DEFAULT_DIM_LIMIT) -> sparse.csr_matrix:
+def _position(levels: int) -> sparse.csr_matrix:
+    """a + a^dagger on a mode truncated to ``levels`` Fock states."""
+    root = np.sqrt(np.arange(1.0, levels))
+    return sparse.diags([root, root], [-1, 1], format="csr")
+
+
+def build_hamiltonian(params: ModelParams, space: TruncatedSpace) -> sparse.csr_matrix:
     """Assemble the collective Hamiltonian on the truncated space (real CSR)."""
-    if space.dimension > dim_limit:
-        raise CapacityError(
-            f"space dimension {space.dimension} exceeds the limit {dim_limit}"
-        )
-    basis = space.basis
-    n_atoms = basis.n_atoms
-    na = space.cutoff_a + 1
-    nb = space.cutoff_b + 1
-
-    j22 = collective_operator(basis, 2, 2)
-    j33 = collective_operator(basis, 3, 3)
-    j13 = collective_operator(basis, 1, 3)
-    j12 = collective_operator(basis, 1, 2)
-    x13 = (j13 + j13.T).tocsr()
-    x12 = (j12 + j12.T).tocsr()
-
-    ident_atoms = sparse.identity(basis.size, format="csr")
-    ident_a = sparse.identity(na, format="csr")
-    ident_b = sparse.identity(nb, format="csr")
-    num_a = sparse.diags(np.arange(na, dtype=float), format="csr")
-    num_b = sparse.diags(np.arange(nb, dtype=float), format="csr")
-    pos_a = _lowering(na)
-    pos_a = (pos_a + pos_a.T).tocsr()
-    pos_b = _lowering(nb)
-    pos_b = (pos_b + pos_b.T).tocsr()
-
+    n_atoms = space.basis.n_atoms
+    _check_dimension(n_atoms, space.cutoff_a, space.cutoff_b)
+    n2, n3, n_a, n_b = _occupations(space)
+    diagonal = (params.omega21 * n2 + params.omega31 * n3
+                + params.omega_a * n_a + params.omega_b * n_b)
+    x13 = _level1_hop(n_atoms, n2[:, 0, 0], n3[:, 0, 0], level=3)
+    x12 = _level1_hop(n_atoms, n2[:, 0, 0], n3[:, 0, 0], level=2)
+    na, nb = space.cutoff_a + 1, space.cutoff_b + 1
+    pos_a = sparse.kron(_position(na), sparse.identity(nb), format="csr")
+    pos_b = sparse.kron(sparse.identity(na), _position(nb), format="csr")
     scale = 1.0 / math.sqrt(n_atoms)
-    h = (
-        params.omega21 * _kron3(j22, ident_a, ident_b)
-        + params.omega31 * _kron3(j33, ident_a, ident_b)
-        + params.omega_a * _kron3(ident_atoms, num_a, ident_b)
-        + params.omega_b * _kron3(ident_atoms, ident_a, num_b)
-        + params.g1 * scale * _kron3(x13, pos_a, ident_b)
-        + params.g2 * scale * _kron3(x12, ident_a, pos_b)
-    )
-    return h.tocsr()
+    return (sparse.diags(diagonal.ravel(), format="csr")
+            + params.g1 * scale * sparse.kron(x13, pos_a, format="csr")
+            + params.g2 * scale * sparse.kron(x12, pos_b, format="csr"))
 
 
-def parity_operators(space: TruncatedSpace):
-    """Diagonal parity operators (left, right, global) as sparse matrices.
+def _parities(n2, n3, n_a, n_b):
+    """Left, right and global parity of the occupations from _occupations.
 
     Left parity counts quanta in mode a plus level 3, right parity mode
     b plus level 2; the global parity is their product.
     """
-    n2 = np.array([s[1] for s in space.basis.states], dtype=float)
-    n3 = np.array([s[2] for s in space.basis.states], dtype=float)
-    sign_a = (-1.0) ** np.arange(space.cutoff_a + 1)
-    sign_b = (-1.0) ** np.arange(space.cutoff_b + 1)
-    ones_a = np.ones(space.cutoff_a + 1)
-    ones_b = np.ones(space.cutoff_b + 1)
-    diag_l = np.kron((-1.0) ** n3, np.kron(sign_a, ones_b))
-    diag_r = np.kron((-1.0) ** n2, np.kron(ones_a, sign_b))
-    return (
-        sparse.diags(diag_l, format="csr"),
-        sparse.diags(diag_r, format="csr"),
-        sparse.diags(diag_l * diag_r, format="csr"),
-    )
+    left = (-1.0) ** (n3 + n_a)
+    right = (-1.0) ** (n2 + n_b)
+    return left, right, left * right
 
 
-def parity_commutator_norms(params: ModelParams, space: TruncatedSpace,
-                            dim_limit: int = DEFAULT_DIM_LIMIT) -> tuple[float, float, float]:
+def parity_operators(space: TruncatedSpace):
+    """Diagonal parity operators (left, right, global) as sparse matrices."""
+    parities = np.broadcast_arrays(*_parities(*_occupations(space)))
+    return tuple(sparse.diags(p.ravel(), format="csr") for p in parities)
+
+
+def parity_commutator_norms(params: ModelParams,
+                            space: TruncatedSpace) -> tuple[float, float, float]:
     """Largest entry of [H, P] for each parity operator (left, right, global)."""
-    h = build_hamiltonian(params, space, dim_limit=dim_limit)
+    h = build_hamiltonian(params, space)
     commutators = [h @ p - p @ h for p in parity_operators(space)]
     return tuple(float(np.abs(c.data).max()) if c.nnz else 0.0 for c in commutators)
 
 
-def parity_check(params: ModelParams, space: TruncatedSpace,
-                 dim_limit: int = DEFAULT_DIM_LIMIT) -> float:
+def parity_check(params: ModelParams, space: TruncatedSpace) -> float:
     """Largest entry of [H, P] over the three parity operators."""
-    return max(parity_commutator_norms(params, space, dim_limit=dim_limit))
+    return max(parity_commutator_norms(params, space))
 
 
 def _seed_vector(dimension: int, seed: int) -> np.ndarray:
@@ -322,40 +317,20 @@ def lowest_two(h: sparse.csr_matrix, tol: float = 1e-10, seed: int = 0):
 def observables(params: ModelParams, space: TruncatedSpace, state: np.ndarray,
                 energy: float, gap: float | None = None) -> GroundStateResult:
     """Scaled observables of a normalized state on the truncated space."""
-    basis = space.basis
-    n_atoms = basis.n_atoms
-    na = space.cutoff_a + 1
-    nb = space.cutoff_b + 1
-    weights = np.abs(np.asarray(state).reshape(basis.size, na, nb)) ** 2
+    n_atoms = space.basis.n_atoms
+    n2, n3, n_a, n_b = _occupations(space)
+    weights = np.abs(np.asarray(state).reshape(n2.size, n_a.size, n_b.size)) ** 2
 
-    n2 = np.array([s[1] for s in basis.states], dtype=float)
-    n3 = np.array([s[2] for s in basis.states], dtype=float)
-    counts_a = np.arange(na, dtype=float)
-    counts_b = np.arange(nb, dtype=float)
+    def mean(values) -> float:
+        return float(np.sum(weights * values))
 
-    atom_weights = weights.sum(axis=(1, 2))
-    mode_a_weights = weights.sum(axis=(0, 2))
-    mode_b_weights = weights.sum(axis=(0, 1))
-
-    photon_a = float(mode_a_weights @ counts_a) / n_atoms
-    photon_b = float(mode_b_weights @ counts_b) / n_atoms
-    pop2 = float(atom_weights @ n2) / n_atoms
-    pop3 = float(atom_weights @ n3) / n_atoms
-
-    sign_a = (-1.0) ** np.arange(na)
-    sign_b = (-1.0) ** np.arange(nb)
-    ab_weights = weights.sum(axis=2)  # (basis, mode a)
-    ba_weights = weights.sum(axis=1)  # (basis, mode b)
-    parity_l = float(((-1.0) ** n3) @ ab_weights @ sign_a)
-    parity_r = float(((-1.0) ** n2) @ ba_weights @ sign_b)
-    parity_g = float(np.einsum("bij,b,i,j->", weights, (-1.0) ** (n2 + n3), sign_a, sign_b))
-
+    parity_l, parity_r, parity_g = (mean(p) for p in _parities(n2, n3, n_a, n_b))
     return GroundStateResult(
         energy=energy,
-        photon_a=photon_a,
-        photon_b=photon_b,
-        pop2=pop2,
-        pop3=pop3,
+        photon_a=mean(n_a) / n_atoms,
+        photon_b=mean(n_b) / n_atoms,
+        pop2=mean(n2) / n_atoms,
+        pop3=mean(n3) / n_atoms,
         parity_l=parity_l,
         parity_r=parity_r,
         parity_g=parity_g,
@@ -370,19 +345,19 @@ def default_cutoffs(params: ModelParams, n_atoms: int) -> tuple[int, int]:
 
     Uses the largest squared amplitude over all physical stationary
     branches per mode, so competing condensates near a first-order
-    boundary are both representable before convergence doubling.
+    boundary are both representable before convergence doubling.  Never
+    below CUTOFF_FLOOR.
     """
     branches = [s for s in stationary_branches(params) if s.physical]
     field_a = max((s.phi_a ** 2 for s in branches), default=0.0)
     field_b = max((s.phi_b ** 2 for s in branches), default=0.0)
-    cutoff_a = max(8, math.ceil(6.0 * n_atoms * field_a + 10.0))
-    cutoff_b = max(8, math.ceil(6.0 * n_atoms * field_b + 10.0))
+    cutoff_a = max(CUTOFF_FLOOR, math.ceil(6.0 * n_atoms * field_a + 10.0))
+    cutoff_b = max(CUTOFF_FLOOR, math.ceil(6.0 * n_atoms * field_b + 10.0))
     return cutoff_a, cutoff_b
 
 
 def converge_cutoffs(params: ModelParams, n_atoms: int, start: tuple[int, int] | None = None,
-                     tol: float = 1e-4, dim_limit: int = DEFAULT_DIM_LIMIT,
-                     eig_tol: float = 1e-8, seed: int = 0):
+                     tol: float = 1e-4, eig_tol: float = 1e-8, seed: int = 0):
     """Double the boson cutoffs until the photon numbers settle.
 
     Returns ``(space, trace)`` where ``space`` is the coarsest
@@ -395,8 +370,8 @@ def converge_cutoffs(params: ModelParams, n_atoms: int, start: tuple[int, int] |
     trace = []
     previous = None
     while True:
-        space = truncated_space(n_atoms, cutoff_a, cutoff_b, dim_limit=dim_limit, trace=trace)
-        h = build_hamiltonian(params, space, dim_limit=dim_limit)
+        space = truncated_space(n_atoms, cutoff_a, cutoff_b, trace=trace)
+        h = build_hamiltonian(params, space)
         e0, vec = ground_state(h, tol=eig_tol, seed=seed)
         result = observables(params, space, vec, energy=e0)
         trace.append({
@@ -417,17 +392,12 @@ def converge_cutoffs(params: ModelParams, n_atoms: int, start: tuple[int, int] |
         cutoff_b *= 2
 
 
-def solve_point(params: ModelParams, n_atoms: int, space: TruncatedSpace | None = None,
-                tol: float = 1e-8, seed: int = 0, with_gap: bool = False,
-                dim_limit: int = DEFAULT_DIM_LIMIT) -> GroundStateResult:
-    """Ground-state observables at one parameter point.
-
-    Without an explicit space the default cutoff heuristic is used
-    directly (no convergence doubling; see converge_cutoffs for that).
-    """
-    if space is None:
-        space = truncated_space(n_atoms, *default_cutoffs(params, n_atoms), dim_limit=dim_limit)
-    h = build_hamiltonian(params, space, dim_limit=dim_limit)
+def solve_point(params: ModelParams, n_atoms: int, space: TruncatedSpace,
+                tol: float = 1e-8, seed: int = 0, with_gap: bool = False) -> GroundStateResult:
+    """Ground-state observables of n_atoms atoms at one parameter point on ``space``."""
+    if space.basis.n_atoms != n_atoms:
+        raise ValueError(f"space holds {space.basis.n_atoms} atoms, not {n_atoms}")
+    h = build_hamiltonian(params, space)
     if with_gap:
         e0, e1, vec = lowest_two(h, tol=tol, seed=seed)
         gap = e1 - e0

@@ -7,7 +7,8 @@ order (g1 outer, g2 inner), boundary curves are sampled from the
 closed-form thresholds of :mod:`vdicke.model` (checked against the
 fluctuation zero mode in the tests), and records serialize to a fixed
 CSV column order that round-trips through :func:`read_records_csv`.
-Every grid and sweep is capped at MAX_GRID_POINTS points, checked
+Every grid axis and sweep is a coupling range with finite bounds,
+0 <= start < end, and at most MAX_GRID_POINTS points in all, checked
 before anything is allocated.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
@@ -76,11 +78,9 @@ class GridSpec:
     n2: int
 
     def __post_init__(self):
-        if self.n1 < 2 or self.n2 < 2:
-            raise ValueError("grid needs at least 2 points per axis")
+        _check_range(self.g1_min, self.g1_max, self.n1, "grid g1 axis")
+        _check_range(self.g2_min, self.g2_max, self.n2, "grid g2 axis")
         _check_size(self.n1 * self.n2, f"grid of {self.n1} x {self.n2}")
-        if not (0.0 <= self.g1_min < self.g1_max) or not (0.0 <= self.g2_min < self.g2_max):
-            raise ValueError("grid bounds must satisfy 0 <= min < max on both axes")
 
     def g1_values(self) -> np.ndarray:
         return np.linspace(self.g1_min, self.g1_max, self.n1)
@@ -119,13 +119,22 @@ def _check_size(points: int, what: str) -> None:
                          f"{MAX_GRID_POINTS} (MAX_GRID_POINTS)")
 
 
-def sweep_values(lo: float, hi: float, steps: int, what: str) -> np.ndarray:
-    """``steps`` evenly spaced values from lo to hi, validated before allocation."""
+def _check_range(lo: float, hi: float, steps: int, what: str) -> None:
+    """A coupling range: finite, 0 <= lo < hi, 2 <= steps <= MAX_GRID_POINTS."""
     if steps < 2:
-        raise ValueError("steps must be >= 2")
+        raise ValueError(f"steps must be >= 2 for the {what}, got {steps}")
     _check_size(steps, what)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{what} bounds must be finite, got {lo} to {hi}")
     if not lo < hi:
-        raise ValueError(f"{what} range must satisfy start < end")
+        raise ValueError(f"{what} range must satisfy start < end, got {lo} to {hi}")
+    if lo < 0.0:
+        raise ValueError(f"{what} range must start at a coupling >= 0, got {lo}")
+
+
+def sweep_values(lo: float, hi: float, steps: int, what: str) -> np.ndarray:
+    """``steps`` evenly spaced couplings from lo to hi, validated before allocation."""
+    _check_range(lo, hi, steps, what)
     return np.linspace(lo, hi, steps)
 
 
@@ -191,20 +200,23 @@ def overlap_area(base: ModelParams, ratio: float, resolution: int = 100) -> floa
 
 
 def ed_sweep(sweep: list[ModelParams], n_atoms: int, cutoff_tol: float = 1e-4,
-             eig_tol: float = 1e-8, seed: int = 0,
-             dim_limit: int = exactdiag.DEFAULT_DIM_LIMIT) -> list[SweepRecord]:
+             eig_tol: float = 1e-8, seed: int = 0) -> list[SweepRecord]:
     """Classify each point and attach finite-N observables.
 
     Cutoffs are converged once at the most demanding sweep point
     (largest default cutoffs) and that single truncation is reused
     across the sweep, keeping the truncation error uniform along it.
     """
+    # No truncation tried below is smaller than this one, so an atom
+    # number too large for the dimension limit is refused before any
+    # per-point work.
+    exactdiag.truncated_space(n_atoms, exactdiag.CUTOFF_FLOOR, exactdiag.CUTOFF_FLOOR)
     records = _classified_records(*np.array([astuple(p) for p in sweep]).T)
     defaults = [exactdiag.default_cutoffs(p, n_atoms) for p in sweep]
     widest = max(range(len(sweep)), key=lambda i: defaults[i][0] * defaults[i][1])
     space, _ = exactdiag.converge_cutoffs(
         sweep[widest], n_atoms, start=defaults[widest], tol=cutoff_tol,
-        dim_limit=dim_limit, eig_tol=eig_tol, seed=seed,
+        eig_tol=eig_tol, seed=seed,
     )
     out = []
     for params, record in zip(sweep, records):

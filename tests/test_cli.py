@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -70,6 +71,14 @@ def test_phase_diagram_rejects_bad_grid(capsys):
                 "--g2-min", "0", "--g2-max", "1"])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+    # bounds are couplings: finite and >= 0, refused before numpy sees them
+    small = ["--g2-min", "0", "--g2-max", "1", "--n1", "2", "--n2", "2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["phase-diagram", "--g1-min", "0", "--g1-max", "inf", *small]) == 2
+        assert "bounds must be finite" in capsys.readouterr().err
+        assert run(["phase-diagram", "--g1-min", "-0.5", "--g1-max", "0.5", *small]) == 2
+        assert "coupling >= 0" in capsys.readouterr().err
 
 
 def test_grid_size_limit_exits_2(capsys):
@@ -124,6 +133,14 @@ def test_line_cut_csv(capsys):
     phases = [line.split(",")[2] for line in lines[1:]]
     assert phases[0] == "RightSR"
     assert phases[-1] == "LeftSR"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["line-cut", "--g2", "0.75", "--g1-min", "-0.5", "--g1-max", "0.5",
+                    "--steps", "3"]) == 2
+        assert "coupling >= 0" in capsys.readouterr().err
+        assert run(["line-cut", "--g2", "0.75", "--g1-min", "0.5", "--g1-max", "inf",
+                    "--steps", "3"]) == 2
+        assert "bounds must be finite" in capsys.readouterr().err
     # finite-N sweeps belong to `ed`; line-cut has no --N
     assert run(["line-cut", "--g2", "0.75", "--g1-min", "0.5", "--g1-max", "1.0",
                 "--steps", "5", "--N", "3"]) == 2
@@ -204,6 +221,15 @@ def test_ed_capacity_exhaustion_exits_3(capsys, monkeypatch):
                  ["parity-check", "--N", huge]):
         assert run(argv) == 3
         assert "exceeds the dimension limit 2000000" in capsys.readouterr().err
+
+    # an oversized sweep is refused before any per-point cutoff heuristic
+    def no_cutoffs(params, n_atoms):
+        raise AssertionError("default_cutoffs called for a rejected sweep")
+
+    monkeypatch.setattr(exactdiag, "default_cutoffs", no_cutoffs)
+    assert run(["ed", "--N", huge, "--g1-min", "0.1", "--g1-max", "1",
+                "--steps", "20000"]) == 3
+    assert "exceeds the dimension limit 2000000" in capsys.readouterr().err
 
 
 def test_parity_check_json(capsys):

@@ -1,16 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+from vdicke import exactdiag
 from vdicke.errors import CapacityError
 from vdicke.exactdiag import (
     SymmetricBasis,
     TruncatedSpace,
     build_basis,
     build_hamiltonian,
-    collective_operator,
     converge_cutoffs,
     default_cutoffs,
     ground_state,
@@ -55,58 +56,69 @@ def test_basis_enumeration_order():
         build_basis(0)
 
 
-def test_single_atom_operators_are_matrix_units():
-    basis = build_basis(1)
-    # basis order (1,0,0), (0,1,0), (0,0,1) = levels 1, 2, 3
-    for m in (1, 2, 3):
-        for n in (1, 2, 3):
-            ref = np.zeros((3, 3))
-            ref[m - 1, n - 1] = 1.0
-            got = collective_operator(basis, m, n).toarray()
-            assert np.array_equal(got, ref), (m, n)
-
-
-def test_collective_amplitude_sqrt2_for_two_atoms():
-    basis = build_basis(2)
-    j13 = collective_operator(basis, 1, 3)
-    i_from = basis.states.index((1, 0, 1))
-    i_to = basis.states.index((2, 0, 0))
-    assert j13[i_to, i_from] == math.sqrt(2.0)
-
-
-def test_collective_operators_match_explicit_two_atom_tensor():
-    # symmetrize the raw two-atom space by hand and conjugate
-    basis = build_basis(2)
-    iso = np.zeros((9, basis.size))
-    for col, (n1, n2, n3) in enumerate(basis.states):
-        levels = [0] * n1 + [1] * n2 + [2] * n3
-        la, lb = levels
-        if la == lb:
-            iso[3 * la + lb, col] = 1.0
-        else:
-            iso[3 * la + lb, col] = 1.0 / math.sqrt(2.0)
-            iso[3 * lb + la, col] = 1.0 / math.sqrt(2.0)
-    eye = np.eye(3)
-    for m in (1, 2, 3):
-        for n in (1, 2, 3):
-            unit = np.zeros((3, 3))
-            unit[m - 1, n - 1] = 1.0
-            full = np.kron(unit, eye) + np.kron(eye, unit)
-            projected = iso.T @ full @ iso
-            got = collective_operator(basis, m, n).toarray()
-            assert np.allclose(got, projected, rtol=0, atol=1e-14), (m, n)
-
-
-def test_operator_index_validation():
-    basis = build_basis(2)
-    with pytest.raises(ValueError):
-        collective_operator(basis, 0, 1)
-    with pytest.raises(ValueError):
-        collective_operator(basis, 1, 4)
-
-
 # ---------------------------------------------------------------------------
 # Hamiltonian assembly
+
+def _explicit_hamiltonian(p: ModelParams, n_atoms: int, cutoff_a: int, cutoff_b: int):
+    """Dense H on (3 levels)^N x mode a x mode b, built atom by atom."""
+    def unit(m, n):
+        out = np.zeros((3, 3))
+        out[m - 1, n - 1] = 1.0
+        return out
+
+    def collective(op):
+        # sum over atoms j of op acting on atom j alone
+        total = 0.0
+        for j in range(n_atoms):
+            term = np.eye(1)
+            for k in range(n_atoms):
+                term = np.kron(term, op if k == j else np.eye(3))
+            total = total + term
+        return total
+
+    def position(levels):
+        lower = np.diag(np.sqrt(np.arange(1.0, levels)), 1)
+        return lower + lower.T
+
+    ia, ib = np.eye(cutoff_a + 1), np.eye(cutoff_b + 1)
+    atoms = np.eye(3 ** n_atoms)
+    coupling = 1.0 / math.sqrt(n_atoms)
+    return (p.omega21 * np.kron(np.kron(collective(unit(2, 2)), ia), ib)
+            + p.omega31 * np.kron(np.kron(collective(unit(3, 3)), ia), ib)
+            + p.omega_a * np.kron(np.kron(atoms, np.diag(np.arange(cutoff_a + 1.0))), ib)
+            + p.omega_b * np.kron(np.kron(atoms, ia), np.diag(np.arange(cutoff_b + 1.0)))
+            + p.g1 * coupling * np.kron(np.kron(collective(unit(1, 3) + unit(3, 1)),
+                                                position(cutoff_a + 1)), ib)
+            + p.g2 * coupling * np.kron(np.kron(collective(unit(1, 2) + unit(2, 1)), ia),
+                                        position(cutoff_b + 1)))
+
+
+def _symmetric_isometry(basis: SymmetricBasis) -> np.ndarray:
+    """Columns: the normalized symmetric product states, in basis order."""
+    index = {state: i for i, state in enumerate(basis.states)}
+    iso = np.zeros((3 ** basis.n_atoms, basis.size))
+    for row, levels in enumerate(itertools.product(range(3), repeat=basis.n_atoms)):
+        iso[row, index[tuple(levels.count(level) for level in range(3))]] = 1.0
+    return iso / np.linalg.norm(iso, axis=0)
+
+
+def test_hamiltonian_matches_explicit_tensor_product():
+    # project the explicit 3^N-atom Hamiltonian onto the symmetric sector
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3):
+        basis = build_basis(n)
+        iso = _symmetric_isometry(basis)
+        for trial in range(4):
+            p = ModelParams(
+                omega21=rng.uniform(0.4, 2.0), omega31=rng.uniform(0.4, 2.0),
+                omega_a=rng.uniform(0.4, 2.0), omega_b=rng.uniform(0.4, 2.0),
+                g1=0.0 if trial == 0 else rng.uniform(0.0, 1.5),
+                g2=0.0 if trial in (0, 1) else rng.uniform(0.0, 1.5))
+            ca, cb = (1, 1) if trial == 0 else (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+            full_iso = np.kron(np.kron(iso, np.eye(ca + 1)), np.eye(cb + 1))
+            projected = full_iso.T @ _explicit_hamiltonian(p, n, ca, cb) @ full_iso
+            got = build_hamiltonian(p, TruncatedSpace(basis, ca, cb)).toarray()
+            assert np.max(np.abs(got - projected)) <= 1e-13, (n, trial, ca, cb)
 
 def test_hamiltonian_is_real_symmetric():
     p = ModelParams(omega21=0.9, omega31=1.4, omega_a=1.1, omega_b=0.7,
@@ -132,21 +144,23 @@ def test_decoupled_hamiltonian_is_diagonal_with_known_spectrum():
     assert np.allclose(np.diagonal(h), expected, rtol=0, atol=1e-15)
 
 
-def test_capacity_limit_raises_before_allocation():
+def test_capacity_limit_raises_before_allocation(monkeypatch):
     space = TruncatedSpace(build_basis(10), 40, 40)
-    with pytest.raises(CapacityError):
-        build_hamiltonian(ModelParams(g1=0.7), space, dim_limit=1000)
     # the dimension is checked before the basis is enumerated: a basis of
     # 5e11 states is never built
     with pytest.raises(CapacityError, match="dimension limit 2000000"):
         truncated_space(10 ** 6, 8, 8)
-    with pytest.raises(CapacityError, match="dimension limit 1000"):
-        truncated_space(10, 40, 40, dim_limit=1000)
     for bad in ((0, 8, 8), (-(10 ** 6), 8, 8), (3, 0, 8)):
         with pytest.raises(ValueError):
             truncated_space(*bad)
     small = truncated_space(10, 40, 40)
     assert small.dimension == space.dimension == 66 * 41 * 41
+    # the limit is read at call time
+    monkeypatch.setattr(exactdiag, "DEFAULT_DIM_LIMIT", 1000)
+    with pytest.raises(CapacityError, match="dimension limit 1000"):
+        build_hamiltonian(ModelParams(g1=0.7), space)
+    with pytest.raises(CapacityError, match="dimension limit 1000"):
+        truncated_space(10, 40, 40)
 
 
 def test_exchange_relabeling_is_a_permutation_conjugation():
@@ -274,18 +288,23 @@ def test_lowest_two_orders_the_doublet():
 
 def test_observables_against_dense_expectation_values():
     p = ModelParams(omega31=1.3, g1=0.85, g2=0.4)
-    space = TruncatedSpace(build_basis(2), 6, 6)
+    space = TruncatedSpace(build_basis(2), 6, 5)
     h = build_hamiltonian(p, space)
     vals, vecs = np.linalg.eigh(h.toarray())
-    vec = vecs[:, 0]
-    res = observables(p, space, vec, energy=float(vals[0]))
-    na = space.cutoff_a + 1
-    weights = (vec.reshape(space.basis.size, na, -1)) ** 2
-    photon_a = (weights.sum(axis=(0, 2)) * np.arange(na)).sum() / 2
-    assert abs(res.photon_a - photon_a) < 1e-13
-    pops = weights.sum(axis=(1, 2))
-    pop3 = sum(w * s[2] for w, s in zip(pops, space.basis.states)) / 2
-    assert abs(res.pop3 - pop3) < 1e-13
+    # every observable is diagonal: its value on each basis vector, in
+    # basis order (atomic state, then mode a, then mode b)
+    names = ("photon_a", "photon_b", "pop2", "pop3", "parity_l", "parity_r", "parity_g")
+    table = np.array([
+        (ia / 2, ib / 2, n2 / 2, n3 / 2,
+         (-1) ** (n3 + ia), (-1) ** (n2 + ib), (-1) ** (n2 + n3 + ia + ib))
+        for _, n2, n3 in space.basis.states for ia in range(7) for ib in range(6)
+    ], dtype=float)
+    random = np.random.default_rng(3).standard_normal(space.dimension)
+    for vec, energy in ((vecs[:, 0], float(vals[0])), (random / np.linalg.norm(random), 0.5)):
+        res = observables(p, space, vec, energy=energy)
+        assert res.energy == energy
+        for name, expected in zip(names, vec ** 2 @ table):
+            assert abs(getattr(res, name) - expected) < 1e-13, name
 
 
 def test_default_cutoffs_grow_with_the_condensate():
@@ -306,17 +325,21 @@ def test_converge_cutoffs_settles_immediately_when_decoupled():
         assert abs(entry["energy"]) < 1e-9
 
 
-def test_converge_cutoffs_capacity_error_carries_trace():
+def test_converge_cutoffs_capacity_error_carries_trace(monkeypatch):
+    monkeypatch.setattr(exactdiag, "DEFAULT_DIM_LIMIT", 20_000)
     with pytest.raises(CapacityError) as err:
-        converge_cutoffs(ModelParams(g1=0.9), 6, dim_limit=20_000)
+        converge_cutoffs(ModelParams(g1=0.9), 6)
     assert isinstance(err.value.trace, list)
 
 
 def test_solve_point_with_gap():
-    res = solve_point(ModelParams(omega31=1.7, g1=0.8, g2=0.3), 2,
-                      with_gap=True)
+    p = ModelParams(omega31=1.7, g1=0.8, g2=0.3)
+    space = truncated_space(2, *default_cutoffs(p, 2))
+    res = solve_point(p, 2, space, with_gap=True)
     assert res.gap is not None and res.gap > 0.0
     assert res.cutoff_a >= 8 and res.cutoff_b >= 8
-    no_gap = solve_point(ModelParams(omega31=1.7, g1=0.8, g2=0.3), 2)
+    no_gap = solve_point(p, 2, space)
     assert no_gap.gap is None
     assert abs(no_gap.energy - res.energy) < 1e-9
+    with pytest.raises(ValueError, match="holds 2 atoms"):
+        solve_point(p, 3, space)

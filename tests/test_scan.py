@@ -37,6 +37,12 @@ def test_grid_spec_validation():
         GridSpec(BASE, 0.5, 0.5, 0.0, 1.0, n1=10, n2=10)
     with pytest.raises(ValueError):
         GridSpec(BASE, -0.1, 1.0, 0.0, 1.0, n1=10, n2=10)
+    with pytest.raises(ValueError, match="finite"):
+        GridSpec(BASE, 0.0, 1.0, 0.0, float("inf"), n1=10, n2=10)
+    with pytest.raises(ValueError, match="finite"):
+        line_cut(BASE, g2=0.3, g1_min=float("nan"), g1_max=1.0, steps=3)
+    with pytest.raises(ValueError, match="coupling >= 0"):
+        line_cut(BASE, g2=0.3, g1_min=-0.5, g1_max=0.5, steps=3)
     grid = GridSpec(BASE, 0.0, 1.0, 0.0, 0.5, n1=3, n2=5)
     assert list(grid.g1_values()) == [0.0, 0.5, 1.0]
     assert len(grid.g2_values()) == 5
