@@ -40,13 +40,14 @@ from .model import (
 from .scan import (
     GridSpec,
     SweepRecord,
+    SweepTable,
     ed_sweep,
     line_cut,
     overlap_area,
     phase_diagram,
     read_records_csv,
     trace_boundary,
-    write_records_csv,
+    write_sweep_csv,
 )
 
 __version__ = "0.1.0"
@@ -63,6 +64,7 @@ __all__ = [
     "PhaseLabel",
     "QuadraticBosonForm",
     "SweepRecord",
+    "SweepTable",
     "alpha_beta",
     "brute_force_minimize",
     "classify",
@@ -88,5 +90,5 @@ __all__ = [
     "right_branch_form",
     "stationary_branches",
     "trace_boundary",
-    "write_records_csv",
+    "write_sweep_csv",
 ]

@@ -15,8 +15,8 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
-from pathlib import Path
+from contextlib import nullcontext
+from dataclasses import dataclass
 
 from . import exactdiag
 from .errors import CapacityError, ConvergenceError, DomainError
@@ -39,13 +39,14 @@ from .model import (
 from .scan import (
     BOUNDARY_KINDS,
     GridSpec,
+    SweepTable,
     ed_sweep,
     line_cut,
     overlap_area,
     phase_diagram,
-    records_to_csv_text,
     sweep_values,
     trace_boundary,
+    write_sweep_csv,
 )
 
 __all__ = ["main", "run"]
@@ -118,11 +119,16 @@ def _round_floats(obj):
     return obj
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _emit(content, output: str | None) -> None:
+    """Write text, or a SweepTable as CSV, to the output file or stdout.
+
+    Handlers call this last, so a run that fails leaves no file.
+    """
+    with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as stream:
+        if isinstance(content, SweepTable):
+            write_sweep_csv(content, stream)
+        else:
+            stream.write(content)
 
 
 def _emit_json(payload: dict, output: str | None) -> None:
@@ -229,8 +235,7 @@ def _handle_phase_diagram(opts: dict) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    records = phase_diagram(grid)
-    _emit(records_to_csv_text(records), opts.get("output"))
+    _emit(phase_diagram(grid), opts.get("output"))
     return 0
 
 
@@ -251,11 +256,11 @@ def _handle_line_cut(opts: dict) -> int:
     if opts.get("g2") is None:
         raise ConfigError("line-cut requires g2 (the fixed right-branch coupling)")
     try:
-        records = line_cut(params, g2=opts["g2"], g1_min=opts["g1_min"],
-                           g1_max=opts["g1_max"], steps=opts["steps"])
+        table = line_cut(params, g2=opts["g2"], g1_min=opts["g1_min"],
+                         g1_max=opts["g1_max"], steps=opts["steps"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _emit(records_to_csv_text(records), opts.get("output"))
+    _emit(table, opts.get("output"))
     return 0
 
 
@@ -289,14 +294,11 @@ def _handle_ed(opts: dict) -> int:
 
     if sweep_keys:
         g1s = sweep_values(opts["g1_min"], opts["g1_max"], opts["steps"], "ed sweep")
-        if opts.get("diagonal"):
-            slope = math.sqrt(params.omega_b / params.omega_a)
-            sweep = [replace(params, g1=float(g1), g2=float(g1) * slope) for g1 in g1s]
-        else:
-            sweep = [replace(params, g1=float(g1), g2=opts.get("g2", params.g2)) for g1 in g1s]
-        records = ed_sweep(sweep, n_atoms, cutoff_tol=opts["cutoff_tol"],
-                           eig_tol=opts["tol"], seed=opts["seed"])
-        _emit(records_to_csv_text(records), opts.get("output"))
+        slope = math.sqrt(params.omega_b / params.omega_a)
+        g2s = g1s * slope if opts.get("diagonal") else params.g2
+        table = ed_sweep(params, g1s, g2s, n_atoms, cutoff_tol=opts["cutoff_tol"],
+                         eig_tol=opts["tol"], seed=opts["seed"])
+        _emit(table, opts.get("output"))
         return 0
 
     trace = []

@@ -314,8 +314,8 @@ def lowest_two(h: sparse.csr_matrix, tol: float = 1e-10, seed: int = 0):
     return float(vals[0]), float(vals[1]), vec / np.linalg.norm(vec)
 
 
-def observables(params: ModelParams, space: TruncatedSpace, state: np.ndarray,
-                energy: float, gap: float | None = None) -> GroundStateResult:
+def observables(space: TruncatedSpace, state: np.ndarray, energy: float,
+                gap: float | None = None) -> GroundStateResult:
     """Scaled observables of a normalized state on the truncated space."""
     n_atoms = space.basis.n_atoms
     n2, n3, n_a, n_b = _occupations(space)
@@ -373,7 +373,7 @@ def converge_cutoffs(params: ModelParams, n_atoms: int, start: tuple[int, int] |
         space = truncated_space(n_atoms, cutoff_a, cutoff_b, trace=trace)
         h = build_hamiltonian(params, space)
         e0, vec = ground_state(h, tol=eig_tol, seed=seed)
-        result = observables(params, space, vec, energy=e0)
+        result = observables(space, vec, energy=e0)
         trace.append({
             "cutoff_a": cutoff_a,
             "cutoff_b": cutoff_b,
@@ -404,4 +404,4 @@ def solve_point(params: ModelParams, n_atoms: int, space: TruncatedSpace,
     else:
         e0, vec = ground_state(h, tol=tol, seed=seed)
         gap = None
-    return observables(params, space, vec, energy=e0, gap=gap)
+    return observables(space, vec, energy=e0, gap=gap)

@@ -1,15 +1,15 @@
-"""Phase-diagram sweeps, boundary traces, and structured record output.
+"""Phase-diagram sweeps, boundary traces, and sweep CSV output.
 
 Everything here is a thin, deterministic driver over the closed-form
 classification: each grid or sweep is one call of
-:func:`vdicke.meanfield.classify_arrays`, records come out in row-major
-order (g1 outer, g2 inner), boundary curves are sampled from the
+:func:`vdicke.meanfield.classify_arrays`, returned as a
+:class:`SweepTable` of flat columns, row-major (g1 outer, g2 inner).
+:func:`write_sweep_csv` streams a table to CSV in a fixed column order,
+one chunk of rows at a time.  Boundary curves are sampled from the
 closed-form thresholds of :mod:`vdicke.model` (checked against the
-fluctuation zero mode in the tests), and records serialize to a fixed
-CSV column order that round-trips through :func:`read_records_csv`.
-Every grid axis and sweep is a coupling range with finite bounds,
-0 <= start < end, and at most MAX_GRID_POINTS points in all, checked
-before anything is allocated.
+fluctuation zero mode in the tests).  Every grid axis and sweep is a
+coupling range with finite bounds, 0 <= start < end, and at most
+MAX_GRID_POINTS points in all, checked before anything is allocated.
 """
 
 from __future__ import annotations
@@ -17,13 +17,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import exactdiag
 from .errors import DomainError
-from .meanfield import PHASES, classify_arrays
+from .meanfield import PHASES, PhaseArrays, classify_arrays
 from .model import (
     ModelParams,
     PhaseLabel,
@@ -36,6 +36,7 @@ from .model import (
 __all__ = [
     "MAX_GRID_POINTS",
     "GridSpec",
+    "SweepTable",
     "SweepRecord",
     "sweep_values",
     "BOUNDARY_KINDS",
@@ -44,13 +45,15 @@ __all__ = [
     "overlap_area",
     "line_cut",
     "ed_sweep",
-    "write_records_csv",
+    "write_sweep_csv",
     "read_records_csv",
     "records_to_csv_text",
 ]
 
 # Largest number of points one grid or sweep may have (a 1000 x 1000 grid).
 MAX_GRID_POINTS = 1_000_000
+# Rows formatted per write; bounds the CSV text held in memory at once.
+CSV_CHUNK_ROWS = 10_000
 
 CSV_COLUMNS = ("g1", "g2", "phase", "psi2", "psi3", "phi_a", "phi_b", "energy", "bistable")
 ED_COLUMNS = ("photon_a", "photon_b", "n_atoms", "cutoff_a", "cutoff_b")
@@ -89,9 +92,27 @@ class GridSpec:
         return np.linspace(self.g2_min, self.g2_max, self.n2)
 
 
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """Classified points as flat columns: the kernel's output at (g1, g2), plus
+    the finite-N columns of an ED sweep (all None for a mean-field one)."""
+
+    g1: np.ndarray
+    g2: np.ndarray
+    phases: PhaseArrays
+    photon_a: np.ndarray | None = None
+    photon_b: np.ndarray | None = None
+    n_atoms: np.ndarray | None = None
+    cutoff_a: np.ndarray | None = None
+    cutoff_b: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.g1)
+
+
 @dataclass(frozen=True)
 class SweepRecord:
-    """One classified grid or sweep point, optionally with finite-N data."""
+    """One row of a sweep CSV, as read back by :func:`read_records_csv`."""
 
     g1: float
     g2: float
@@ -107,10 +128,6 @@ class SweepRecord:
     n_atoms: int | None = None
     cutoff_a: int | None = None
     cutoff_b: int | None = None
-
-    @property
-    def has_finite_n(self) -> bool:
-        return self.n_atoms is not None
 
 
 def _check_size(points: int, what: str) -> None:
@@ -138,25 +155,17 @@ def sweep_values(lo: float, hi: float, steps: int, what: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def _classified_records(omega21, omega31, omega_a, omega_b, g1, g2) -> list[SweepRecord]:
-    """Classify broadcast arrays in one call; one record per point, C order."""
-    result = classify_arrays(omega21, omega31, omega_a, omega_b, g1, g2)
+def _classified(base: ModelParams, g1, g2) -> SweepTable:
+    """Classify broadcast coupling arrays at base's frequencies in one call, C order."""
+    result = classify_arrays(base.omega21, base.omega31, base.omega_a, base.omega_b, g1, g2)
     shape = result.phase.shape
-    columns = [np.broadcast_to(g1, shape), np.broadcast_to(g2, shape), result.phase,
-               result.psi2, result.psi3, result.phi_a, result.phi_b, result.energy,
-               result.bistable]
-    return [
-        SweepRecord(g1=a, g2=b, phase=PHASES[code], psi2=p2, psi3=p3, phi_a=fa,
-                    phi_b=fb, energy=e, bistable=flag)
-        for a, b, code, p2, p3, fa, fb, e, flag in zip(*(c.ravel().tolist() for c in columns))
-    ]
+    return SweepTable(np.broadcast_to(g1, shape).ravel(), np.broadcast_to(g2, shape).ravel(),
+                      PhaseArrays(*(column.ravel() for column in result)))
 
 
-def phase_diagram(grid: GridSpec) -> list[SweepRecord]:
+def phase_diagram(grid: GridSpec) -> SweepTable:
     """Classify every grid point, row-major (g1 outer, g2 inner)."""
-    b = grid.base
-    return _classified_records(b.omega21, b.omega31, b.omega_a, b.omega_b,
-                               grid.g1_values()[:, None], grid.g2_values()[None, :])
+    return _classified(grid.base, grid.g1_values()[:, None], grid.g2_values()[None, :])
 
 
 def trace_boundary(which: str, base: ModelParams, lo: float, hi: float,
@@ -199,113 +208,95 @@ def overlap_area(base: ModelParams, ratio: float, resolution: int = 100) -> floa
     return flagged / float(resolution * resolution)
 
 
-def ed_sweep(sweep: list[ModelParams], n_atoms: int, cutoff_tol: float = 1e-4,
-             eig_tol: float = 1e-8, seed: int = 0) -> list[SweepRecord]:
-    """Classify each point and attach finite-N observables.
+def ed_sweep(base: ModelParams, g1, g2, n_atoms: int, cutoff_tol: float = 1e-4,
+             eig_tol: float = 1e-8, seed: int = 0) -> SweepTable:
+    """Classify each (g1, g2) point at base's frequencies and attach finite-N observables.
 
-    Cutoffs are converged once at the most demanding sweep point
-    (largest default cutoffs) and that single truncation is reused
-    across the sweep, keeping the truncation error uniform along it.
+    ``g1`` and ``g2`` are coupling arrays broadcast to one sweep (a
+    scalar holds that coupling fixed).  Cutoffs are converged once at
+    the most demanding sweep point (largest default cutoffs) and that
+    single truncation is reused across the sweep, keeping the
+    truncation error uniform along it.
     """
     # No truncation tried below is smaller than this one, so an atom
     # number too large for the dimension limit is refused before any
     # per-point work.
     exactdiag.truncated_space(n_atoms, exactdiag.CUTOFF_FLOOR, exactdiag.CUTOFF_FLOOR)
-    records = _classified_records(*np.array([astuple(p) for p in sweep]).T)
+    g1, g2 = (c.ravel() for c in np.broadcast_arrays(np.asarray(g1, dtype=float),
+                                                     np.asarray(g2, dtype=float)))
+    sweep = [replace(base, g1=a, g2=b) for a, b in zip(g1.tolist(), g2.tolist())]
+    table = _classified(base, g1, g2)
     defaults = [exactdiag.default_cutoffs(p, n_atoms) for p in sweep]
     widest = max(range(len(sweep)), key=lambda i: defaults[i][0] * defaults[i][1])
     space, _ = exactdiag.converge_cutoffs(
         sweep[widest], n_atoms, start=defaults[widest], tol=cutoff_tol,
         eig_tol=eig_tol, seed=seed,
     )
-    out = []
-    for params, record in zip(sweep, records):
-        result = exactdiag.solve_point(params, n_atoms, space=space, tol=eig_tol, seed=seed)
-        out.append(replace(
-            record,
-            photon_a=result.photon_a,
-            photon_b=result.photon_b,
-            n_atoms=n_atoms,
-            cutoff_a=space.cutoff_a,
-            cutoff_b=space.cutoff_b,
-        ))
-    return out
+    results = [exactdiag.solve_point(p, n_atoms, space=space, tol=eig_tol, seed=seed)
+               for p in sweep]
+    rows = len(sweep)
+    return replace(table, photon_a=np.array([r.photon_a for r in results]),
+                   photon_b=np.array([r.photon_b for r in results]),
+                   n_atoms=np.full(rows, n_atoms), cutoff_a=np.full(rows, space.cutoff_a),
+                   cutoff_b=np.full(rows, space.cutoff_b))
 
 
 def line_cut(base: ModelParams, g2: float, g1_min: float, g1_max: float,
-             steps: int) -> list[SweepRecord]:
+             steps: int) -> SweepTable:
     """Sweep g1 at fixed g2 (mean field; :func:`ed_sweep` adds finite-N data)."""
-    g1s = sweep_values(g1_min, g1_max, steps, "line cut")
-    return _classified_records(base.omega21, base.omega31, base.omega_a, base.omega_b,
-                               g1s, float(g2))
+    return _classified(base, sweep_values(g1_min, g1_max, steps, "line cut"), float(g2))
 
 
 # ---------------------------------------------------------------------------
-# Record serialization
+# Sweep CSV
+
+_PHASE_TEXT = np.array([label.value for label in PHASES], dtype=object)
+_ROW = "%.12g,%.12g,%s,%.12g,%.12g,%.12g,%.12g,%.12g,%s"
+_ED_ROW = ",%.12g,%.12g,%d,%d,%d"
+# Column -> parser of its CSV text, where it is not float.
+_PARSERS = {"phase": PhaseLabel, "bistable": "true".__eq__, "n_atoms": int, "cutoff_a": int,
+            "cutoff_b": int}
 
 
-def _format_float(value: float) -> str:
-    return f"{value:.12g}"
-
-
-def write_records_csv(records: list[SweepRecord], stream) -> None:
-    """Write records with the fixed column order (12 significant digits)."""
-    with_ed = bool(records) and records[0].has_finite_n
-    columns = CSV_COLUMNS + ED_COLUMNS if with_ed else CSV_COLUMNS
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(columns)
-    for r in records:
-        row = [
-            _format_float(r.g1),
-            _format_float(r.g2),
-            r.phase.value,
-            _format_float(r.psi2),
-            _format_float(r.psi3),
-            _format_float(r.phi_a),
-            _format_float(r.phi_b),
-            _format_float(r.energy),
-            "true" if r.bistable else "false",
-        ]
-        if with_ed:
-            row.extend([
-                _format_float(r.photon_a),
-                _format_float(r.photon_b),
-                str(r.n_atoms),
-                str(r.cutoff_a),
-                str(r.cutoff_b),
-            ])
-        writer.writerow(row)
+def write_sweep_csv(table: SweepTable, stream) -> None:
+    """Write the table as CSV (floats to 12 significant digits, flags true/false),
+    CSV_CHUNK_ROWS rows per write; the finite-N columns follow when present."""
+    p = table.phases
+    columns = [table.g1, table.g2, p.phase, p.psi2, p.psi3, p.phi_a, p.phi_b, p.energy,
+               p.bistable]
+    header, row = CSV_COLUMNS, _ROW
+    if table.n_atoms is not None:
+        columns += [table.photon_a, table.photon_b, table.n_atoms, table.cutoff_a,
+                    table.cutoff_b]
+        header, row = header + ED_COLUMNS, row + _ED_ROW
+    row += "\n"
+    stream.write(",".join(header) + "\n")
+    for start in range(0, len(table), CSV_CHUNK_ROWS):
+        chunk = [column[start:start + CSV_CHUNK_ROWS] for column in columns]
+        chunk[2] = _PHASE_TEXT[chunk[2]]
+        chunk[8] = np.where(chunk[8], "true", "false")
+        stream.write("".join([row % cells for cells in zip(*(c.tolist() for c in chunk))]))
 
 
 def records_to_csv_text(records: list[SweepRecord]) -> str:
+    """The CSV text of records, as read_records_csv returns them, by write_sweep_csv."""
+    names = CSV_COLUMNS + (ED_COLUMNS if records and records[0].n_atoms is not None else ())
+    cols = {name: np.array([getattr(r, name) for r in records]) for name in names}
+    codes = np.array([PHASES.index(label) for label in cols.pop("phase")], dtype=np.int8)
+    # Records carry neither psi1 nor the valley flag; both follow from
+    # the columns they do carry, as in classify_arrays.
+    psi1 = np.sqrt(np.maximum(0.0, 1.0 - np.square(cols["psi2"]) - np.square(cols["psi3"])))
+    phases = PhaseArrays(phase=codes, psi1=psi1, degenerate_valley=codes == 3,
+                         **{name: cols.pop(name) for name in CSV_COLUMNS[3:]})
     buffer = io.StringIO()
-    write_records_csv(records, buffer)
+    write_sweep_csv(SweepTable(cols.pop("g1"), cols.pop("g2"), phases, **cols), buffer)
     return buffer.getvalue()
 
 
 def read_records_csv(stream) -> list[SweepRecord]:
-    """Parse records written by :func:`write_records_csv`."""
-    reader = csv.DictReader(stream)
+    """Parse sweep CSV written by :func:`write_sweep_csv`, one record per row."""
     out = []
-    for row in reader:
-        kwargs = dict(
-            g1=float(row["g1"]),
-            g2=float(row["g2"]),
-            phase=PhaseLabel(row["phase"]),
-            psi2=float(row["psi2"]),
-            psi3=float(row["psi3"]),
-            phi_a=float(row["phi_a"]),
-            phi_b=float(row["phi_b"]),
-            energy=float(row["energy"]),
-            bistable=row["bistable"] == "true",
-        )
-        if "photon_a" in row and row.get("photon_a") not in (None, ""):
-            kwargs.update(
-                photon_a=float(row["photon_a"]),
-                photon_b=float(row["photon_b"]),
-                n_atoms=int(row["n_atoms"]),
-                cutoff_a=int(row["cutoff_a"]),
-                cutoff_b=int(row["cutoff_b"]),
-            )
-        out.append(SweepRecord(**kwargs))
+    for row in csv.DictReader(stream):
+        names = CSV_COLUMNS + (ED_COLUMNS if row.get("photon_a") else ())
+        out.append(SweepRecord(**{name: _PARSERS.get(name, float)(row[name]) for name in names}))
     return out

@@ -257,11 +257,9 @@ def test_criterion_7_finite_n():
         assert lo < hi, f"deviation not shrinking with N: {deviations}"
 
     # the smoothed first-order crossing: one field grows, the other dies
-    sweep = [ModelParams(g1=float(g), g2=0.75)
-             for g in np.linspace(0.6, 0.9, 7)]
-    records = ed_sweep(sweep, 10)
-    rising = [r.photon_a for r in records]
-    falling = [r.photon_b for r in records]
+    table = ed_sweep(ModelParams(), np.linspace(0.6, 0.9, 7), 0.75, 10)
+    rising = table.photon_a.tolist()
+    falling = table.photon_b.tolist()
     for lo, hi in zip(rising, rising[1:]):
         assert hi > lo, f"photon_a not monotone across the crossing: {rising}"
     for hi, lo in zip(falling, falling[1:]):

@@ -2,11 +2,12 @@ import json
 import math
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
 
-from vdicke import exactdiag
+from vdicke import exactdiag, scan
 from vdicke.cli import run
 from vdicke.scan import CSV_COLUMNS
 
@@ -81,10 +82,16 @@ def test_phase_diagram_rejects_bad_grid(capsys):
         assert "coupling >= 0" in capsys.readouterr().err
 
 
-def test_grid_size_limit_exits_2(capsys):
+def test_grid_size_limit_exits_2(tmp_path, capsys):
     # rejected before anything is allocated
     huge = str(10 ** 9)
     window = ["--g1-min", "0", "--g1-max", "1", "--g2-min", "0", "--g2-max", "1"]
+    # one point over the limit; the refusal leaves no output file
+    out = tmp_path / "grid.csv"
+    assert run(["phase-diagram", *window, "--n1", "1001", "--n2", "1000",
+                "--output", str(out)]) == 2
+    assert "above the limit of 1000000" in capsys.readouterr().err
+    assert not out.exists()
     for argv in (["phase-diagram", *window, "--n1", huge, "--n2", huge],
                  ["overlap-area", "--ratios", "1.2", "--resolution", huge],
                  ["line-cut", "--g2", "0.5", "--g1-min", "0", "--g1-max", "1",
@@ -206,7 +213,7 @@ def test_ed_partial_sweep_flags_exit_2(capsys):
     assert "range must satisfy start < end" in capsys.readouterr().err
 
 
-def test_ed_capacity_exhaustion_exits_3(capsys, monkeypatch):
+def test_ed_capacity_exhaustion_exits_3(tmp_path, capsys, monkeypatch):
     # every size here is refused before the basis is enumerated
     def refuse(n_atoms):
         raise AssertionError(f"build_basis({n_atoms}) called for a rejected size")
@@ -226,10 +233,20 @@ def test_ed_capacity_exhaustion_exits_3(capsys, monkeypatch):
     def no_cutoffs(params, n_atoms):
         raise AssertionError("default_cutoffs called for a rejected sweep")
 
+    def no_kernel(*args):
+        raise AssertionError("classify_arrays called for a rejected sweep")
+
     monkeypatch.setattr(exactdiag, "default_cutoffs", no_cutoffs)
-    assert run(["ed", "--N", huge, "--g1-min", "0.1", "--g1-max", "1",
-                "--steps", "20000"]) == 3
-    assert "exceeds the dimension limit 2000000" in capsys.readouterr().err
+    monkeypatch.setattr(scan, "classify_arrays", no_kernel)
+    out = tmp_path / "sweep.csv"
+    for steps in ("20000", huge):
+        start = time.perf_counter()
+        assert run(["ed", "--N", huge, "--g1-min", "0.1", "--g1-max", "1",
+                    "--steps", steps, "--output", str(out)]) == 3
+        # the sweep is passed on as coupling arrays, with no per-step objects
+        assert time.perf_counter() - start < 1.0
+        assert "exceeds the dimension limit 2000000" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_parity_check_json(capsys):

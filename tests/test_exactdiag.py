@@ -230,7 +230,7 @@ def test_decoupled_ground_state_is_the_vacuum():
     # the vacuum sits at exactly zero; the Lanczos path must not skip
     # it even though the matrix annihilates that basis vector
     assert abs(e0) < 1e-12
-    res = observables(p, space, vec, energy=e0)
+    res = observables(space, vec, energy=e0)
     assert res.photon_a < 1e-12 and res.photon_b < 1e-12
     assert res.pop2 < 1e-12 and res.pop3 < 1e-12
     assert abs(res.parity_l - 1.0) < 1e-12
@@ -301,7 +301,7 @@ def test_observables_against_dense_expectation_values():
     ], dtype=float)
     random = np.random.default_rng(3).standard_normal(space.dimension)
     for vec, energy in ((vecs[:, 0], float(vals[0])), (random / np.linalg.norm(random), 0.5)):
-        res = observables(p, space, vec, energy=energy)
+        res = observables(space, vec, energy=energy)
         assert res.energy == energy
         for name, expected in zip(names, vec ** 2 @ table):
             assert abs(getattr(res, name) - expected) < 1e-13, name

@@ -376,11 +376,13 @@ def test_classify_arrays_broadcasts_frequencies_and_couplings():
 @pytest.mark.parametrize("base", [ModelParams(), ModelParams(omega31=1.7, omega_a=0.8)])
 def test_phase_diagram_records_equal_scalar_classify(base):
     grid = GridSpec(base, 0.0, 1.4, 0.0, 1.4, n1=15, n2=15)
-    records = phase_diagram(grid)
-    assert len(records) == 15 * 15
-    for r in records:
-        s = classify(replace(base, g1=r.g1, g2=r.g2))
-        assert (r.phase, r.psi2, r.psi3, r.phi_a, r.phi_b, r.energy, r.bistable) == \
+    table = phase_diagram(grid)
+    assert len(table) == 15 * 15
+    p = table.phases
+    for i, (g1, g2) in enumerate(zip(table.g1.tolist(), table.g2.tolist())):
+        s = classify(replace(base, g1=g1, g2=g2))
+        assert (PHASES[p.phase[i]], p.psi2[i], p.psi3[i], p.phi_a[i], p.phi_b[i], p.energy[i],
+                p.bistable[i]) == \
             (s.phase, s.psi2, s.psi3, s.phi_a, s.phi_b, s.energy, s.bistable)
 
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vdicke import scan
 from vdicke.errors import DomainError
 from vdicke.fluctuations import (
     critical_coupling_by_zero_mode,
@@ -11,9 +12,11 @@ from vdicke.fluctuations import (
     normal_phase_forms,
     right_branch_form,
 )
+from vdicke.meanfield import PHASES, classify_arrays
 from vdicke.model import ModelParams, PhaseLabel, critical_g1, critical_g2
 from vdicke.scan import (
     CSV_COLUMNS,
+    ED_COLUMNS,
     MAX_GRID_POINTS,
     GridSpec,
     SweepRecord,
@@ -24,7 +27,7 @@ from vdicke.scan import (
     read_records_csv,
     records_to_csv_text,
     trace_boundary,
-    write_records_csv,
+    write_sweep_csv,
 )
 
 BASE = ModelParams(omega31=1.7)
@@ -50,11 +53,14 @@ def test_grid_spec_validation():
 
 def test_phase_diagram_row_major_and_corner_labels():
     grid = GridSpec(ModelParams(), 0.0, 1.0, 0.0, 1.0, n1=3, n2=3)
-    records = phase_diagram(grid)
-    assert len(records) == 9
+    table = phase_diagram(grid)
+    assert len(table) == 9
     # row-major: g1 varies slowest
-    assert [r.g1 for r in records] == [0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0]
-    by_point = {(r.g1, r.g2): r.phase for r in records}
+    assert table.g1.tolist() == [0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0]
+    assert table.g2.tolist() == [0.0, 0.5, 1.0] * 3
+    assert all(column.shape == (9,) for column in table.phases)
+    by_point = {(a, b): PHASES[code] for a, b, code in
+                zip(table.g1.tolist(), table.g2.tolist(), table.phases.phase.tolist())}
     assert by_point[(0.0, 0.0)] is PhaseLabel.NORMAL
     assert by_point[(1.0, 0.0)] is PhaseLabel.LEFT_SR
     assert by_point[(0.0, 1.0)] is PhaseLabel.RIGHT_SR
@@ -145,69 +151,118 @@ def test_overlap_area_rejects_inverted_ratio():
 
 
 def test_line_cut_mean_field_only():
-    records = line_cut(BASE, g2=0.3, g1_min=0.4, g1_max=1.0, steps=7)
-    assert len(records) == 7
-    assert all(r.g2 == 0.3 for r in records)
-    assert not any(r.has_finite_n for r in records)
-    phases = [r.phase for r in records]
+    table = line_cut(BASE, g2=0.3, g1_min=0.4, g1_max=1.0, steps=7)
+    assert len(table) == 7
+    assert table.g1.tolist() == np.linspace(0.4, 1.0, 7).tolist()
+    assert all(g == 0.3 for g in table.g2.tolist())
+    assert all(getattr(table, name) is None for name in ED_COLUMNS)
+    phases = [PHASES[code] for code in table.phases.phase]
     assert phases[0] is PhaseLabel.NORMAL
     assert phases[-1] is PhaseLabel.LEFT_SR
 
 
+@pytest.fixture(scope="module")
+def ed_table():
+    return ed_sweep(ModelParams(), [0.3, 0.5, 0.7], 0.2, n_atoms=2)
+
+
 def test_ed_sweep_reuses_one_truncation():
-    sweep = [ModelParams(g1=g, g2=0.2) for g in (0.3, 0.6, 0.9)]
-    records = ed_sweep(sweep, n_atoms=2, cutoff_tol=1e-3)
-    assert len(records) == 3
-    cuts = {(r.cutoff_a, r.cutoff_b) for r in records}
+    table = ed_sweep(ModelParams(), [0.3, 0.6, 0.9], 0.2, n_atoms=2, cutoff_tol=1e-3)
+    assert len(table) == 3
+    assert table.g2.tolist() == [0.2] * 3
+    cuts = set(zip(table.cutoff_a.tolist(), table.cutoff_b.tolist()))
     assert len(cuts) == 1
-    assert all(r.n_atoms == 2 for r in records)
+    assert table.n_atoms.tolist() == [2, 2, 2]
     # finite N smooths the transition but the trend must hold
-    assert records[0].photon_a < records[-1].photon_a
+    assert table.photon_a[0] < table.photon_a[-1]
+    # the mean-field columns are the kernel's at the same points
+    for got, want in zip(table.phases, classify_arrays(1.0, 1.0, 1.0, 1.0, table.g1, 0.2)):
+        np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
 # CSV round trip
 
-def _sample_records():
-    recs = line_cut(BASE, g2=0.55, g1_min=0.5, g1_max=0.9, steps=5)
-    recs_ed = ed_sweep([ModelParams(g1=g1, g2=0.2) for g1 in (0.3, 0.5, 0.7)], n_atoms=2)
-    return recs, recs_ed
+def _csv(table) -> str:
+    buffer = io.StringIO()
+    write_sweep_csv(table, buffer)
+    return buffer.getvalue()
 
 
-def test_csv_header_and_formatting():
-    recs, recs_ed = _sample_records()
-    text = records_to_csv_text(recs)
+def _rowwise_csv(table) -> str:
+    """The sweep CSV rule applied one value at a time, as an independent oracle."""
+    p = table.phases
+    columns = [table.g1, table.g2, p.phase, p.psi2, p.psi3, p.phi_a, p.phi_b, p.energy,
+               p.bistable]
+    header = CSV_COLUMNS
+    if table.n_atoms is not None:
+        columns += [table.photon_a, table.photon_b, table.n_atoms, table.cutoff_a,
+                    table.cutoff_b]
+        header += ED_COLUMNS
+    lines = [",".join(header)]
+    for values in zip(*(c.tolist() for c in columns)):
+        cells = [f"{v:.12g}" for v in values]
+        cells[2] = PHASES[values[2]].value
+        cells[8] = "true" if values[8] else "false"
+        cells[11:] = [str(v) for v in values[11:]]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_writer_output_is_independent_of_chunk_size(monkeypatch, ed_table):
+    tables = {
+        "phase_diagram": phase_diagram(GridSpec(BASE, 0.0, 1.4, 0.0, 1.2, n1=9, n2=13)),
+        "line_cut": line_cut(BASE, g2=0.55, g1_min=0.5, g1_max=0.9, steps=23),
+        "ed_sweep": ed_table,
+    }
+    expected = {name: _rowwise_csv(table) for name, table in tables.items()}
+    for chunk in (1, 7, 118, scan.CSV_CHUNK_ROWS):
+        monkeypatch.setattr(scan, "CSV_CHUNK_ROWS", chunk)
+        for name, table in tables.items():
+            assert _csv(table) == expected[name], f"{name} at chunk size {chunk}"
+            assert records_to_csv_text(read_records_csv(io.StringIO(expected[name]))) == \
+                expected[name]
+
+
+def test_csv_header_and_formatting(ed_table):
+    table = line_cut(BASE, g2=0.55, g1_min=0.5, g1_max=0.9, steps=5)
+    text = _csv(table)
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
-    assert len(lines) == 1 + len(recs)
+    assert len(lines) == 1 + len(table)
     row = lines[1].split(",")
     assert row[2] in ("Normal", "LeftSR", "RightSR", "LeftRightSR")
     assert row[8] in ("true", "false")
     # finite-N output grows the header, same leading columns
-    text_ed = records_to_csv_text(recs_ed)
+    text_ed = _csv(ed_table)
     header_ed = text_ed.strip().split("\n")[0]
     assert header_ed.startswith(",".join(CSV_COLUMNS))
     assert header_ed.endswith("photon_a,photon_b,n_atoms,cutoff_a,cutoff_b")
 
 
-def test_csv_round_trip_is_lossless():
-    for recs in _sample_records():
-        buf = io.StringIO()
-        write_records_csv(recs, buf)
-        back = read_records_csv(io.StringIO(buf.getvalue()))
-        assert len(back) == len(recs)
-        for a, b in zip(recs, back):
-            assert b.phase is a.phase
-            assert b.bistable == a.bistable
-            assert b.n_atoms == a.n_atoms
-            for field in ("g1", "g2", "psi2", "psi3", "phi_a", "phi_b",
-                          "energy", "photon_a", "photon_b"):
-                va, vb = getattr(a, field), getattr(b, field)
-                if va is None:
-                    assert vb is None
-                else:
-                    # 12 significant digits survive the round trip
-                    assert vb == pytest.approx(va, rel=1e-11, abs=1e-11)
+def test_csv_round_trip_is_lossless(ed_table):
+    line = line_cut(BASE, g2=0.55, g1_min=0.5, g1_max=0.9, steps=5)
+    for table in (line, ed_table):
+        back = read_records_csv(io.StringIO(_csv(table)))
+        assert len(back) == len(table)
+        p = table.phases
+        for i, b in enumerate(back):
+            assert b.phase is PHASES[p.phase[i]]
+            assert b.bistable == bool(p.bistable[i])
+            if table.n_atoms is None:
+                assert (b.n_atoms, b.photon_a, b.photon_b) == (None, None, None)
+                continue
+            assert b.n_atoms == table.n_atoms[i]
+            assert (b.cutoff_a, b.cutoff_b) == (table.cutoff_a[i], table.cutoff_b[i])
+            for name in ("photon_a", "photon_b"):
+                assert getattr(b, name) == pytest.approx(getattr(table, name)[i],
+                                                         rel=1e-11, abs=1e-11)
+        for name, column in (("g1", table.g1), ("g2", table.g2), ("psi2", p.psi2),
+                             ("psi3", p.psi3), ("phi_a", p.phi_a), ("phi_b", p.phi_b),
+                             ("energy", p.energy)):
+            # 12 significant digits survive the round trip
+            got = [getattr(b, name) for b in back]
+            assert got == pytest.approx(column.tolist(), rel=1e-11, abs=1e-11)
 
 
 def test_twelve_significant_digits_in_csv():
@@ -217,3 +272,4 @@ def test_twelve_significant_digits_in_csv():
     text = records_to_csv_text([rec])
     assert "0.333333333333" in text
     assert "-1.23456789012e-05" in text
+    assert records_to_csv_text([]) == ",".join(CSV_COLUMNS) + "\n"
