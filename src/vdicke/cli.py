@@ -426,7 +426,7 @@ _COMMANDS = (
             _Opt("cutoff_b", int, None, "explicit mode-b cutoff (skips convergence)"),
             _Opt("tol", float, 1e-8, "eigensolver residual tolerance"),
             _Opt("cutoff_tol", float, 1e-4, "photon-number convergence tolerance"),
-            _Opt("seed", int, 0, "eigensolver start-vector seed"),
+            _Opt("seed", int, 0, "seed of the eigensolver's cold start vector"),
             _Opt("g1_min", float, None, "sweep start (sweep mode)"),
             _Opt("g1_max", float, None, "sweep end (sweep mode)"),
             _Opt("steps", int, None, "sweep samples (sweep mode)"),

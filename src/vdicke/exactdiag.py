@@ -25,20 +25,48 @@ diagonal of H, the parity operators and the observables are all read
 from it.  The two atomic hops J_13 + J_31 and J_12 + J_21 come from the
 index formula, with amplitude sqrt(n1 (n_l + 1)) for an atom moving
 from level 1 to level l, and each meets its mode's position operator in
-one Kronecker product.
+one Kronecker product.  This whole-space build is the reference the
+sector build is tested against, and parity-check's operator.
 
-All matrices are real sparse CSR.  The ground state comes from an
-implicitly restarted Lanczos iteration with a seeded start vector and
-an explicit residual acceptance test, falling back to dense
-diagonalization for tiny spaces.  Every space is checked against
-DEFAULT_DIM_LIMIT, read at call time, before anything of its size is
-allocated.
+Parity sectors.  The left parity (-1)^(n3 + n_a) and the right parity
+(-1)^(n2 + n_b) both commute with H, so H splits exactly into four
+blocks, one per ParitySector (left, right) in {+1, -1}^2.  A sector
+keeps the whole-space order restricted to its states: for each atomic
+state, mode a runs over the levels of one parity, n_a = p_a, p_a + 2,
+..., and mode b likewise, so a state sits at its atomic block's offset
+plus (n_a // 2) * (levels of b) + n_b // 2.  ``build_hamiltonian`` on a
+ParitySector assembles that block from this index arithmetic alone; the
+whole-space matrix is never built.
+
+Solves.  The ground state comes from an implicitly restarted Lanczos
+iteration with an explicit residual acceptance test, falling back to
+dense diagonalization for tiny spaces.  A solve starts from a given
+vector when one is passed (the previous sweep point, or the previous
+cutoff trial zero-padded to the doubled cutoffs), and otherwise from a
+vector drawn from ``seed``; ARPACK gets at most LANCZOS_MAXITER restarts.
+
+ * ``converge_cutoffs`` doubles the cutoffs until the (+, +) photon
+   numbers settle, then certifies the truncation it accepts: none of
+   the other three sectors may have its ground energy below the (+, +)
+   one by more than the solver's tolerance.  Perron-Frobenius does not
+   fix which block is lowest, and on a too-small truncation deep in a
+   superradiant phase it can be (+, -) or (-, +); such a truncation is
+   not accepted and the doubling goes on.
+ * ``solve_point`` is exact on any space: E0 is the lowest of the four
+   sector ground energies, the observables are those of that sector's
+   ground state, and E1 is the lower of that sector's second level and
+   the lowest ground energy of the other three.
+
+Every space is checked against DEFAULT_DIM_LIMIT, read at call time,
+before anything of its size is allocated; the limit applies to the
+whole truncated space, of which a sector is about a quarter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -49,8 +77,10 @@ from .meanfield import stationary_branches
 from .model import ModelParams
 
 __all__ = [
+    "PARITY_SECTORS",
     "SymmetricBasis",
     "TruncatedSpace",
+    "ParitySector",
     "GroundStateResult",
     "build_basis",
     "truncated_space",
@@ -68,6 +98,8 @@ __all__ = [
 
 DEFAULT_DIM_LIMIT = 2_000_000
 CUTOFF_FLOOR = 8  # smallest cutoff default_cutoffs returns
+LANCZOS_MAXITER = 1000  # ARPACK restarts allowed per eigsh call
+PARITY_SECTORS = ((1, 1), (1, -1), (-1, 1), (-1, -1))  # (left, right) parities
 _DENSE_THRESHOLD = 16  # below this dimension just diagonalize densely
 
 
@@ -101,6 +133,23 @@ class TruncatedSpace:
     @property
     def dimension(self) -> int:
         return self.basis.size * (self.cutoff_a + 1) * (self.cutoff_b + 1)
+
+
+@dataclass(frozen=True)
+class ParitySector:
+    """The block of ``space`` with left parity ``left`` and right parity ``right``."""
+
+    space: TruncatedSpace
+    left: int
+    right: int
+
+    def __post_init__(self):
+        if self.left not in (1, -1) or self.right not in (1, -1):
+            raise ValueError(f"parities must be +1 or -1, got {self.left}, {self.right}")
+
+    @property
+    def dimension(self) -> int:
+        return _sector_blocks(self).dimension
 
 
 @dataclass(frozen=True)
@@ -167,18 +216,65 @@ def _atom_index(n_atoms: int, n2, n3):
     return n3 * (n_atoms + 1) - n3 * (n3 - 1) // 2 + n2
 
 
-def _occupations(space: TruncatedSpace):
-    """n2, n3, n_a and n_b of the basis, broadcastable over (atom, mode a, mode b).
-
-    The shapes are (S, 1, 1), (S, 1, 1), (A, 1) and (B,) for S atomic
-    states and A, B Fock levels; broadcast together, their C-order ravel
-    runs along the basis index.
-    """
-    n_atoms = space.basis.n_atoms
+def _atomic_states(n_atoms: int):
+    """n2 and n3 of every atomic state, in SymmetricBasis order."""
     n3 = np.repeat(np.arange(n_atoms + 1), np.arange(n_atoms + 1, 0, -1))
-    n2 = np.arange(n3.size) - _atom_index(n_atoms, 0, n3)
+    return np.arange(n3.size) - _atom_index(n_atoms, 0, n3), n3
+
+
+def _occupations(space):
+    """n2, n3, n_a and n_b of the basis, broadcastable over its states.
+
+    For a TruncatedSpace the shapes are (S, 1, 1), (S, 1, 1), (A, 1) and
+    (B,) for S atomic states and A, B Fock levels; broadcast together,
+    their C-order ravel runs along the basis index.  For a ParitySector
+    all four are flat, in sector order.
+    """
+    if isinstance(space, ParitySector):
+        blocks = _sector_blocks(space)
+        atom, n_a, n_b = _sector_states(blocks)
+        return blocks.n2[atom], blocks.n3[atom], n_a, n_b
+    n2, n3 = _atomic_states(space.basis.n_atoms)
     return (n2[:, None, None], n3[:, None, None],
             np.arange(space.cutoff_a + 1)[:, None], np.arange(space.cutoff_b + 1))
+
+
+class _SectorBlocks(NamedTuple):
+    """A parity sector as one block of mode levels per atomic state."""
+
+    n2: np.ndarray         # per atomic state
+    n3: np.ndarray
+    first_a: np.ndarray    # the block's lowest n_a (0 or 1); n_a steps by 2
+    first_b: np.ndarray
+    levels_b: np.ndarray   # n_b levels in the block
+    offset: np.ndarray     # sector index of the block's first state
+    dimension: int
+
+
+def _sector_blocks(sector: ParitySector) -> _SectorBlocks:
+    space = sector.space
+    n2, n3 = _atomic_states(space.basis.n_atoms)
+    first_a = (n3 + (sector.left < 0)) % 2
+    first_b = (n2 + (sector.right < 0)) % 2
+    levels_b = (space.cutoff_b - first_b) // 2 + 1
+    size = ((space.cutoff_a - first_a) // 2 + 1) * levels_b
+    offset = np.cumsum(size) - size
+    return _SectorBlocks(n2, n3, first_a, first_b, levels_b, offset, int(size.sum()))
+
+
+def _sector_states(blocks: _SectorBlocks):
+    """Atomic index, n_a and n_b of every sector state, in sector order."""
+    size = np.diff(np.append(blocks.offset, blocks.dimension))
+    atom = np.repeat(np.arange(size.size), size)
+    local = np.arange(blocks.dimension) - blocks.offset[atom]
+    levels_b = blocks.levels_b[atom]
+    return (atom, blocks.first_a[atom] + 2 * (local // levels_b),
+            blocks.first_b[atom] + 2 * (local % levels_b))
+
+
+def _sector_index(blocks: _SectorBlocks, atom, n_a, n_b):
+    """Sector index of (atomic state, n_a, n_b); the occupations must lie in the sector."""
+    return blocks.offset[atom] + n_a // 2 * blocks.levels_b[atom] + n_b // 2
 
 
 def _level1_hop(n_atoms: int, n2: np.ndarray, n3: np.ndarray, level: int) -> sparse.csr_matrix:
@@ -198,10 +294,17 @@ def _position(levels: int) -> sparse.csr_matrix:
     return sparse.diags([root, root], [-1, 1], format="csr")
 
 
-def build_hamiltonian(params: ModelParams, space: TruncatedSpace) -> sparse.csr_matrix:
-    """Assemble the collective Hamiltonian on the truncated space (real CSR)."""
-    n_atoms = space.basis.n_atoms
-    _check_dimension(n_atoms, space.cutoff_a, space.cutoff_b)
+def build_hamiltonian(params: ModelParams, space) -> sparse.csr_matrix:
+    """Assemble the collective Hamiltonian (real CSR) on a TruncatedSpace or one ParitySector.
+
+    The whole-space build is Kronecker products of the atomic and mode
+    operators; the sector build is index arithmetic on the sector alone.
+    """
+    truncation = space.space if isinstance(space, ParitySector) else space
+    n_atoms = truncation.basis.n_atoms
+    _check_dimension(n_atoms, truncation.cutoff_a, truncation.cutoff_b)
+    if isinstance(space, ParitySector):
+        return _sector_hamiltonian(params, space)
     n2, n3, n_a, n_b = _occupations(space)
     diagonal = (params.omega21 * n2 + params.omega31 * n3
                 + params.omega_a * n_a + params.omega_b * n_b)
@@ -214,6 +317,46 @@ def build_hamiltonian(params: ModelParams, space: TruncatedSpace) -> sparse.csr_
     return (sparse.diags(diagonal.ravel(), format="csr")
             + params.g1 * scale * sparse.kron(x13, pos_a, format="csr")
             + params.g2 * scale * sparse.kron(x12, pos_b, format="csr"))
+
+
+def _sector_hamiltonian(params: ModelParams, sector: ParitySector) -> sparse.csr_matrix:
+    """H on one parity sector, entry for entry the whole-space H restricted to it.
+
+    Every hop moves an atom from level 1 to level l (3 with mode a, 2
+    with mode b) and the mode by one quantum, which keeps both parities;
+    it is listed once from its source state and mirrored.
+    """
+    space = sector.space
+    n_atoms = space.basis.n_atoms
+    blocks = _sector_blocks(sector)
+    atom, n_a, n_b = _sector_states(blocks)
+    n2, n3 = blocks.n2[atom], blocks.n3[atom]
+    n1 = n_atoms - n2 - n3
+    diagonal = (params.omega21 * n2 + params.omega31 * n3
+                + params.omega_a * n_a + params.omega_b * n_b)
+    rows, cols, values = [], [], []
+    scale = 1.0 / math.sqrt(n_atoms)
+    src = np.flatnonzero(n1 > 0)
+    for coupling, level, mode, cutoff in ((params.g1, 3, n_a, space.cutoff_a),
+                                          (params.g2, 2, n_b, space.cutoff_b)):
+        n_l = (n2 if level == 2 else n3)[src]
+        dst_atom = _atom_index(n_atoms, n2[src] + (level == 2), n3[src] + (level == 3))
+        atomic = np.sqrt(n1[src] * (n_l + 1))
+        for step in (-1, 1):
+            moved = mode[src] + step
+            keep = (moved >= 0) & (moved <= cutoff)
+            from_state, moved = src[keep], moved[keep]
+            dst_a, dst_b = (moved, n_b[from_state]) if level == 3 else (n_a[from_state], moved)
+            rows.append(_sector_index(blocks, dst_atom[keep], dst_a, dst_b))
+            cols.append(from_state)
+            values.append(coupling * scale
+                          * (atomic[keep] * np.sqrt(np.maximum(mode[from_state], moved))))
+    rows, cols, values = (np.concatenate(part) for part in (rows, cols, values))
+    states = np.arange(blocks.dimension)
+    return sparse.csr_matrix(
+        (np.concatenate([diagonal, values, values]),
+         (np.concatenate([states, rows, cols]), np.concatenate([states, cols, rows]))),
+        shape=(blocks.dimension, blocks.dimension))
 
 
 def _parities(n2, n3, n_a, n_b):
@@ -257,14 +400,15 @@ def _h_scale(h: sparse.csr_matrix) -> float:
     return float(np.abs(h).sum(axis=1).max())
 
 
-def _eigsh_lowest(h: sparse.csr_matrix, k: int, tol: float, seed: int):
+def _eigsh_lowest(h: sparse.csr_matrix, k: int, tol: float, seed: int,
+                  start: np.ndarray | None = None):
     """Lowest k eigenpairs with explicit residual acceptance and retries."""
     dim = h.shape[0]
     if dim <= max(_DENSE_THRESHOLD, k + 1):
         dense = np.asarray(h.todense())
         vals, vecs = np.linalg.eigh(dense)
         return vals[:k], vecs[:, :k]
-    v0 = _seed_vector(dim, seed)
+    v0 = _seed_vector(dim, seed) if start is None else np.asarray(start, dtype=float)
     scale = _h_scale(h)
     # Shift the spectrum strictly below zero before the Lanczos run.  An
     # eigenvalue at exactly 0 (the decoupled ground state, say) is
@@ -278,11 +422,12 @@ def _eigsh_lowest(h: sparse.csr_matrix, k: int, tol: float, seed: int):
     for _ in range(3):
         try:
             vals, vecs = eigsh(shifted, k=k, which="SA", v0=v0, tol=arpack_tol,
-                               maxiter=50 * dim)
+                               maxiter=LANCZOS_MAXITER)
             vals = vals + sigma
         except ArpackNoConvergence as exc:
             raise ConvergenceError(
-                f"Lanczos iteration failed to converge at dimension {dim}",
+                f"Lanczos iteration did not converge within LANCZOS_MAXITER = "
+                f"{LANCZOS_MAXITER} restarts at dimension {dim}",
             ) from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
@@ -300,26 +445,40 @@ def _eigsh_lowest(h: sparse.csr_matrix, k: int, tol: float, seed: int):
     )
 
 
-def ground_state(h: sparse.csr_matrix, tol: float = 1e-10, seed: int = 0):
-    """Lowest eigenpair (energy, normalized vector)."""
-    vals, vecs = _eigsh_lowest(h, k=1, tol=tol, seed=seed)
+def ground_state(h: sparse.csr_matrix, tol: float = 1e-10, seed: int = 0,
+                 start: np.ndarray | None = None):
+    """Lowest eigenpair (energy, normalized vector).
+
+    The Lanczos run starts from ``start`` when given (it need not be
+    normalized), else from a vector drawn from ``seed``.
+    """
+    vals, vecs = _eigsh_lowest(h, k=1, tol=tol, seed=seed, start=start)
     vec = vecs[:, 0]
     return float(vals[0]), vec / np.linalg.norm(vec)
 
 
-def lowest_two(h: sparse.csr_matrix, tol: float = 1e-10, seed: int = 0):
-    """Lowest two eigenvalues and the ground vector: (e0, e1, v0)."""
-    vals, vecs = _eigsh_lowest(h, k=2, tol=tol, seed=seed)
+def lowest_two(h: sparse.csr_matrix, tol: float = 1e-10, seed: int = 0,
+               start: np.ndarray | None = None):
+    """Lowest two eigenvalues and the ground vector: (e0, e1, v0).
+
+    ``start`` and ``seed`` as for ground_state.  A start vector close to
+    the ground state holds little of the second level, so a cold start
+    is the safer choice here.
+    """
+    vals, vecs = _eigsh_lowest(h, k=2, tol=tol, seed=seed, start=start)
     vec = vecs[:, 0]
     return float(vals[0]), float(vals[1]), vec / np.linalg.norm(vec)
 
 
-def observables(space: TruncatedSpace, state: np.ndarray, energy: float,
+def observables(space, state: np.ndarray, energy: float,
                 gap: float | None = None) -> GroundStateResult:
-    """Scaled observables of a normalized state on the truncated space."""
-    n_atoms = space.basis.n_atoms
-    n2, n3, n_a, n_b = _occupations(space)
-    weights = np.abs(np.asarray(state).reshape(n2.size, n_a.size, n_b.size)) ** 2
+    """Scaled observables of a normalized state on a TruncatedSpace or one ParitySector."""
+    truncation = space.space if isinstance(space, ParitySector) else space
+    n_atoms = truncation.basis.n_atoms
+    occupations = _occupations(space)
+    n2, n3, n_a, n_b = occupations
+    shape = np.broadcast_shapes(*(o.shape for o in occupations))
+    weights = np.abs(np.asarray(state).reshape(shape)) ** 2
 
     def mean(values) -> float:
         return float(np.sum(weights * values))
@@ -335,8 +494,8 @@ def observables(space: TruncatedSpace, state: np.ndarray, energy: float,
         parity_r=parity_r,
         parity_g=parity_g,
         gap=gap,
-        cutoff_a=space.cutoff_a,
-        cutoff_b=space.cutoff_b,
+        cutoff_a=truncation.cutoff_a,
+        cutoff_b=truncation.cutoff_b,
     )
 
 
@@ -356,24 +515,56 @@ def default_cutoffs(params: ModelParams, n_atoms: int) -> tuple[int, int]:
     return cutoff_a, cutoff_b
 
 
+def _zero_pad(sector: ParitySector, state: np.ndarray, target: ParitySector) -> np.ndarray:
+    """``state`` on ``sector`` as a vector on ``target``: same atoms and parities, larger cutoffs."""
+    atom, n_a, n_b = _sector_states(_sector_blocks(sector))
+    blocks = _sector_blocks(target)
+    padded = np.zeros(blocks.dimension)
+    padded[_sector_index(blocks, atom, n_a, n_b)] = state
+    return padded
+
+
+def _even_sector_is_lowest(params: ModelParams, space: TruncatedSpace, energy: float,
+                           tol: float, seed: int) -> bool:
+    """Whether no other parity sector's ground energy lies below ``energy``, the (+, +) one.
+
+    A sector counts as below only by more than the solver's own
+    tolerance on an eigenvalue, ``tol`` times the sector's H scale.
+    """
+    for left, right in PARITY_SECTORS[1:]:
+        h = build_hamiltonian(params, ParitySector(space, left, right))
+        other, _ = ground_state(h, tol=tol, seed=seed)
+        if other < energy - tol * max(1.0, _h_scale(h)):
+            return False
+    return True
+
+
 def converge_cutoffs(params: ModelParams, n_atoms: int, start: tuple[int, int] | None = None,
                      tol: float = 1e-4, eig_tol: float = 1e-8, seed: int = 0):
     """Double the boson cutoffs until the photon numbers settle.
 
-    Returns ``(space, trace)`` where ``space`` is the coarsest
-    truncation whose photon_a and photon_b agree with the next doubling
-    within ``tol``, and ``trace`` records every evaluation.  Raises
-    CapacityError (with the trace attached) if the dimension limit is
-    hit first.
+    Every trial solves the (+, +) parity sector: the first from a
+    ``seed`` vector, each doubled one from the previous trial's ground
+    vector, zero-padded.  Returns ``(space, trace)`` where ``space`` is
+    the coarsest truncation whose photon_a and photon_b agree with the
+    next doubling within ``tol`` and on which no other parity sector
+    lies below (+, +) (see _even_sector_is_lowest); ``trace`` records
+    every trial.  Raises CapacityError (with the trace attached) if the
+    dimension limit is hit first.
     """
     cutoff_a, cutoff_b = start if start is not None else default_cutoffs(params, n_atoms)
     trace = []
     previous = None
     while True:
         space = truncated_space(n_atoms, cutoff_a, cutoff_b, trace=trace)
-        h = build_hamiltonian(params, space)
-        e0, vec = ground_state(h, tol=eig_tol, seed=seed)
-        result = observables(space, vec, energy=e0)
+        sector = ParitySector(space, 1, 1)
+        h = build_hamiltonian(params, sector)
+        if previous is None:
+            e0, vec = ground_state(h, tol=eig_tol, seed=seed)
+        else:
+            prev_sector, prev_vec, prev_result = previous
+            e0, vec = ground_state(h, tol=eig_tol, start=_zero_pad(prev_sector, prev_vec, sector))
+        result = observables(sector, vec, energy=e0)
         trace.append({
             "cutoff_a": cutoff_a,
             "cutoff_b": cutoff_b,
@@ -383,25 +574,34 @@ def converge_cutoffs(params: ModelParams, n_atoms: int, start: tuple[int, int] |
             "photon_b": result.photon_b,
         })
         if previous is not None:
-            prev_space, prev_result = previous
             if (abs(result.photon_a - prev_result.photon_a) < tol
-                    and abs(result.photon_b - prev_result.photon_b) < tol):
-                return prev_space, trace
-        previous = (space, result)
+                    and abs(result.photon_b - prev_result.photon_b) < tol
+                    and _even_sector_is_lowest(params, prev_sector.space, prev_result.energy,
+                                               eig_tol, seed)):
+                return prev_sector.space, trace
+        previous = (sector, vec, result)
         cutoff_a *= 2
         cutoff_b *= 2
 
 
 def solve_point(params: ModelParams, n_atoms: int, space: TruncatedSpace,
                 tol: float = 1e-8, seed: int = 0, with_gap: bool = False) -> GroundStateResult:
-    """Ground-state observables of n_atoms atoms at one parameter point on ``space``."""
+    """Ground-state observables of n_atoms atoms at one parameter point on ``space``.
+
+    Exact on any truncation: every parity sector is solved from the
+    ``seed`` vector, E0 is the lowest sector ground energy and the
+    observables are that sector's.  With ``with_gap``, E1 is the lower
+    of that sector's second level and the other sectors' ground energies.
+    """
     if space.basis.n_atoms != n_atoms:
         raise ValueError(f"space holds {space.basis.n_atoms} atoms, not {n_atoms}")
-    h = build_hamiltonian(params, space)
+    sectors = [ParitySector(space, left, right) for left, right in PARITY_SECTORS]
+    hamiltonians = [build_hamiltonian(params, sector) for sector in sectors]
+    grounds = [ground_state(h, tol=tol, seed=seed) for h in hamiltonians]
+    lowest = min(range(len(sectors)), key=lambda i: grounds[i][0])
+    e0, vec = grounds[lowest]
+    gap = None
     if with_gap:
-        e0, e1, vec = lowest_two(h, tol=tol, seed=seed)
-        gap = e1 - e0
-    else:
-        e0, vec = ground_state(h, tol=tol, seed=seed)
-        gap = None
-    return observables(space, vec, energy=e0, gap=gap)
+        e0, e1, vec = lowest_two(hamiltonians[lowest], tol=tol, seed=seed)
+        gap = min([e1] + [e for i, (e, _) in enumerate(grounds) if i != lowest]) - e0
+    return observables(sectors[lowest], vec, energy=e0, gap=gap)

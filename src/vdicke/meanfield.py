@@ -25,6 +25,7 @@ for diagnostics only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import astuple, dataclass
 from typing import NamedTuple
@@ -377,6 +378,33 @@ def classify(params: ModelParams) -> MeanFieldSolution:
 # Brute-force oracle
 
 
+class _OracleMesh(NamedTuple):
+    xs: np.ndarray
+    p2: np.ndarray
+    p3: np.ndarray
+    inside: np.ndarray      # the closed unit disc
+    p2_inside: np.ndarray
+    p3_inside: np.ndarray
+    sector2: np.ndarray     # psi2^2 >= psi3^2
+    sector3: np.ndarray     # psi3^2 >= psi2^2
+
+
+@functools.lru_cache(maxsize=4)
+def _oracle_mesh(resolution: int) -> _OracleMesh:
+    """brute_force_minimize's sampling mesh and masks, built once per resolution.
+
+    The arrays are shared by every call, so they are made read-only.
+    """
+    xs = np.linspace(-1.0, 1.0, resolution)
+    p2, p3 = np.meshgrid(xs, xs, indexing="ij")
+    inside = p2 ** 2 + p3 ** 2 <= 1.0
+    mesh = _OracleMesh(xs, p2, p3, inside, p2[inside], p3[inside],
+                       p2 ** 2 >= p3 ** 2, p3 ** 2 >= p2 ** 2)
+    for array in mesh:
+        array.flags.writeable = False
+    return mesh
+
+
 def brute_force_minimize(params: ModelParams, resolution: int = 400) -> MeanFieldSolution:
     """Locate the global minimum by dense grid search plus local refinement.
 
@@ -388,11 +416,10 @@ def brute_force_minimize(params: ModelParams, resolution: int = 400) -> MeanFiel
     """
     if resolution < 100:
         raise ValueError(f"resolution must be >= 100, got {resolution}")
-    xs = np.linspace(-1.0, 1.0, resolution)
-    p2, p3 = np.meshgrid(xs, xs, indexing="ij")
-    inside = p2 ** 2 + p3 ** 2 <= 1.0
+    mesh = _oracle_mesh(resolution)
+    p2, p3 = mesh.p2, mesh.p3
     values = np.full(p2.shape, np.inf)
-    values[inside] = _energy_raw(params, p2[inside], p3[inside])
+    values[mesh.inside] = _energy_raw(params, mesh.p2_inside, mesh.p3_inside)
 
     # Refine from the best cell overall, the best cell of each
     # one-branch sector, and the origin, so nearly degenerate wells are
@@ -400,14 +427,13 @@ def brute_force_minimize(params: ModelParams, resolution: int = 400) -> MeanFiel
     starts = [(0.0, 0.0)]
     flat = np.argmin(values)
     starts.append((p2.flat[flat], p3.flat[flat]))
-    sector2 = np.where(p2 ** 2 >= p3 ** 2, values, np.inf)
-    sector3 = np.where(p3 ** 2 >= p2 ** 2, values, np.inf)
-    for sector in (sector2, sector3):
+    for mask in (mesh.sector2, mesh.sector3):
+        sector = np.where(mask, values, np.inf)
         flat = np.argmin(sector)
         if np.isfinite(sector.flat[flat]):
             starts.append((p2.flat[flat], p3.flat[flat]))
 
-    window = 2.0 * (xs[1] - xs[0])
+    window = 2.0 * (mesh.xs[1] - mesh.xs[0])
     best = None
     for start in starts:
         refined = _refine(params, start, window)

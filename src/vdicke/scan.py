@@ -216,7 +216,9 @@ def ed_sweep(base: ModelParams, g1, g2, n_atoms: int, cutoff_tol: float = 1e-4,
     scalar holds that coupling fixed).  Cutoffs are converged once at
     the most demanding sweep point (largest default cutoffs) and that
     single truncation is reused across the sweep, keeping the
-    truncation error uniform along it.
+    truncation error uniform along it.  Each point is solved on the
+    (+, +) parity sector, the first from ``seed`` and every later one
+    from the previous point's ground vector.
     """
     # No truncation tried below is smaller than this one, so an atom
     # number too large for the dimension limit is refused before any
@@ -232,11 +234,16 @@ def ed_sweep(base: ModelParams, g1, g2, n_atoms: int, cutoff_tol: float = 1e-4,
         sweep[widest], n_atoms, start=defaults[widest], tol=cutoff_tol,
         eig_tol=eig_tol, seed=seed,
     )
-    results = [exactdiag.solve_point(p, n_atoms, space=space, tol=eig_tol, seed=seed)
-               for p in sweep]
+    sector = exactdiag.ParitySector(space, 1, 1)
     rows = len(sweep)
-    return replace(table, photon_a=np.array([r.photon_a for r in results]),
-                   photon_b=np.array([r.photon_b for r in results]),
+    photon_a, photon_b = np.empty(rows), np.empty(rows)
+    state = None
+    for i, params in enumerate(sweep):
+        h = exactdiag.build_hamiltonian(params, sector)
+        energy, state = exactdiag.ground_state(h, tol=eig_tol, seed=seed, start=state)
+        result = exactdiag.observables(sector, state, energy)
+        photon_a[i], photon_b[i] = result.photon_a, result.photon_b
+    return replace(table, photon_a=photon_a, photon_b=photon_b,
                    n_atoms=np.full(rows, n_atoms), cutoff_a=np.full(rows, space.cutoff_a),
                    cutoff_b=np.full(rows, space.cutoff_b))
 

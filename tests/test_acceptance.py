@@ -323,13 +323,11 @@ def test_criterion_8_symmetry_suite():
 def test_reproduce_fixtures_execute():
     reproduce = Path(__file__).resolve().parent.parent / "reproduce"
     out_dir = Path(tempfile.mkdtemp(prefix="vdicke-fixtures-"))
-    # the two finite-N sweeps are downscaled by explicit flag overrides
-    # (flag beats config) so this gate stays fast; everything else runs
-    # at the committed settings
+    # fig2b's overlap grid is downscaled by an explicit flag override
+    # (flag beats config) so this gate stays fast; everything else,
+    # the finite-N sweeps included, runs at the committed settings
     overrides = {
         "fig2b": ["--resolution", "40"],
-        "fig4a": ["--N", "4", "--steps", "5"],
-        "fig4b": ["--N", "4", "--steps", "5"],
     }
     commands = {
         "fig2a": "phase-diagram", "fig2b": "overlap-area",

@@ -6,8 +6,11 @@ import pytest
 from scipy import sparse
 
 from vdicke import exactdiag
-from vdicke.errors import CapacityError
+from vdicke.cli import run as cli_run
+from vdicke.errors import CapacityError, ConvergenceError
 from vdicke.exactdiag import (
+    PARITY_SECTORS,
+    ParitySector,
     SymmetricBasis,
     TruncatedSpace,
     build_basis,
@@ -23,6 +26,7 @@ from vdicke.exactdiag import (
     truncated_space,
 )
 from vdicke.model import ModelParams
+from vdicke.scan import ed_sweep
 
 
 def _swap_params(p: ModelParams) -> ModelParams:
@@ -343,3 +347,154 @@ def test_solve_point_with_gap():
     assert abs(no_gap.energy - res.energy) < 1e-9
     with pytest.raises(ValueError, match="holds 2 atoms"):
         solve_point(p, 3, space)
+
+
+# ---------------------------------------------------------------------------
+# parity sectors
+
+def _sector_mask(space: TruncatedSpace, left: int, right: int) -> np.ndarray:
+    """The sector's states among the whole-space basis, from the parity operators."""
+    pl, pr, _ = parity_operators(space)
+    return (pl.diagonal() == left) & (pr.diagonal() == right)
+
+
+def _random_params(rng, g_low=0.0, g_high=1.5) -> ModelParams:
+    return ModelParams(*rng.uniform(0.4, 2.0, 4), *rng.uniform(g_low, g_high, 2))
+
+
+def test_sector_hamiltonian_is_the_whole_space_h_restricted():
+    rng = np.random.default_rng(53)
+    for trial in range(40):
+        p = _random_params(rng)
+        if trial % 4 == 0:
+            p = ModelParams(p.omega21, p.omega31, p.omega_a, p.omega_b,
+                            g1=0.0 if trial % 8 else p.g1, g2=0.0)
+        space = TruncatedSpace(build_basis(int(rng.integers(1, 6))),
+                               int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+        whole = build_hamiltonian(p, space).toarray()
+        dimensions = 0
+        for left, right in PARITY_SECTORS:
+            sector = ParitySector(space, left, right)
+            mask = _sector_mask(space, left, right)
+            block = build_hamiltonian(p, sector)
+            assert sector.dimension == block.shape[0] == mask.sum()
+            assert np.array_equal(block.toarray(), whole[np.ix_(mask, mask)]), (trial, left, right)
+            dimensions += sector.dimension
+        assert dimensions == space.dimension
+    with pytest.raises(ValueError, match="must be"):
+        ParitySector(space, 0, 1)
+
+
+def _seeded_points(count: int, seed: int):
+    """Small spaces with too-small cutoffs: generic, deep superradiant and g = 0 points."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        p = _random_params(rng, *((0.0, 1.5), (1.5, 3.0), (0.0, 3.0))[i % 3])
+        if i % 3 == 2:
+            g1, g2 = ((0.0, p.g2), (p.g1, 0.0), (0.0, 0.0))[i % 9 // 3]
+            p = ModelParams(p.omega21, p.omega31, p.omega_a, p.omega_b, g1=g1, g2=g2)
+        space = TruncatedSpace(build_basis(int(rng.integers(1, 5))),
+                               int(rng.integers(2, 9)), int(rng.integers(2, 9)))
+        yield p, space
+
+
+def test_solve_point_matches_the_dense_whole_space_spectrum():
+    outside_even = 0
+    for k, (p, space) in enumerate(_seeded_points(210, 8)):
+        n = space.basis.n_atoms
+        dense = np.linalg.eigvalsh(build_hamiltonian(p, space).toarray())
+        even = np.linalg.eigvalsh(build_hamiltonian(p, ParitySector(space, 1, 1)).toarray())
+        outside_even += bool(even[0] > dense[0] + 1e-9)
+        res = solve_point(p, n, space, with_gap=True)
+        assert abs(res.energy - dense[0]) <= 1e-9 * max(1.0, abs(dense[0])), (k, p, space)
+        assert abs(res.gap - (dense[1] - dense[0])) <= 1e-9 * max(1.0, abs(dense[1])), (k, p)
+        # the observables belong to the lowest sector's ground state
+        assert abs(abs(res.parity_l) - 1.0) <= 1e-12 and abs(abs(res.parity_r) - 1.0) <= 1e-12
+        if k % 4 == 0:
+            no_gap = solve_point(p, n, space)
+            assert no_gap.gap is None
+            assert abs(no_gap.energy - dense[0]) <= 1e-9 * max(1.0, abs(dense[0]))
+    # the set holds truncations whose ground state lies outside (+, +)
+    assert outside_even >= 10
+
+
+# fig4a runs the degenerate diagonal g2 = g1, fig4b the cut g2 = 0.75
+FIXTURE_SWEEPS = {"fig4a": (np.linspace(0.4, 1.0, 13), None),
+                  "fig4b": (np.linspace(0.5, 1.0, 21), 0.75)}
+
+
+@pytest.mark.parametrize("n_atoms", [3, 4, 6])
+@pytest.mark.parametrize("fixture", sorted(FIXTURE_SWEEPS))
+def test_fixture_sweeps_match_whole_space_solves(fixture, n_atoms):
+    g1, g2 = FIXTURE_SWEEPS[fixture]
+    g2 = g1 if g2 is None else g2
+    table = ed_sweep(ModelParams(), g1, g2, n_atoms)
+    space = truncated_space(n_atoms, int(table.cutoff_a[0]), int(table.cutoff_b[0]))
+    for i, (a, b) in enumerate(zip(table.g1, table.g2)):
+        h = build_hamiltonian(ModelParams(g1=float(a), g2=float(b)), space)
+        energy, vec = ground_state(h, tol=1e-8)
+        whole = observables(space, vec, energy)
+        assert abs(table.photon_a[i] - whole.photon_a) <= 1e-8, (fixture, n_atoms, i)
+        assert abs(table.photon_b[i] - whole.photon_b) <= 1e-8, (fixture, n_atoms, i)
+
+
+def test_warm_started_sweep_agrees_with_cold_solves():
+    g1 = np.linspace(0.5, 1.0, 9)
+    table = ed_sweep(ModelParams(), g1, 0.75, 4)
+    sector = ParitySector(truncated_space(4, int(table.cutoff_a[0]), int(table.cutoff_b[0])), 1, 1)
+    for i, g in enumerate(g1):
+        energy, vec = ground_state(build_hamiltonian(ModelParams(g1=g, g2=0.75), sector), tol=1e-8)
+        cold = observables(sector, vec, energy)
+        assert abs(table.photon_a[i] - cold.photon_a) <= 1e-8
+        assert abs(table.photon_b[i] - cold.photon_b) <= 1e-8
+
+    # a doubled cutoff trial starts from the smaller one, zero-padded: the
+    # padded vector is the same state
+    p = ModelParams(g1=0.9, g2=0.75)
+    small = ParitySector(truncated_space(4, 10, 9), 1, 1)
+    large = ParitySector(truncated_space(4, 20, 18), 1, 1)
+    energy, vec = ground_state(build_hamiltonian(p, small), tol=1e-8)
+    padded = exactdiag._zero_pad(small, vec, large)
+    assert np.linalg.norm(padded) == pytest.approx(1.0, abs=1e-14)
+    for name in ("photon_a", "photon_b", "pop2", "pop3", "parity_l", "parity_r"):
+        assert getattr(observables(large, padded, energy), name) == pytest.approx(
+            getattr(observables(small, vec, energy), name), abs=1e-14)
+    h_large = build_hamiltonian(p, large)
+    assert float(padded @ (h_large @ padded)) == pytest.approx(energy, abs=1e-9)
+
+
+def test_converge_cutoffs_refuses_a_truncation_with_its_ground_state_outside_even(monkeypatch):
+    # at cutoffs (3, 6) the (+, -) block lies about 3.5e-4 below (+, +);
+    # with tol = 10 the photon numbers (at most cutoff / N) settle at
+    # once, so only the certificate keeps that truncation out
+    p, start = ModelParams(g1=2.5, g2=2.5), (3, 6)
+    first = TruncatedSpace(build_basis(3), *start)
+    lowest = [np.linalg.eigvalsh(build_hamiltonian(p, ParitySector(first, *s)).toarray())[0]
+              for s in PARITY_SECTORS]
+    assert min(lowest[1:]) < lowest[0] - 1e-4
+    space, trace = converge_cutoffs(p, 3, start=start, tol=10.0)
+    assert (space.cutoff_a, space.cutoff_b) != start
+    assert len(trace) >= 3
+    # on the accepted truncation (+, +) is lowest up to the solver's
+    # eigenvalue tolerance, eig_tol times the scale of H
+    dense = np.linalg.eigvalsh(build_hamiltonian(p, space).toarray())[0]
+    h_even = build_hamiltonian(p, ParitySector(space, 1, 1))
+    even = np.linalg.eigvalsh(h_even.toarray())[0]
+    assert even - dense <= 1e-8 * exactdiag._h_scale(h_even) < 1e-4
+
+    # when doubling on hits the dimension limit, the refusal carries the trace
+    monkeypatch.setattr(exactdiag, "DEFAULT_DIM_LIMIT", 1000)
+    with pytest.raises(CapacityError, match="dimension limit 1000") as err:
+        converge_cutoffs(p, 3, start=start, tol=10.0)
+    assert [(t["cutoff_a"], t["cutoff_b"]) for t in err.value.trace] == [(3, 6), (6, 12)]
+
+
+def test_lanczos_restarts_are_bounded(monkeypatch, capsys):
+    h = build_hamiltonian(ModelParams(g1=0.9, g2=0.8),
+                          ParitySector(truncated_space(6, 30, 30), 1, 1))
+    ground_state(h, tol=1e-8)
+    monkeypatch.setattr(exactdiag, "LANCZOS_MAXITER", 1)
+    with pytest.raises(ConvergenceError, match="within LANCZOS_MAXITER = 1 restarts"):
+        ground_state(h, tol=1e-8)
+    assert cli_run(["ed", "--N", "6", "--g1", "0.9", "--g2", "0.8"]) == 3
+    assert "LANCZOS_MAXITER = 1" in capsys.readouterr().err
