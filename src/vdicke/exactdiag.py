@@ -55,7 +55,10 @@ vector drawn from ``seed``; ARPACK gets at most LANCZOS_MAXITER restarts.
  * ``solve_point`` is exact on any space: E0 is the lowest of the four
    sector ground energies, the observables are those of that sector's
    ground state, and E1 is the lower of that sector's second level and
-   the lowest ground energy of the other three.
+   the lowest ground energy of the other three.  The certificate and
+   solve_point read the four sector solves from one helper, and
+   solve_point on the truncation converge_cutoffs has just certified
+   reuses the certificate's solves instead of repeating them.
 
 Every space is checked against DEFAULT_DIM_LIMIT, read at call time,
 before anything of its size is allocated; the limit applies to the
@@ -66,6 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -147,9 +151,19 @@ class ParitySector:
         if self.left not in (1, -1) or self.right not in (1, -1):
             raise ValueError(f"parities must be +1 or -1, got {self.left}, {self.right}")
 
+    @cached_property
+    def _blocks(self) -> _SectorBlocks:
+        """The sector's layout, worked out once per sector."""
+        return _read_only(_sector_blocks(self))
+
+    @cached_property
+    def _states(self) -> _SectorStates:
+        """Atomic index, n2, n3, n_a and n_b of every state, worked out once per sector."""
+        return _read_only(_sector_states(self._blocks))
+
     @property
     def dimension(self) -> int:
-        return _sector_blocks(self).dimension
+        return self._blocks.dimension
 
 
 @dataclass(frozen=True)
@@ -231,9 +245,7 @@ def _occupations(space):
     all four are flat, in sector order.
     """
     if isinstance(space, ParitySector):
-        blocks = _sector_blocks(space)
-        atom, n_a, n_b = _sector_states(blocks)
-        return blocks.n2[atom], blocks.n3[atom], n_a, n_b
+        return space._states[1:]
     n2, n3 = _atomic_states(space.basis.n_atoms)
     return (n2[:, None, None], n3[:, None, None],
             np.arange(space.cutoff_a + 1)[:, None], np.arange(space.cutoff_b + 1))
@@ -262,14 +274,32 @@ def _sector_blocks(sector: ParitySector) -> _SectorBlocks:
     return _SectorBlocks(n2, n3, first_a, first_b, levels_b, offset, int(size.sum()))
 
 
-def _sector_states(blocks: _SectorBlocks):
-    """Atomic index, n_a and n_b of every sector state, in sector order."""
+class _SectorStates(NamedTuple):
+    """Every state of a parity sector, in sector order."""
+
+    atom: np.ndarray       # atomic index
+    n2: np.ndarray
+    n3: np.ndarray
+    n_a: np.ndarray
+    n_b: np.ndarray
+
+
+def _sector_states(blocks: _SectorBlocks) -> _SectorStates:
     size = np.diff(np.append(blocks.offset, blocks.dimension))
     atom = np.repeat(np.arange(size.size), size)
     local = np.arange(blocks.dimension) - blocks.offset[atom]
     levels_b = blocks.levels_b[atom]
-    return (atom, blocks.first_a[atom] + 2 * (local // levels_b),
-            blocks.first_b[atom] + 2 * (local % levels_b))
+    return _SectorStates(atom, blocks.n2[atom], blocks.n3[atom],
+                         blocks.first_a[atom] + 2 * (local // levels_b),
+                         blocks.first_b[atom] + 2 * (local % levels_b))
+
+
+def _read_only(layout):
+    """``layout`` with its arrays made read-only, since every caller shares them."""
+    for field in layout:
+        if isinstance(field, np.ndarray):
+            field.flags.writeable = False
+    return layout
 
 
 def _sector_index(blocks: _SectorBlocks, atom, n_a, n_b):
@@ -328,9 +358,7 @@ def _sector_hamiltonian(params: ModelParams, sector: ParitySector) -> sparse.csr
     """
     space = sector.space
     n_atoms = space.basis.n_atoms
-    blocks = _sector_blocks(sector)
-    atom, n_a, n_b = _sector_states(blocks)
-    n2, n3 = blocks.n2[atom], blocks.n3[atom]
+    n2, n3, n_a, n_b = _occupations(sector)
     n1 = n_atoms - n2 - n3
     diagonal = (params.omega21 * n2 + params.omega31 * n3
                 + params.omega_a * n_a + params.omega_b * n_b)
@@ -347,16 +375,16 @@ def _sector_hamiltonian(params: ModelParams, sector: ParitySector) -> sparse.csr
             keep = (moved >= 0) & (moved <= cutoff)
             from_state, moved = src[keep], moved[keep]
             dst_a, dst_b = (moved, n_b[from_state]) if level == 3 else (n_a[from_state], moved)
-            rows.append(_sector_index(blocks, dst_atom[keep], dst_a, dst_b))
+            rows.append(_sector_index(sector._blocks, dst_atom[keep], dst_a, dst_b))
             cols.append(from_state)
             values.append(coupling * scale
                           * (atomic[keep] * np.sqrt(np.maximum(mode[from_state], moved))))
     rows, cols, values = (np.concatenate(part) for part in (rows, cols, values))
-    states = np.arange(blocks.dimension)
+    states = np.arange(sector.dimension)
     return sparse.csr_matrix(
         (np.concatenate([diagonal, values, values]),
          (np.concatenate([states, rows, cols]), np.concatenate([states, cols, rows]))),
-        shape=(blocks.dimension, blocks.dimension))
+        shape=(sector.dimension, sector.dimension))
 
 
 def _parities(n2, n3, n_a, n_b):
@@ -457,15 +485,9 @@ def ground_state(h: sparse.csr_matrix, tol: float = 1e-10, seed: int = 0,
     return float(vals[0]), vec / np.linalg.norm(vec)
 
 
-def lowest_two(h: sparse.csr_matrix, tol: float = 1e-10, seed: int = 0,
-               start: np.ndarray | None = None):
-    """Lowest two eigenvalues and the ground vector: (e0, e1, v0).
-
-    ``start`` and ``seed`` as for ground_state.  A start vector close to
-    the ground state holds little of the second level, so a cold start
-    is the safer choice here.
-    """
-    vals, vecs = _eigsh_lowest(h, k=2, tol=tol, seed=seed, start=start)
+def lowest_two(h: sparse.csr_matrix, tol: float = 1e-10, seed: int = 0):
+    """Lowest two eigenvalues and the ground vector: (e0, e1, v0)."""
+    vals, vecs = _eigsh_lowest(h, k=2, tol=tol, seed=seed)
     vec = vecs[:, 0]
     return float(vals[0]), float(vals[1]), vec / np.linalg.norm(vec)
 
@@ -517,25 +539,59 @@ def default_cutoffs(params: ModelParams, n_atoms: int) -> tuple[int, int]:
 
 def _zero_pad(sector: ParitySector, state: np.ndarray, target: ParitySector) -> np.ndarray:
     """``state`` on ``sector`` as a vector on ``target``: same atoms and parities, larger cutoffs."""
-    atom, n_a, n_b = _sector_states(_sector_blocks(sector))
-    blocks = _sector_blocks(target)
-    padded = np.zeros(blocks.dimension)
-    padded[_sector_index(blocks, atom, n_a, n_b)] = state
+    states = sector._states
+    padded = np.zeros(target.dimension)
+    padded[_sector_index(target._blocks, states.atom, states.n_a, states.n_b)] = state
     return padded
 
 
-def _even_sector_is_lowest(params: ModelParams, space: TruncatedSpace, energy: float,
-                           tol: float, seed: int) -> bool:
-    """Whether no other parity sector's ground energy lies below ``energy``, the (+, +) one.
+class _SectorGround(NamedTuple):
+    """One parity sector's ground state, solved from the ``seed`` vector."""
 
-    A sector counts as below only by more than the solver's own
-    tolerance on an eigenvalue, ``tol`` times the sector's H scale.
+    sector: ParitySector
+    energy: float
+    vector: np.ndarray
+    error: float  # the bound the residual test puts on ``energy``: tol times H's scale
+
+
+def _sector_ground(params: ModelParams, sector: ParitySector, tol: float,
+                   seed: int) -> _SectorGround:
+    h = build_hamiltonian(params, sector)
+    energy, vector = ground_state(h, tol=tol, seed=seed)
+    return _SectorGround(sector, energy, vector, tol * max(1.0, _h_scale(h)))
+
+
+def _sector_grounds(params: ModelParams, space: TruncatedSpace, tol: float, seed: int,
+                    even: _SectorGround | None = None) -> list[_SectorGround]:
+    """The ground state of every parity sector of ``space``, in PARITY_SECTORS order.
+
+    ``even`` is the (+, +) one when it is already solved at these
+    params, tol and seed; it is not solved again.
     """
-    for left, right in PARITY_SECTORS[1:]:
-        h = build_hamiltonian(params, ParitySector(space, left, right))
-        other, _ = ground_state(h, tol=tol, seed=seed)
-        if other < energy - tol * max(1.0, _h_scale(h)):
-            return False
+    return [even if (left, right) == (1, 1) and even is not None
+            else _sector_ground(params, ParitySector(space, left, right), tol, seed)
+            for left, right in PARITY_SECTORS]
+
+
+# The sector solves behind the last certificate converge_cutoffs issued:
+# (space, params, tol, seed, grounds), with ``space`` the very object it
+# returned.  solve_point on that object at the same params, tol and seed
+# reads them instead of solving the four sectors again.  Each one was
+# solved from the seed vector, so they are what solve_point would get.
+_certified = None
+
+
+def _certify(params: ModelParams, space: TruncatedSpace, tol: float, seed: int,
+             even: _SectorGround | None) -> bool:
+    """Whether no other parity sector's ground energy lies below the (+, +) one on ``space``.
+
+    A sector counts as below only by more than its solve's error bound.
+    """
+    global _certified
+    grounds = _sector_grounds(params, space, tol, seed, even)
+    if any(g.energy < grounds[0].energy - g.error for g in grounds[1:]):
+        return False
+    _certified = (space, params, tol, seed, grounds)
     return True
 
 
@@ -548,22 +604,23 @@ def converge_cutoffs(params: ModelParams, n_atoms: int, start: tuple[int, int] |
     vector, zero-padded.  Returns ``(space, trace)`` where ``space`` is
     the coarsest truncation whose photon_a and photon_b agree with the
     next doubling within ``tol`` and on which no other parity sector
-    lies below (+, +) (see _even_sector_is_lowest); ``trace`` records
-    every trial.  Raises CapacityError (with the trace attached) if the
-    dimension limit is hit first.
+    lies below (+, +) (see _certify); ``trace`` records every trial.
+    Raises CapacityError (with the trace attached) if the dimension
+    limit is hit first.
     """
     cutoff_a, cutoff_b = start if start is not None else default_cutoffs(params, n_atoms)
     trace = []
-    previous = None
+    first = previous = None
     while True:
         space = truncated_space(n_atoms, cutoff_a, cutoff_b, trace=trace)
         sector = ParitySector(space, 1, 1)
-        h = build_hamiltonian(params, sector)
         if previous is None:
-            e0, vec = ground_state(h, tol=eig_tol, seed=seed)
+            first = _sector_ground(params, sector, eig_tol, seed)
+            e0, vec = first.energy, first.vector
         else:
             prev_sector, prev_vec, prev_result = previous
-            e0, vec = ground_state(h, tol=eig_tol, start=_zero_pad(prev_sector, prev_vec, sector))
+            e0, vec = ground_state(build_hamiltonian(params, sector), tol=eig_tol,
+                                   start=_zero_pad(prev_sector, prev_vec, sector))
         result = observables(sector, vec, energy=e0)
         trace.append({
             "cutoff_a": cutoff_a,
@@ -576,8 +633,8 @@ def converge_cutoffs(params: ModelParams, n_atoms: int, start: tuple[int, int] |
         if previous is not None:
             if (abs(result.photon_a - prev_result.photon_a) < tol
                     and abs(result.photon_b - prev_result.photon_b) < tol
-                    and _even_sector_is_lowest(params, prev_sector.space, prev_result.energy,
-                                               eig_tol, seed)):
+                    and _certify(params, prev_sector.space, eig_tol, seed,
+                                 first if first.sector is prev_sector else None)):
                 return prev_sector.space, trace
         previous = (sector, vec, result)
         cutoff_a *= 2
@@ -592,16 +649,19 @@ def solve_point(params: ModelParams, n_atoms: int, space: TruncatedSpace,
     ``seed`` vector, E0 is the lowest sector ground energy and the
     observables are that sector's.  With ``with_gap``, E1 is the lower
     of that sector's second level and the other sectors' ground energies.
+    On the truncation converge_cutoffs just returned, at its params,
+    eig_tol and seed, the certificate's sector solves are reused.
     """
     if space.basis.n_atoms != n_atoms:
         raise ValueError(f"space holds {space.basis.n_atoms} atoms, not {n_atoms}")
-    sectors = [ParitySector(space, left, right) for left, right in PARITY_SECTORS]
-    hamiltonians = [build_hamiltonian(params, sector) for sector in sectors]
-    grounds = [ground_state(h, tol=tol, seed=seed) for h in hamiltonians]
-    lowest = min(range(len(sectors)), key=lambda i: grounds[i][0])
-    e0, vec = grounds[lowest]
-    gap = None
+    if (_certified is not None and _certified[0] is space
+            and _certified[1:4] == (params, tol, seed)):
+        grounds = _certified[4]
+    else:
+        grounds = _sector_grounds(params, space, tol, seed)
+    lowest = min(grounds, key=lambda g: g.energy)
+    e0, vec, gap = lowest.energy, lowest.vector, None
     if with_gap:
-        e0, e1, vec = lowest_two(hamiltonians[lowest], tol=tol, seed=seed)
-        gap = min([e1] + [e for i, (e, _) in enumerate(grounds) if i != lowest]) - e0
-    return observables(sectors[lowest], vec, energy=e0, gap=gap)
+        e0, e1, vec = lowest_two(build_hamiltonian(params, lowest.sector), tol=tol, seed=seed)
+        gap = min([e1] + [g.energy for g in grounds if g is not lowest]) - e0
+    return observables(lowest.sector, vec, energy=e0, gap=gap)

@@ -218,7 +218,10 @@ def ed_sweep(base: ModelParams, g1, g2, n_atoms: int, cutoff_tol: float = 1e-4,
     single truncation is reused across the sweep, keeping the
     truncation error uniform along it.  Each point is solved on the
     (+, +) parity sector, the first from ``seed`` and every later one
-    from the previous point's ground vector.
+    from the previous point's ground vector.  That the ground state lies
+    in (+, +) is certified at the most demanding point only (see
+    exactdiag.converge_cutoffs); the other points rely on needing a
+    smaller truncation than that one, and are not checked.
     """
     # No truncation tried below is smaller than this one, so an atom
     # number too large for the dimension limit is refused before any

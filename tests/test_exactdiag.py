@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -498,3 +499,22 @@ def test_lanczos_restarts_are_bounded(monkeypatch, capsys):
         ground_state(h, tol=1e-8)
     assert cli_run(["ed", "--N", "6", "--g1", "0.9", "--g2", "0.8"]) == 3
     assert "LANCZOS_MAXITER = 1" in capsys.readouterr().err
+
+
+def test_solve_point_reuses_the_certificate_solves(monkeypatch):
+    p = ModelParams(g1=0.9, g2=0.6)
+    space, _ = converge_cutoffs(p, 3)
+    solves = []
+    for name in ("ground_state", "lowest_two"):
+        solve = getattr(exactdiag, name)
+        monkeypatch.setattr(exactdiag, name,
+                            lambda *a, _solve=solve, **k: solves.append(1) or _solve(*a, **k))
+    reused = solve_point(p, 3, space, with_gap=True)
+    assert len(solves) == 1  # the gap's lowest_two; the four sector grounds are reused
+    fresh = solve_point(p, 3, truncated_space(3, space.cutoff_a, space.cutoff_b), with_gap=True)
+    assert len(solves) == 6
+    assert reused == fresh
+    # other params or another seed on the same space are solved afresh
+    solve_point(replace(p, g2=0.61), 3, space)
+    solve_point(p, 3, space, seed=1)
+    assert len(solves) == 14
