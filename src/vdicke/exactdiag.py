@@ -157,8 +157,8 @@ class ParitySector:
         return _read_only(_sector_blocks(self))
 
     @cached_property
-    def _states(self) -> _SectorStates:
-        """Atomic index, n2, n3, n_a and n_b of every state, worked out once per sector."""
+    def _states(self):
+        """_sector_states of the sector, worked out once per sector."""
         return _read_only(_sector_states(self._blocks))
 
     @property
@@ -274,24 +274,14 @@ def _sector_blocks(sector: ParitySector) -> _SectorBlocks:
     return _SectorBlocks(n2, n3, first_a, first_b, levels_b, offset, int(size.sum()))
 
 
-class _SectorStates(NamedTuple):
-    """Every state of a parity sector, in sector order."""
-
-    atom: np.ndarray       # atomic index
-    n2: np.ndarray
-    n3: np.ndarray
-    n_a: np.ndarray
-    n_b: np.ndarray
-
-
-def _sector_states(blocks: _SectorBlocks) -> _SectorStates:
+def _sector_states(blocks: _SectorBlocks):
+    """Atomic index, n2, n3, n_a and n_b of every sector state, in sector order."""
     size = np.diff(np.append(blocks.offset, blocks.dimension))
     atom = np.repeat(np.arange(size.size), size)
     local = np.arange(blocks.dimension) - blocks.offset[atom]
     levels_b = blocks.levels_b[atom]
-    return _SectorStates(atom, blocks.n2[atom], blocks.n3[atom],
-                         blocks.first_a[atom] + 2 * (local // levels_b),
-                         blocks.first_b[atom] + 2 * (local % levels_b))
+    return (atom, blocks.n2[atom], blocks.n3[atom], blocks.first_a[atom] + 2 * (local // levels_b),
+            blocks.first_b[atom] + 2 * (local % levels_b))
 
 
 def _read_only(layout):
@@ -539,9 +529,9 @@ def default_cutoffs(params: ModelParams, n_atoms: int) -> tuple[int, int]:
 
 def _zero_pad(sector: ParitySector, state: np.ndarray, target: ParitySector) -> np.ndarray:
     """``state`` on ``sector`` as a vector on ``target``: same atoms and parities, larger cutoffs."""
-    states = sector._states
+    atom, _, _, n_a, n_b = sector._states
     padded = np.zeros(target.dimension)
-    padded[_sector_index(target._blocks, states.atom, states.n_a, states.n_b)] = state
+    padded[_sector_index(target._blocks, atom, n_a, n_b)] = state
     return padded
 
 
