@@ -19,7 +19,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 
 from . import exactdiag
-from .errors import CapacityError, ConvergenceError, DomainError
+from .errors import CapacityError, ConvergenceError
 from .fluctuations import (
     diagonalize,
     left_branch_form,
@@ -97,14 +97,11 @@ _IO_OPTS = (
 
 
 def _params_from(opts: dict) -> ModelParams:
-    try:
-        return ModelParams(
-            omega21=opts["omega21"], omega31=opts["omega31"],
-            omega_a=opts["omega_a"], omega_b=opts["omega_b"],
-            g1=opts.get("g1", 0.0), g2=opts.get("g2", 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ModelParams(
+        omega21=opts["omega21"], omega31=opts["omega31"],
+        omega_a=opts["omega_a"], omega_b=opts["omega_b"],
+        g1=opts.get("g1", 0.0), g2=opts.get("g2", 0.0),
+    )
 
 
 def _round_floats(obj):
@@ -226,25 +223,19 @@ def _handle_spectrum(opts: dict) -> int:
 
 def _handle_phase_diagram(opts: dict) -> int:
     params = _params_from(opts)
-    try:
-        grid = GridSpec(
-            base=params,
-            g1_min=opts["g1_min"], g1_max=opts["g1_max"],
-            g2_min=opts["g2_min"], g2_max=opts["g2_max"],
-            n1=opts["n1"], n2=opts["n2"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    grid = GridSpec(
+        base=params,
+        g1_min=opts["g1_min"], g1_max=opts["g1_max"],
+        g2_min=opts["g2_min"], g2_max=opts["g2_max"],
+        n1=opts["n1"], n2=opts["n2"],
+    )
     _emit(phase_diagram(grid), opts.get("output"))
     return 0
 
 
 def _handle_boundary(opts: dict) -> int:
     params = _params_from(opts)
-    try:
-        pairs = trace_boundary(opts["which"], params, opts["lo"], opts["hi"], opts["steps"])
-    except (ValueError, DomainError) as exc:
-        raise ConfigError(str(exc)) from exc
+    pairs = trace_boundary(opts["which"], params, opts["lo"], opts["hi"], opts["steps"])
     lines = ["abscissa,boundary"]
     lines.extend(f"{x:.12g},{y:.12g}" for x, y in pairs)
     _emit("\n".join(lines) + "\n", opts.get("output"))
@@ -255,11 +246,8 @@ def _handle_line_cut(opts: dict) -> int:
     params = _params_from(opts)
     if opts.get("g2") is None:
         raise ConfigError("line-cut requires g2 (the fixed right-branch coupling)")
-    try:
-        table = line_cut(params, g2=opts["g2"], g1_min=opts["g1_min"],
-                         g1_max=opts["g1_max"], steps=opts["steps"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    table = line_cut(params, g2=opts["g2"], g1_min=opts["g1_min"],
+                     g1_max=opts["g1_max"], steps=opts["steps"])
     _emit(table, opts.get("output"))
     return 0
 
@@ -274,10 +262,7 @@ def _handle_overlap_area(opts: dict) -> int:
         raise ConfigError("ratios must contain at least one value")
     lines = ["ratio,area"]
     for ratio in ratios:
-        try:
-            area = overlap_area(params, ratio, resolution=opts["resolution"])
-        except (DomainError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        area = overlap_area(params, ratio, resolution=opts["resolution"])
         lines.append(f"{ratio:.12g},{area:.12g}")
     _emit("\n".join(lines) + "\n", opts.get("output"))
     return 0
@@ -515,13 +500,10 @@ def run(argv=None) -> int:
                     and opts[opt.dest] not in opt.choices:
                 raise ConfigError(f"option '{opt.dest}' must be one of {opt.choices}")
         return command.handler(opts)
-    except ConfigError as exc:
-        print(f"vdicke {command.name}: configuration error: {exc}", file=sys.stderr)
-        return 2
     except (ConvergenceError, CapacityError) as exc:
         print(f"vdicke {command.name}: did not converge: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and DomainError among them
         print(f"vdicke {command.name}: configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,13 +30,13 @@ sector build is tested against, and parity-check's operator.
 
 Parity sectors.  The left parity (-1)^(n3 + n_a) and the right parity
 (-1)^(n2 + n_b) both commute with H, so H splits exactly into four
-blocks, one per ParitySector (left, right) in {+1, -1}^2.  A sector
-keeps the whole-space order restricted to its states: for each atomic
-state, mode a runs over the levels of one parity, n_a = p_a, p_a + 2,
-..., and mode b likewise, so a state sits at its atomic block's offset
-plus (n_a // 2) * (levels of b) + n_b // 2.  ``build_hamiltonian`` on a
-ParitySector assembles that block from this index arithmetic alone; the
-whole-space matrix is never built.
+blocks, one per ParitySector (left, right) in {+1, -1}^2.  A sector is
+the ascending array of the whole-space basis indices of its states,
+``ParitySector.index``, so it keeps the whole-space order; its
+occupations are read back from the index formula, and a whole-space
+index maps into the sector by a binary search in ``index``.
+``build_hamiltonian`` on a ParitySector assembles that block from these
+indices alone; the whole-space matrix is never built.
 
 Solves.  The ground state comes from an implicitly restarted Lanczos
 iteration with an explicit residual acceptance test, falling back to
@@ -55,10 +55,13 @@ vector drawn from ``seed``; ARPACK gets at most LANCZOS_MAXITER restarts.
  * ``solve_point`` is exact on any space: E0 is the lowest of the four
    sector ground energies, the observables are those of that sector's
    ground state, and E1 is the lower of that sector's second level and
-   the lowest ground energy of the other three.  The certificate and
-   solve_point read the four sector solves from one helper, and
-   solve_point on the truncation converge_cutoffs has just certified
-   reuses the certificate's solves instead of repeating them.
+   the lowest ground energy of the other three.
+
+A sector solved from the ``seed`` vector is a pure function of (params,
+sector, tol, seed), so those solves are memoized, one truncation's four
+sectors at a time.  A certificate on the first trial's truncation
+reuses that trial's (+, +) solve, and solve_point on the truncation just
+certified (or any equal one) reuses the certificate's four.
 
 Every space is checked against DEFAULT_DIM_LIMIT, read at call time,
 before anything of its size is allocated; the limit applies to the
@@ -69,7 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -135,8 +138,13 @@ class TruncatedSpace:
             raise ValueError("boson cutoffs must be >= 1")
 
     @property
+    def shape(self) -> tuple[int, int, int]:
+        """(atomic states, mode-a levels, mode-b levels); the basis index runs over it in C order."""
+        return self.basis.size, self.cutoff_a + 1, self.cutoff_b + 1
+
+    @property
     def dimension(self) -> int:
-        return self.basis.size * (self.cutoff_a + 1) * (self.cutoff_b + 1)
+        return math.prod(self.shape)
 
 
 @dataclass(frozen=True)
@@ -152,18 +160,16 @@ class ParitySector:
             raise ValueError(f"parities must be +1 or -1, got {self.left}, {self.right}")
 
     @cached_property
-    def _blocks(self) -> _SectorBlocks:
-        """The sector's layout, worked out once per sector."""
-        return _read_only(_sector_blocks(self))
-
-    @cached_property
-    def _states(self):
-        """_sector_states of the sector, worked out once per sector."""
-        return _read_only(_sector_states(self._blocks))
+    def index(self) -> np.ndarray:
+        """Whole-space basis indices of the sector's states, ascending and read-only."""
+        left, right, _ = _parities(*_occupations(self.space))
+        index = np.flatnonzero((left == self.left) & (right == self.right))
+        index.flags.writeable = False
+        return index
 
     @property
     def dimension(self) -> int:
-        return self._blocks.dimension
+        return self.index.size
 
 
 @dataclass(frozen=True)
@@ -245,56 +251,12 @@ def _occupations(space):
     all four are flat, in sector order.
     """
     if isinstance(space, ParitySector):
-        return space._states[1:]
+        atom, n_a, n_b = np.unravel_index(space.index, space.space.shape)
+        n2, n3 = _atomic_states(space.space.basis.n_atoms)
+        return n2[atom], n3[atom], n_a, n_b
     n2, n3 = _atomic_states(space.basis.n_atoms)
     return (n2[:, None, None], n3[:, None, None],
             np.arange(space.cutoff_a + 1)[:, None], np.arange(space.cutoff_b + 1))
-
-
-class _SectorBlocks(NamedTuple):
-    """A parity sector as one block of mode levels per atomic state."""
-
-    n2: np.ndarray         # per atomic state
-    n3: np.ndarray
-    first_a: np.ndarray    # the block's lowest n_a (0 or 1); n_a steps by 2
-    first_b: np.ndarray
-    levels_b: np.ndarray   # n_b levels in the block
-    offset: np.ndarray     # sector index of the block's first state
-    dimension: int
-
-
-def _sector_blocks(sector: ParitySector) -> _SectorBlocks:
-    space = sector.space
-    n2, n3 = _atomic_states(space.basis.n_atoms)
-    first_a = (n3 + (sector.left < 0)) % 2
-    first_b = (n2 + (sector.right < 0)) % 2
-    levels_b = (space.cutoff_b - first_b) // 2 + 1
-    size = ((space.cutoff_a - first_a) // 2 + 1) * levels_b
-    offset = np.cumsum(size) - size
-    return _SectorBlocks(n2, n3, first_a, first_b, levels_b, offset, int(size.sum()))
-
-
-def _sector_states(blocks: _SectorBlocks):
-    """Atomic index, n2, n3, n_a and n_b of every sector state, in sector order."""
-    size = np.diff(np.append(blocks.offset, blocks.dimension))
-    atom = np.repeat(np.arange(size.size), size)
-    local = np.arange(blocks.dimension) - blocks.offset[atom]
-    levels_b = blocks.levels_b[atom]
-    return (atom, blocks.n2[atom], blocks.n3[atom], blocks.first_a[atom] + 2 * (local // levels_b),
-            blocks.first_b[atom] + 2 * (local % levels_b))
-
-
-def _read_only(layout):
-    """``layout`` with its arrays made read-only, since every caller shares them."""
-    for field in layout:
-        if isinstance(field, np.ndarray):
-            field.flags.writeable = False
-    return layout
-
-
-def _sector_index(blocks: _SectorBlocks, atom, n_a, n_b):
-    """Sector index of (atomic state, n_a, n_b); the occupations must lie in the sector."""
-    return blocks.offset[atom] + n_a // 2 * blocks.levels_b[atom] + n_b // 2
 
 
 def _level1_hop(n_atoms: int, n2: np.ndarray, n3: np.ndarray, level: int) -> sparse.csr_matrix:
@@ -365,7 +327,8 @@ def _sector_hamiltonian(params: ModelParams, sector: ParitySector) -> sparse.csr
             keep = (moved >= 0) & (moved <= cutoff)
             from_state, moved = src[keep], moved[keep]
             dst_a, dst_b = (moved, n_b[from_state]) if level == 3 else (n_a[from_state], moved)
-            rows.append(_sector_index(sector._blocks, dst_atom[keep], dst_a, dst_b))
+            dst = np.ravel_multi_index((dst_atom[keep], dst_a, dst_b), space.shape)
+            rows.append(np.searchsorted(sector.index, dst))
             cols.append(from_state)
             values.append(coupling * scale
                           * (atomic[keep] * np.sqrt(np.maximum(mode[from_state], moved))))
@@ -529,9 +492,10 @@ def default_cutoffs(params: ModelParams, n_atoms: int) -> tuple[int, int]:
 
 def _zero_pad(sector: ParitySector, state: np.ndarray, target: ParitySector) -> np.ndarray:
     """``state`` on ``sector`` as a vector on ``target``: same atoms and parities, larger cutoffs."""
-    atom, _, _, n_a, n_b = sector._states
+    occupations = np.unravel_index(sector.index, sector.space.shape)
     padded = np.zeros(target.dimension)
-    padded[_sector_index(target._blocks, atom, n_a, n_b)] = state
+    padded[np.searchsorted(target.index,
+                           np.ravel_multi_index(occupations, target.space.shape))] = state
     return padded
 
 
@@ -540,49 +504,33 @@ class _SectorGround(NamedTuple):
 
     sector: ParitySector
     energy: float
-    vector: np.ndarray
+    vector: np.ndarray  # read-only: the memo hands it to every caller
     error: float  # the bound the residual test puts on ``energy``: tol times H's scale
 
 
+@lru_cache(maxsize=len(PARITY_SECTORS))
 def _sector_ground(params: ModelParams, sector: ParitySector, tol: float,
                    seed: int) -> _SectorGround:
     h = build_hamiltonian(params, sector)
     energy, vector = ground_state(h, tol=tol, seed=seed)
+    vector.flags.writeable = False
     return _SectorGround(sector, energy, vector, tol * max(1.0, _h_scale(h)))
 
 
-def _sector_grounds(params: ModelParams, space: TruncatedSpace, tol: float, seed: int,
-                    even: _SectorGround | None = None) -> list[_SectorGround]:
-    """The ground state of every parity sector of ``space``, in PARITY_SECTORS order.
-
-    ``even`` is the (+, +) one when it is already solved at these
-    params, tol and seed; it is not solved again.
-    """
-    return [even if (left, right) == (1, 1) and even is not None
-            else _sector_ground(params, ParitySector(space, left, right), tol, seed)
+def _sector_grounds(params: ModelParams, space: TruncatedSpace, tol: float,
+                    seed: int) -> list[_SectorGround]:
+    """The ground state of every parity sector of ``space``, in PARITY_SECTORS order."""
+    return [_sector_ground(params, ParitySector(space, left, right), tol, seed)
             for left, right in PARITY_SECTORS]
 
 
-# The sector solves behind the last certificate converge_cutoffs issued:
-# (space, params, tol, seed, grounds), with ``space`` the very object it
-# returned.  solve_point on that object at the same params, tol and seed
-# reads them instead of solving the four sectors again.  Each one was
-# solved from the seed vector, so they are what solve_point would get.
-_certified = None
-
-
-def _certify(params: ModelParams, space: TruncatedSpace, tol: float, seed: int,
-             even: _SectorGround | None) -> bool:
-    """Whether no other parity sector's ground energy lies below the (+, +) one on ``space``.
-
-    A sector counts as below only by more than its solve's error bound.
-    """
-    global _certified
-    grounds = _sector_grounds(params, space, tol, seed, even)
-    if any(g.energy < grounds[0].energy - g.error for g in grounds[1:]):
-        return False
-    _certified = (space, params, tol, seed, grounds)
-    return True
+def _check_solver_settings(seed: int, tolerances: dict[str, float]) -> None:
+    """Refuse tolerances that are not finite and positive, and negative seeds, before solving."""
+    for name, value in tolerances.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def converge_cutoffs(params: ModelParams, n_atoms: int, start: tuple[int, int] | None = None,
@@ -593,20 +541,23 @@ def converge_cutoffs(params: ModelParams, n_atoms: int, start: tuple[int, int] |
     ``seed`` vector, each doubled one from the previous trial's ground
     vector, zero-padded.  Returns ``(space, trace)`` where ``space`` is
     the coarsest truncation whose photon_a and photon_b agree with the
-    next doubling within ``tol`` and on which no other parity sector
-    lies below (+, +) (see _certify); ``trace`` records every trial.
-    Raises CapacityError (with the trace attached) if the dimension
-    limit is hit first.
+    next doubling within ``tol`` and on which no other parity sector's
+    ground energy lies below the (+, +) one by more than its solve's
+    error bound (the certificate); ``trace`` records every trial.
+    Raises ValueError for a tolerance that is not finite and positive or
+    a negative seed, and CapacityError (with the trace attached) if the
+    dimension limit is hit first.
     """
+    _check_solver_settings(seed, {"photon-number tolerance tol": tol,
+                                  "eigensolver tolerance eig_tol": eig_tol})
     cutoff_a, cutoff_b = start if start is not None else default_cutoffs(params, n_atoms)
     trace = []
-    first = previous = None
+    previous = None
     while True:
         space = truncated_space(n_atoms, cutoff_a, cutoff_b, trace=trace)
         sector = ParitySector(space, 1, 1)
         if previous is None:
-            first = _sector_ground(params, sector, eig_tol, seed)
-            e0, vec = first.energy, first.vector
+            _, e0, vec, _ = _sector_ground(params, sector, eig_tol, seed)
         else:
             prev_sector, prev_vec, prev_result = previous
             e0, vec = ground_state(build_hamiltonian(params, sector), tol=eig_tol,
@@ -620,11 +571,11 @@ def converge_cutoffs(params: ModelParams, n_atoms: int, start: tuple[int, int] |
             "photon_a": result.photon_a,
             "photon_b": result.photon_b,
         })
-        if previous is not None:
-            if (abs(result.photon_a - prev_result.photon_a) < tol
-                    and abs(result.photon_b - prev_result.photon_b) < tol
-                    and _certify(params, prev_sector.space, eig_tol, seed,
-                                 first if first.sector is prev_sector else None)):
+        if (previous is not None
+                and abs(result.photon_a - prev_result.photon_a) < tol
+                and abs(result.photon_b - prev_result.photon_b) < tol):
+            even, *others = _sector_grounds(params, prev_sector.space, eig_tol, seed)
+            if not any(g.energy < even.energy - g.error for g in others):
                 return prev_sector.space, trace
         previous = (sector, vec, result)
         cutoff_a *= 2
@@ -639,16 +590,13 @@ def solve_point(params: ModelParams, n_atoms: int, space: TruncatedSpace,
     ``seed`` vector, E0 is the lowest sector ground energy and the
     observables are that sector's.  With ``with_gap``, E1 is the lower
     of that sector's second level and the other sectors' ground energies.
-    On the truncation converge_cutoffs just returned, at its params,
-    eig_tol and seed, the certificate's sector solves are reused.
+    Raises ValueError for a ``tol`` that is not finite and positive or
+    a negative seed.
     """
+    _check_solver_settings(seed, {"eigensolver tolerance tol": tol})
     if space.basis.n_atoms != n_atoms:
         raise ValueError(f"space holds {space.basis.n_atoms} atoms, not {n_atoms}")
-    if (_certified is not None and _certified[0] is space
-            and _certified[1:4] == (params, tol, seed)):
-        grounds = _certified[4]
-    else:
-        grounds = _sector_grounds(params, space, tol, seed)
+    grounds = _sector_grounds(params, space, tol, seed)
     lowest = min(grounds, key=lambda g: g.energy)
     e0, vec, gap = lowest.energy, lowest.vector, None
     if with_gap:

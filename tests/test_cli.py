@@ -330,3 +330,44 @@ def test_module_entry_point_runs():
 def test_missing_required_option_exits_2():
     # line-cut without its mandatory sweep window
     assert run(["line-cut", "--g2", "0.5"]) == 2
+
+
+_ED_POINT = ["ed", "--N", "2", "--g1", "0.6", "--g2", "0.3"]
+_ED_SWEEP = ["ed", "--N", "2", "--g2", "0.3", "--g1-min", "0.5", "--g1-max", "1", "--steps", "3"]
+
+
+# every numeric flag at its bound: refused with exit 2, a message, and no
+# output file; the solver settings before any eigensolve
+@pytest.mark.parametrize("argv, message", [
+    (["ed", "--N", "0"], "n_atoms and both cutoffs must be >= 1"),
+    (["ed", "--N", "2", "--cutoff-a", "0", "--cutoff-b", "5"],
+     "n_atoms and both cutoffs must be >= 1"),
+    (_ED_POINT + ["--seed", "-1"], "seed must be >= 0"),
+    # a space small enough for the dense path never draws a seed vector
+    (["ed", "--N", "1", "--cutoff-a", "1", "--cutoff-b", "1", "--seed", "-1"],
+     "seed must be >= 0"),
+    (_ED_POINT + ["--tol", "inf"], "eigensolver tolerance eig_tol must be finite and > 0"),
+    (_ED_POINT + ["--tol", "0"], "eigensolver tolerance eig_tol must be finite and > 0"),
+    (_ED_POINT + ["--tol", "-1"], "eigensolver tolerance eig_tol must be finite and > 0"),
+    (_ED_POINT + ["--tol", "nan"], "eigensolver tolerance eig_tol must be finite and > 0"),
+    (_ED_POINT + ["--cutoff-a", "4", "--cutoff-b", "4", "--tol", "0"],
+     "eigensolver tolerance tol must be finite and > 0"),
+    (_ED_POINT + ["--cutoff-tol", "nan"], "photon-number tolerance tol must be finite and > 0"),
+    (_ED_POINT + ["--cutoff-tol", "-1"], "photon-number tolerance tol must be finite and > 0"),
+    (_ED_SWEEP + ["--cutoff-tol", "nan"], "photon-number tolerance tol must be finite and > 0"),
+    (_ED_SWEEP + ["--tol", "inf"], "eigensolver tolerance eig_tol must be finite and > 0"),
+    (["parity-check", "--N", "2", "--cutoff-b", "0"], "n_atoms and both cutoffs must be >= 1"),
+    (["overlap-area", "--resolution", "1"], "resolution must be >= 2"),
+    (["boundary", "--which", "normal_left", "--from", "0.5", "--to", "1", "--steps", "1"],
+     "steps must be >= 2"),
+])
+def test_numeric_flag_at_its_bound_exits_2(argv, message, tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolver called for a refused run")
+
+    monkeypatch.setattr(exactdiag, "ground_state", no_solve)
+    monkeypatch.setattr(exactdiag, "lowest_two", no_solve)
+    out = tmp_path / "out"
+    assert run(argv + ["--output", str(out)]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not out.exists()

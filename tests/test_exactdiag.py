@@ -495,6 +495,7 @@ def test_lanczos_restarts_are_bounded(monkeypatch, capsys):
                           ParitySector(truncated_space(6, 30, 30), 1, 1))
     ground_state(h, tol=1e-8)
     monkeypatch.setattr(exactdiag, "LANCZOS_MAXITER", 1)
+    exactdiag._sector_ground.cache_clear()  # the CLI run below must solve, not recall
     with pytest.raises(ConvergenceError, match="within LANCZOS_MAXITER = 1 restarts"):
         ground_state(h, tol=1e-8)
     assert cli_run(["ed", "--N", "6", "--g1", "0.9", "--g2", "0.8"]) == 3
@@ -502,6 +503,7 @@ def test_lanczos_restarts_are_bounded(monkeypatch, capsys):
 
 
 def test_solve_point_reuses_the_certificate_solves(monkeypatch):
+    exactdiag._sector_ground.cache_clear()
     p = ModelParams(g1=0.9, g2=0.6)
     space, _ = converge_cutoffs(p, 3)
     solves = []
@@ -511,10 +513,45 @@ def test_solve_point_reuses_the_certificate_solves(monkeypatch):
                             lambda *a, _solve=solve, **k: solves.append(1) or _solve(*a, **k))
     reused = solve_point(p, 3, space, with_gap=True)
     assert len(solves) == 1  # the gap's lowest_two; the four sector grounds are reused
+    # an equal truncation built afresh is the same key, so it reuses them too
     fresh = solve_point(p, 3, truncated_space(3, space.cutoff_a, space.cutoff_b), with_gap=True)
-    assert len(solves) == 6
+    assert len(solves) == 2
     assert reused == fresh
-    # other params or another seed on the same space are solved afresh
-    solve_point(replace(p, g2=0.61), 3, space)
-    solve_point(p, 3, space, seed=1)
-    assert len(solves) == 14
+    # the memo holds one truncation's four sectors: converging a second
+    # point evicts the first point's solves
+    converge_cutoffs(replace(p, g1=0.3), 3)
+    before = len(solves)
+    assert solve_point(p, 3, space, with_gap=True) == reused
+    assert len(solves) - before == 5
+    # another seed or other params on the same space are solved afresh
+    for params, seed in ((p, 1), (replace(p, g2=0.61), 0)):
+        solve_point(p, 3, space)  # back in the memo
+        before = len(solves)
+        solve_point(params, 3, space, seed=seed)
+        assert len(solves) - before == 4, (params, seed)
+    # every caller shares the memoized vectors, so none may write to them
+    grounds = exactdiag._sector_grounds(p, space, 1e-8, 1)
+    assert not any(g.vector.flags.writeable for g in grounds)
+
+
+def test_solver_settings_are_refused_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolver called with invalid settings")
+
+    monkeypatch.setattr(exactdiag, "ground_state", no_solve)
+    monkeypatch.setattr(exactdiag, "lowest_two", no_solve)
+    p = ModelParams(g1=0.6, g2=0.3)
+    space = truncated_space(2, 4, 4)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="photon-number tolerance tol must be finite"):
+            converge_cutoffs(p, 2, tol=bad)
+        with pytest.raises(ValueError, match="eigensolver tolerance eig_tol must be finite"):
+            converge_cutoffs(p, 2, eig_tol=bad)
+        with pytest.raises(ValueError, match="eigensolver tolerance tol must be finite"):
+            solve_point(p, 2, space, tol=bad)
+        with pytest.raises(ValueError, match="photon-number tolerance tol must be finite"):
+            ed_sweep(p, np.linspace(0.5, 1.0, 3), 0.3, 2, cutoff_tol=bad)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        converge_cutoffs(p, 2, seed=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        solve_point(p, 2, space, seed=-1)
