@@ -6,6 +6,14 @@ exact-diagonalization cross-checks in the permutation-symmetric
 sector, and deterministic sweep drivers with CSV/JSON output.
 """
 
+import os
+
+# One BLAS thread unless the user asks for more: the finite-N solves are
+# too small to gain from threads, and their last printed digit would
+# otherwise depend on the thread count.  OpenBLAS reads this once, when
+# numpy first loads it, so it is set before any numpy import.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import BracketError, CapacityError, ConvergenceError, DomainError
 from .fluctuations import (
     FluctuationSpectrum,
@@ -38,7 +46,6 @@ from .model import (
     renormalized_critical_g2,
 )
 from .scan import (
-    GridSpec,
     SweepRecord,
     SweepTable,
     ed_sweep,
@@ -58,7 +65,6 @@ __all__ = [
     "ConvergenceError",
     "DomainError",
     "FluctuationSpectrum",
-    "GridSpec",
     "MeanFieldSolution",
     "ModelParams",
     "PhaseLabel",

@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import exactdiag
 from .errors import CapacityError, ConvergenceError
@@ -38,7 +38,6 @@ from .model import (
 )
 from .scan import (
     BOUNDARY_KINDS,
-    GridSpec,
     SweepTable,
     ed_sweep,
     line_cut,
@@ -97,11 +96,7 @@ _IO_OPTS = (
 
 
 def _params_from(opts: dict) -> ModelParams:
-    return ModelParams(
-        omega21=opts["omega21"], omega31=opts["omega31"],
-        omega_a=opts["omega_a"], omega_b=opts["omega_b"],
-        g1=opts.get("g1", 0.0), g2=opts.get("g2", 0.0),
-    )
+    return ModelParams(**{f.name: opts[f.name] for f in fields(ModelParams) if f.name in opts})
 
 
 def _round_floats(obj):
@@ -116,54 +111,42 @@ def _round_floats(obj):
     return obj
 
 
-def _emit(content, output: str | None) -> None:
-    """Write text, or a SweepTable as CSV, to the output file or stdout.
+def _emit(result, output: str | None) -> None:
+    """Write a handler's result to the output file or stdout: a dict as
+    JSON, a SweepTable as CSV, text as it is.
 
-    Handlers call this last, so a run that fails leaves no file.
+    ``run`` calls this after the handler returns, so a run that fails
+    leaves no file.
     """
+    if isinstance(result, dict):
+        result = json.dumps(_round_floats(result), indent=2) + "\n"
     with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as stream:
-        if isinstance(content, SweepTable):
-            write_sweep_csv(content, stream)
+        if isinstance(result, SweepTable):
+            write_sweep_csv(result, stream)
         else:
-            stream.write(content)
+            stream.write(result)
 
 
-def _emit_json(payload: dict, output: str | None) -> None:
-    _emit(json.dumps(_round_floats(payload), indent=2) + "\n", output)
+def _two_columns(header: str, rows) -> str:
+    return "".join([header + "\n"] + [f"{x:.12g},{y:.12g}\n" for x, y in rows])
 
 
 def _solution_dict(solution) -> dict:
-    return {
-        "phase": solution.phase.value,
-        "psi1": solution.psi1,
-        "psi2": solution.psi2,
-        "psi3": solution.psi3,
-        "phi_a": solution.phi_a,
-        "phi_b": solution.phi_b,
-        "energy": solution.energy,
-        "bistable": solution.bistable,
-        "degeneracy": solution.degeneracy,
-        "physical": solution.physical,
-        "degenerate_valley": solution.degenerate_valley,
-    }
+    record = asdict(solution)
+    return {"phase": record.pop("phase").value, **record}
 
 
-def _params_dict(params: ModelParams) -> dict:
-    return {
-        "omega21": params.omega21, "omega31": params.omega31,
-        "omega_a": params.omega_a, "omega_b": params.omega_b,
-        "g1": params.g1, "g2": params.g2,
-    }
+def _spectrum_dict(form) -> dict:
+    return {**asdict(form), **asdict(diagonalize(form))}
 
 
 # ---------------------------------------------------------------------------
-# Handlers
+# Handlers: each takes (params, opts) and returns what it computed.
 
 
-def _handle_critical(opts: dict) -> int:
-    params = _params_from(opts)
-    payload = {
-        "params": _params_dict(params),
+def _handle_critical(params: ModelParams, opts: dict) -> dict:
+    return {
+        "params": asdict(params),
         "g_c1": critical_g1(params),
         "g_c2": critical_g2(params),
         "mu_left": mu_left(params) if params.g1 > 0 else None,
@@ -173,41 +156,20 @@ def _handle_critical(opts: dict) -> int:
         "gtilde_c1": (renormalized_critical_g1(params)
                       if params.g2 >= critical_g2(params) else None),
     }
-    _emit_json(payload, opts.get("output"))
-    return 0
 
 
-def _handle_meanfield(opts: dict) -> int:
-    params = _params_from(opts)
-    selected = classify(params)
-    branches = stationary_branches(params)
-    payload = {
-        "params": _params_dict(params),
-        "selected": _solution_dict(selected),
-        "branches": [_solution_dict(s) for s in branches],
-    }
-    _emit_json(payload, opts.get("output"))
-    return 0
-
-
-def _spectrum_dict(form) -> dict:
-    spectrum = diagonalize(form)
+def _handle_meanfield(params: ModelParams, opts: dict) -> dict:
     return {
-        "freq1": form.freq1,
-        "freq2": form.freq2,
-        "coupling": form.coupling,
-        "eps_minus": spectrum.eps_minus,
-        "eps_plus": spectrum.eps_plus,
-        "stable": spectrum.stable,
-        "eps_minus_sq": spectrum.eps_minus_sq,
+        "params": asdict(params),
+        "selected": _solution_dict(classify(params)),
+        "branches": [_solution_dict(s) for s in stationary_branches(params)],
     }
 
 
-def _handle_spectrum(opts: dict) -> int:
-    params = _params_from(opts)
+def _handle_spectrum(params: ModelParams, opts: dict) -> dict:
     left, right = normal_phase_forms(params)
-    payload = {
-        "params": _params_dict(params),
+    return {
+        "params": asdict(params),
         "normal_left": _spectrum_dict(left),
         "normal_right": _spectrum_dict(right),
         "right_branch_renormalized": (
@@ -217,59 +179,36 @@ def _handle_spectrum(opts: dict) -> int:
             _spectrum_dict(left_branch_form(params))
             if params.g2 >= critical_g2(params) else None),
     }
-    _emit_json(payload, opts.get("output"))
-    return 0
 
 
-def _handle_phase_diagram(opts: dict) -> int:
-    params = _params_from(opts)
-    grid = GridSpec(
-        base=params,
-        g1_min=opts["g1_min"], g1_max=opts["g1_max"],
-        g2_min=opts["g2_min"], g2_max=opts["g2_max"],
-        n1=opts["n1"], n2=opts["n2"],
-    )
-    _emit(phase_diagram(grid), opts.get("output"))
-    return 0
+def _handle_phase_diagram(params: ModelParams, opts: dict) -> SweepTable:
+    g1s = sweep_values(opts["g1_min"], opts["g1_max"], opts["n1"], "grid g1 axis")
+    g2s = sweep_values(opts["g2_min"], opts["g2_max"], opts["n2"], "grid g2 axis")
+    return phase_diagram(params, g1s, g2s)
 
 
-def _handle_boundary(opts: dict) -> int:
-    params = _params_from(opts)
+def _handle_boundary(params: ModelParams, opts: dict) -> str:
     pairs = trace_boundary(opts["which"], params, opts["lo"], opts["hi"], opts["steps"])
-    lines = ["abscissa,boundary"]
-    lines.extend(f"{x:.12g},{y:.12g}" for x, y in pairs)
-    _emit("\n".join(lines) + "\n", opts.get("output"))
-    return 0
+    return _two_columns("abscissa,boundary", pairs)
 
 
-def _handle_line_cut(opts: dict) -> int:
-    params = _params_from(opts)
-    if opts.get("g2") is None:
-        raise ConfigError("line-cut requires g2 (the fixed right-branch coupling)")
-    table = line_cut(params, g2=opts["g2"], g1_min=opts["g1_min"],
-                     g1_max=opts["g1_max"], steps=opts["steps"])
-    _emit(table, opts.get("output"))
-    return 0
+def _handle_line_cut(params: ModelParams, opts: dict) -> SweepTable:
+    g1s = sweep_values(opts["g1_min"], opts["g1_max"], opts["steps"], "line cut")
+    return line_cut(params, g1s, params.g2)
 
 
-def _handle_overlap_area(opts: dict) -> int:
-    params = _params_from(opts)
+def _handle_overlap_area(params: ModelParams, opts: dict) -> str:
     try:
         ratios = [float(token) for token in str(opts["ratios"]).split(",") if token.strip()]
     except ValueError as exc:
         raise ConfigError(f"ratios must be a comma-separated list of numbers: {exc}") from exc
     if not ratios:
         raise ConfigError("ratios must contain at least one value")
-    lines = ["ratio,area"]
-    for ratio in ratios:
-        area = overlap_area(params, ratio, resolution=opts["resolution"])
-        lines.append(f"{ratio:.12g},{area:.12g}")
-    _emit("\n".join(lines) + "\n", opts.get("output"))
-    return 0
+    areas = [overlap_area(params, ratio, resolution=opts["resolution"]) for ratio in ratios]
+    return _two_columns("ratio,area", zip(ratios, areas))
 
 
-def _handle_ed(opts: dict) -> int:
-    params = _params_from(opts)
+def _handle_ed(params: ModelParams, opts: dict) -> dict | SweepTable:
     n_atoms = opts.get("n_atoms")
     if n_atoms is None:
         raise ConfigError("ed requires --N (number of atoms)")
@@ -281,10 +220,8 @@ def _handle_ed(opts: dict) -> int:
         g1s = sweep_values(opts["g1_min"], opts["g1_max"], opts["steps"], "ed sweep")
         slope = math.sqrt(params.omega_b / params.omega_a)
         g2s = g1s * slope if opts.get("diagonal") else params.g2
-        table = ed_sweep(params, g1s, g2s, n_atoms, cutoff_tol=opts["cutoff_tol"],
-                         eig_tol=opts["tol"], seed=opts["seed"])
-        _emit(table, opts.get("output"))
-        return 0
+        return ed_sweep(params, g1s, g2s, n_atoms, cutoff_tol=opts["cutoff_tol"],
+                        eig_tol=opts["tol"], seed=opts["seed"])
 
     trace = []
     if opts.get("cutoff_a") is not None or opts.get("cutoff_b") is not None:
@@ -298,8 +235,8 @@ def _handle_ed(opts: dict) -> int:
         )
     result = exactdiag.solve_point(params, n_atoms, space=space, tol=opts["tol"],
                                    seed=opts["seed"], with_gap=True)
-    payload = {
-        "params": _params_dict(params),
+    return {
+        "params": asdict(params),
         "n_atoms": n_atoms,
         "cutoff_a": space.cutoff_a,
         "cutoff_b": space.cutoff_b,
@@ -316,20 +253,17 @@ def _handle_ed(opts: dict) -> int:
         "gap": result.gap,
         "convergence_trace": trace,
     }
-    _emit_json(payload, opts.get("output"))
-    return 0
 
 
-def _handle_parity_check(opts: dict) -> int:
-    params = _params_from(opts)
+def _handle_parity_check(params: ModelParams, opts: dict) -> dict:
     n_atoms = opts.get("n_atoms")
     if n_atoms is None:
         raise ConfigError("parity-check requires --N (number of atoms)")
     space = exactdiag.truncated_space(n_atoms, opts["cutoff_a"], opts["cutoff_b"])
     names = ("commutator_l", "commutator_r", "commutator_g")
     norms = dict(zip(names, exactdiag.parity_commutator_norms(params, space)))
-    payload = {
-        "params": _params_dict(params),
+    return {
+        "params": asdict(params),
         "n_atoms": n_atoms,
         "cutoff_a": space.cutoff_a,
         "cutoff_b": space.cutoff_b,
@@ -337,8 +271,6 @@ def _handle_parity_check(opts: dict) -> int:
         **norms,
         "max_commutator": max(norms.values()),
     }
-    _emit_json(payload, opts.get("output"))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +431,8 @@ def run(argv=None) -> int:
             if opt.choices and opts.get(opt.dest) is not None \
                     and opts[opt.dest] not in opt.choices:
                 raise ConfigError(f"option '{opt.dest}' must be one of {opt.choices}")
-        return command.handler(opts)
+        _emit(command.handler(_params_from(opts), opts), opts.get("output"))
+        return 0
     except (ConvergenceError, CapacityError) as exc:
         print(f"vdicke {command.name}: did not converge: {exc}", file=sys.stderr)
         return 3

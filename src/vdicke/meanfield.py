@@ -55,6 +55,11 @@ DEGENERATE_LINE_RTOL = 1e-9
 ENERGY_TIE_TOL = 1e-12
 # Squared-amplitude threshold below which the oracle calls a component zero.
 _ORACLE_AMP_SQ_TOL = 1e-5
+# brute_force_minimize's local search: points per axis of each window, the
+# factor the window shrinks by per level, and the width it stops at.
+_REFINE_POINTS = 41
+_REFINE_SHRINK = 0.25
+_REFINE_STOP = 1e-10
 
 _FOUR_SIGNS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 
@@ -382,24 +387,21 @@ class _OracleMesh(NamedTuple):
     xs: np.ndarray
     p2: np.ndarray
     p3: np.ndarray
-    inside: np.ndarray      # the closed unit disc
+    inside: np.ndarray      # the closed quarter disc
     p2_inside: np.ndarray
     p3_inside: np.ndarray
-    sector2: np.ndarray     # psi2^2 >= psi3^2
-    sector3: np.ndarray     # psi3^2 >= psi2^2
 
 
 @functools.lru_cache(maxsize=4)
 def _oracle_mesh(resolution: int) -> _OracleMesh:
-    """brute_force_minimize's sampling mesh and masks, built once per resolution.
+    """brute_force_minimize's sampling mesh and mask, built once per resolution.
 
     The arrays are shared by every call, so they are made read-only.
     """
-    xs = np.linspace(-1.0, 1.0, resolution)
+    xs = np.linspace(0.0, 1.0, resolution)
     p2, p3 = np.meshgrid(xs, xs, indexing="ij")
     inside = p2 ** 2 + p3 ** 2 <= 1.0
-    mesh = _OracleMesh(xs, p2, p3, inside, p2[inside], p3[inside],
-                       p2 ** 2 >= p3 ** 2, p3 ** 2 >= p2 ** 2)
+    mesh = _OracleMesh(xs, p2, p3, inside, p2[inside], p3[inside])
     for array in mesh:
         array.flags.writeable = False
     return mesh
@@ -408,37 +410,29 @@ def _oracle_mesh(resolution: int) -> _OracleMesh:
 def brute_force_minimize(params: ModelParams, resolution: int = 400) -> MeanFieldSolution:
     """Locate the global minimum by dense grid search plus local refinement.
 
-    The (psi2, psi3) unit disc is sampled on a resolution x resolution
-    grid; the best cells of several symmetry sectors are then refined
-    by a shrinking-window search down to ~1e-10 in position, which
-    pins the energy far below the 1e-8 contract.  Independent of the
-    closed-form branch logic, so it serves as its oracle.
+    The surface is even in each amplitude, so only the quarter disc
+    psi2, psi3 >= 0 is sampled, on a resolution x resolution grid that
+    holds both axes exactly.  The origin, the best cell overall and the
+    best cell on each axis are then refined by a shrinking-window search
+    down to ~1e-10 in position, which pins the energy far below the 1e-8
+    contract.  Independent of the closed-form branch logic, so it serves
+    as its oracle.
     """
     if resolution < 100:
         raise ValueError(f"resolution must be >= 100, got {resolution}")
     mesh = _oracle_mesh(resolution)
-    p2, p3 = mesh.p2, mesh.p3
-    values = np.full(p2.shape, np.inf)
+    values = np.full(mesh.p2.shape, np.inf)
     values[mesh.inside] = _energy_raw(params, mesh.p2_inside, mesh.p3_inside)
 
-    # Refine from the best cell overall, the best cell of each
-    # one-branch sector, and the origin, so nearly degenerate wells are
-    # all polished and compared.
-    starts = [(0.0, 0.0)]
-    flat = np.argmin(values)
-    starts.append((p2.flat[flat], p3.flat[flat]))
-    for mask in (mesh.sector2, mesh.sector3):
-        sector = np.where(mask, values, np.inf)
-        flat = np.argmin(sector)
-        if np.isfinite(sector.flat[flat]):
-            starts.append((p2.flat[flat], p3.flat[flat]))
-
-    window = 2.0 * (mesh.xs[1] - mesh.xs[0])
-    best = None
-    for start in starts:
-        refined = _refine(params, start, window)
-        if best is None or refined[0] < best[0]:
-            best = refined
+    # The axes hold the one-branch phases, so nearly degenerate wells on
+    # and off them are all polished and compared; on an exact tie (the
+    # degenerate valley) the earlier start wins.
+    xs = mesh.xs
+    i2, i3 = np.unravel_index(np.argmin(values), values.shape)
+    starts = [(0.0, 0.0), (xs[i2], xs[i3]), (xs[np.argmin(values[:, 0])], 0.0),
+              (0.0, xs[np.argmin(values[0])])]
+    window = 2.0 * (xs[1] - xs[0])
+    best = min((_refine(params, start, window) for start in starts), key=lambda r: r[0])
     _, b2, b3 = best
 
     # Canonical signs: the surface is even in each amplitude separately.
@@ -458,14 +452,13 @@ def brute_force_minimize(params: ModelParams, resolution: int = 400) -> MeanFiel
     return _solution(params, b2, b3, label, bistable=bool(_branch_table(*astuple(params)).bistable))
 
 
-def _refine(params: ModelParams, start, window, npts: int = 41, shrink: float = 0.25,
-            stop: float = 1e-10):
+def _refine(params: ModelParams, start, window):
     c2, c3 = start
     best = (float(_energy_raw(params, np.asarray(c2), np.asarray(c3))), c2, c3)
     w = window
-    while w > stop:
-        g2s = np.linspace(best[1] - w, best[1] + w, npts)
-        g3s = np.linspace(best[2] - w, best[2] + w, npts)
+    while w > _REFINE_STOP:
+        g2s = np.linspace(best[1] - w, best[1] + w, _REFINE_POINTS)
+        g3s = np.linspace(best[2] - w, best[2] + w, _REFINE_POINTS)
         p2, p3 = np.meshgrid(g2s, g3s, indexing="ij")
         inside = p2 ** 2 + p3 ** 2 <= 1.0
         if np.any(inside):
@@ -474,5 +467,5 @@ def _refine(params: ModelParams, start, window, npts: int = 41, shrink: float = 
             flat = np.argmin(vals)
             if vals.flat[flat] < best[0]:
                 best = (float(vals.flat[flat]), float(p2.flat[flat]), float(p3.flat[flat]))
-        w *= shrink
+        w *= _REFINE_SHRINK
     return best

@@ -7,9 +7,12 @@ classification: each grid or sweep is one call of
 :func:`write_sweep_csv` streams a table to CSV in a fixed column order,
 one chunk of rows at a time.  Boundary curves are sampled from the
 closed-form thresholds of :mod:`vdicke.model` (checked against the
-fluctuation zero mode in the tests).  Every grid axis and sweep is a
-coupling range with finite bounds, 0 <= start < end, and at most
-MAX_GRID_POINTS points in all, checked before anything is allocated.
+fluctuation zero mode in the tests).  A sweep takes a base
+:class:`~vdicke.model.ModelParams` plus coupling arrays.  A coupling
+range is checked by :func:`sweep_values` (finite bounds, 0 <= start <
+end, at most MAX_GRID_POINTS points) before it is allocated; the drivers
+check the arrays they are given (every coupling finite and >= 0, and a
+phase diagram of at most MAX_GRID_POINTS points before it classifies).
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .model import (
 
 __all__ = [
     "MAX_GRID_POINTS",
-    "GridSpec",
     "SweepTable",
     "SweepRecord",
     "sweep_values",
@@ -66,30 +68,6 @@ _BOUNDARIES = {
     "normal_right": ("g1", critical_g2),
 }
 BOUNDARY_KINDS = tuple(_BOUNDARIES)
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Rectangular coupling grid over a fixed set of frequencies."""
-
-    base: ModelParams
-    g1_min: float
-    g1_max: float
-    g2_min: float
-    g2_max: float
-    n1: int
-    n2: int
-
-    def __post_init__(self):
-        _check_range(self.g1_min, self.g1_max, self.n1, "grid g1 axis")
-        _check_range(self.g2_min, self.g2_max, self.n2, "grid g2 axis")
-        _check_size(self.n1 * self.n2, f"grid of {self.n1} x {self.n2}")
-
-    def g1_values(self) -> np.ndarray:
-        return np.linspace(self.g1_min, self.g1_max, self.n1)
-
-    def g2_values(self) -> np.ndarray:
-        return np.linspace(self.g2_min, self.g2_max, self.n2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,8 +114,9 @@ def _check_size(points: int, what: str) -> None:
                          f"{MAX_GRID_POINTS} (MAX_GRID_POINTS)")
 
 
-def _check_range(lo: float, hi: float, steps: int, what: str) -> None:
-    """A coupling range: finite, 0 <= lo < hi, 2 <= steps <= MAX_GRID_POINTS."""
+def sweep_values(lo: float, hi: float, steps: int, what: str) -> np.ndarray:
+    """``steps`` evenly spaced couplings from lo to hi, validated before allocation:
+    finite, 0 <= lo < hi, 2 <= steps <= MAX_GRID_POINTS."""
     if steps < 2:
         raise ValueError(f"steps must be >= 2 for the {what}, got {steps}")
     _check_size(steps, what)
@@ -147,25 +126,32 @@ def _check_range(lo: float, hi: float, steps: int, what: str) -> None:
         raise ValueError(f"{what} range must satisfy start < end, got {lo} to {hi}")
     if lo < 0.0:
         raise ValueError(f"{what} range must start at a coupling >= 0, got {lo}")
-
-
-def sweep_values(lo: float, hi: float, steps: int, what: str) -> np.ndarray:
-    """``steps`` evenly spaced couplings from lo to hi, validated before allocation."""
-    _check_range(lo, hi, steps, what)
     return np.linspace(lo, hi, steps)
 
 
 def _classified(base: ModelParams, g1, g2) -> SweepTable:
-    """Classify broadcast coupling arrays at base's frequencies in one call, C order."""
+    """Classify broadcast coupling arrays at base's frequencies in one call, C order.
+
+    Raises ValueError unless every coupling is finite and >= 0.
+    """
+    g1, g2 = np.asarray(g1, dtype=float), np.asarray(g2, dtype=float)
+    for name, values in (("g1", g1), ("g2", g2)):
+        if not np.all(np.isfinite(values) & (values >= 0.0)):
+            raise ValueError(f"{name} couplings must be finite and >= 0")
     result = classify_arrays(base.omega21, base.omega31, base.omega_a, base.omega_b, g1, g2)
     shape = result.phase.shape
     return SweepTable(np.broadcast_to(g1, shape).ravel(), np.broadcast_to(g2, shape).ravel(),
                       PhaseArrays(*(column.ravel() for column in result)))
 
 
-def phase_diagram(grid: GridSpec) -> SweepTable:
-    """Classify every grid point, row-major (g1 outer, g2 inner)."""
-    return _classified(grid.base, grid.g1_values()[:, None], grid.g2_values()[None, :])
+def phase_diagram(base: ModelParams, g1, g2) -> SweepTable:
+    """Classify the outer product of two coupling axes, row-major (g1 outer, g2 inner).
+
+    Raises ValueError for a grid of more than MAX_GRID_POINTS points.
+    """
+    g1, g2 = np.ravel(g1), np.ravel(g2)
+    _check_size(g1.size * g2.size, f"grid of {g1.size} x {g2.size}")
+    return _classified(base, g1[:, None], g2[None, :])
 
 
 def trace_boundary(which: str, base: ModelParams, lo: float, hi: float,
@@ -227,10 +213,8 @@ def ed_sweep(base: ModelParams, g1, g2, n_atoms: int, cutoff_tol: float = 1e-4,
     # number too large for the dimension limit is refused before any
     # per-point work.
     exactdiag.truncated_space(n_atoms, exactdiag.CUTOFF_FLOOR, exactdiag.CUTOFF_FLOOR)
-    g1, g2 = (c.ravel() for c in np.broadcast_arrays(np.asarray(g1, dtype=float),
-                                                     np.asarray(g2, dtype=float)))
-    sweep = [replace(base, g1=a, g2=b) for a, b in zip(g1.tolist(), g2.tolist())]
     table = _classified(base, g1, g2)
+    sweep = [replace(base, g1=a, g2=b) for a, b in zip(table.g1.tolist(), table.g2.tolist())]
     defaults = [exactdiag.default_cutoffs(p, n_atoms) for p in sweep]
     widest = max(range(len(sweep)), key=lambda i: defaults[i][0] * defaults[i][1])
     space, _ = exactdiag.converge_cutoffs(
@@ -251,10 +235,11 @@ def ed_sweep(base: ModelParams, g1, g2, n_atoms: int, cutoff_tol: float = 1e-4,
                    cutoff_b=np.full(rows, space.cutoff_b))
 
 
-def line_cut(base: ModelParams, g2: float, g1_min: float, g1_max: float,
-             steps: int) -> SweepTable:
-    """Sweep g1 at fixed g2 (mean field; :func:`ed_sweep` adds finite-N data)."""
-    return _classified(base, sweep_values(g1_min, g1_max, steps, "line cut"), float(g2))
+def line_cut(base: ModelParams, g1, g2) -> SweepTable:
+    """Classify the points of a line: ``g1`` and ``g2`` broadcast to one
+    sweep, a scalar holding that coupling fixed (mean field; :func:`ed_sweep`
+    adds finite-N data)."""
+    return _classified(base, g1, g2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -325,6 +327,47 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["gtilde_c2"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_import_defaults_blas_to_one_thread():
+    # a value the user set is kept; otherwise the package asks for one thread
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    probe = [sys.executable, "-c", "import os, vdicke; print(os.environ['OPENBLAS_NUM_THREADS'])"]
+    for given, expected in ((None, "1"), ("2", "2")):
+        if given is not None:
+            env["OPENBLAS_NUM_THREADS"] = given
+        proc = subprocess.run(probe, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == expected
+
+
+# sha256 of each output, recorded before the handlers returned their
+# results; `ed` is left out, as its last digit depends on the CPU and BLAS
+@pytest.mark.parametrize("argv, digest", [
+    (["critical", "--omega31", "1.7", "--g1", "0.75", "--g2", "0.6"],
+     "444042fa507943fe5e03de436274ed0797905cbe636f7ef8e9c11897c41b1fd8"),
+    (["meanfield", "--omega31", "1.7", "--g1", "0.9", "--g2", "0.7"],
+     "6a47b1d19ee20f0e1bc5365969c41ca4446cab859a29f9b2424cc2b009d410e7"),
+    (["spectrum", "--omega31", "1.7", "--g1", "1.30384048104053", "--g2", "0.6"],
+     "ec47aed53c4217c87772976fe8c4f7d4f93ec4f4b1a95debd4e37a247def2e31"),
+    (["boundary", "--which", "gtilde_c2", "--omega31", "1.7", "--from", "0.66", "--to", "1.0",
+      "--steps", "4"],
+     "58b2f99b22674eb4a708637d5505305f2de20f60497fdb85c512075ccf17d87b"),
+    (["parity-check", "--N", "3", "--g1", "0.9", "--g2", "0.7", "--cutoff-a", "5",
+      "--cutoff-b", "5"],
+     "86b8e049078a82d65d9d03a622aa391a99b1cb63940f9d4afc9dc22dbb53e731"),
+    (["overlap-area", "--ratios", "1.0,1.4", "--resolution", "25"],
+     "41253d95a9d3439f27d415c96b43ab5cc3d88bb515ca3a9e797d1d376909f2bb"),
+    (["phase-diagram", "--omega31", "1.7", "--g1-min", "0", "--g1-max", "1.3", "--g2-min", "0",
+      "--g2-max", "1", "--n1", "4", "--n2", "4"],
+     "9495f5011c69117c0a38210df189f5ed498df001478895a0fffbbab904531a61"),
+    (["line-cut", "--g2", "0.75", "--g1-min", "0.5", "--g1-max", "1.0", "--steps", "5"],
+     "3c53a04e5f837ece73d50ed51a6d7b1470b1320a10788e05e79c31167f5228f4"),
+])
+def test_output_bytes_are_pinned(argv, digest, tmp_path):
+    out = tmp_path / "out"
+    assert run(argv + ["--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_missing_required_option_exits_2():

@@ -27,7 +27,7 @@ from vdicke.model import (
     renormalized_critical_g1,
     renormalized_critical_g2,
 )
-from vdicke.scan import GridSpec, phase_diagram
+from vdicke.scan import phase_diagram
 
 # ---------------------------------------------------------------------------
 # frozen single-branch reference point: all omegas 1, g1 = 1 (mu_l = 1/4)
@@ -249,6 +249,24 @@ def test_classification_matches_brute_force_on_a_spot_grid():
             assert abs(oracle.psi3 ** 2 - picked.psi3 ** 2) < 1e-5
 
 
+# Points where a grid without the axes stopped the oracle off an axis, 1e-6
+# to 5e-6 above a one-branch minimum, labelled LeftRightSR: the true phase
+# is RightSR at the first and LeftSR at the other two.
+@pytest.mark.parametrize("point", [
+    (1.8308173521822475, 1.775756044074734, 1.2540033503923809, 1.00391064104882,
+     1.0639572009970089, 0.9617067629425554),
+    (1.4440597704195528, 1.5997353125058775, 1.387126407280196, 1.1196716186999884,
+     1.2467235286201706, 1.090556185867843),
+    (1.7731504868506125, 1.717617868550911, 0.6032949764318088, 1.2969915500341938,
+     0.8774525872774462, 1.2964625441473883),
+])
+def test_brute_force_keeps_its_contract_on_the_axes(point):
+    e_min, labels = _exact_minimum(point)
+    oracle = brute_force_minimize(ModelParams(*point), resolution=400)
+    assert abs(oracle.energy - e_min) <= 1e-8
+    assert oracle.phase in labels and oracle.phase is not PhaseLabel.LEFT_RIGHT_SR
+
+
 def test_brute_force_guards_resolution():
     with pytest.raises(ValueError):
         brute_force_minimize(ModelParams(), resolution=50)
@@ -375,8 +393,8 @@ def test_classify_arrays_broadcasts_frequencies_and_couplings():
 
 @pytest.mark.parametrize("base", [ModelParams(), ModelParams(omega31=1.7, omega_a=0.8)])
 def test_phase_diagram_records_equal_scalar_classify(base):
-    grid = GridSpec(base, 0.0, 1.4, 0.0, 1.4, n1=15, n2=15)
-    table = phase_diagram(grid)
+    axis = np.linspace(0.0, 1.4, 15)
+    table = phase_diagram(base, axis, axis)
     assert len(table) == 15 * 15
     p = table.phases
     for i, (g1, g2) in enumerate(zip(table.g1.tolist(), table.g2.tolist())):

@@ -18,7 +18,6 @@ from vdicke.scan import (
     CSV_COLUMNS,
     ED_COLUMNS,
     MAX_GRID_POINTS,
-    GridSpec,
     SweepRecord,
     ed_sweep,
     line_cut,
@@ -26,6 +25,7 @@ from vdicke.scan import (
     phase_diagram,
     read_records_csv,
     records_to_csv_text,
+    sweep_values,
     trace_boundary,
     write_sweep_csv,
 )
@@ -33,27 +33,46 @@ from vdicke.scan import (
 BASE = ModelParams(omega31=1.7)
 
 
-def test_grid_spec_validation():
-    with pytest.raises(ValueError):
-        GridSpec(BASE, 0.0, 1.0, 0.0, 1.0, n1=1, n2=10)
-    with pytest.raises(ValueError):
-        GridSpec(BASE, 0.5, 0.5, 0.0, 1.0, n1=10, n2=10)
-    with pytest.raises(ValueError):
-        GridSpec(BASE, -0.1, 1.0, 0.0, 1.0, n1=10, n2=10)
-    with pytest.raises(ValueError, match="finite"):
-        GridSpec(BASE, 0.0, 1.0, 0.0, float("inf"), n1=10, n2=10)
-    with pytest.raises(ValueError, match="finite"):
-        line_cut(BASE, g2=0.3, g1_min=float("nan"), g1_max=1.0, steps=3)
+def test_sweep_values_validation():
+    with pytest.raises(ValueError, match="steps must be >= 2"):
+        sweep_values(0.0, 1.0, 1, "grid g1 axis")
+    with pytest.raises(ValueError, match="start < end"):
+        sweep_values(0.5, 0.5, 10, "grid g1 axis")
     with pytest.raises(ValueError, match="coupling >= 0"):
-        line_cut(BASE, g2=0.3, g1_min=-0.5, g1_max=0.5, steps=3)
-    grid = GridSpec(BASE, 0.0, 1.0, 0.0, 0.5, n1=3, n2=5)
-    assert list(grid.g1_values()) == [0.0, 0.5, 1.0]
-    assert len(grid.g2_values()) == 5
+        sweep_values(-0.1, 1.0, 10, "grid g1 axis")
+    with pytest.raises(ValueError, match="grid g2 axis bounds must be finite"):
+        sweep_values(0.0, float("inf"), 10, "grid g2 axis")
+    with pytest.raises(ValueError, match="line cut bounds must be finite"):
+        sweep_values(float("nan"), 1.0, 3, "line cut")
+    assert sweep_values(0.0, 1.0, 3, "grid g1 axis").tolist() == [0.0, 0.5, 1.0]
+    assert sweep_values(0.0, 0.5, 5, "grid g2 axis").tolist() == np.linspace(0.0, 0.5, 5).tolist()
+
+
+@pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
+def test_sweeps_refuse_couplings_outside_the_model(bad, monkeypatch):
+    # every driver refuses the coupling before classifying or solving anything
+    def no_kernel(*args):
+        raise AssertionError("classify_arrays called with a refused coupling")
+
+    monkeypatch.setattr(scan, "classify_arrays", no_kernel)
+    axis = np.array([0.0, 0.5, bad])
+    with pytest.raises(ValueError, match="g1 couplings must be finite and >= 0"):
+        phase_diagram(BASE, axis, [0.1, 0.2])
+    with pytest.raises(ValueError, match="g2 couplings must be finite and >= 0"):
+        phase_diagram(BASE, [0.1, 0.2], axis)
+    with pytest.raises(ValueError, match="g1 couplings must be finite and >= 0"):
+        line_cut(BASE, axis, 0.3)
+    with pytest.raises(ValueError, match="g2 couplings must be finite and >= 0"):
+        line_cut(BASE, [0.4, 0.5], bad)
+    with pytest.raises(ValueError, match="g1 couplings must be finite and >= 0"):
+        ed_sweep(ModelParams(), axis, 0.2, n_atoms=2)
+    with pytest.raises(ValueError, match="g2 couplings must be finite and >= 0"):
+        ed_sweep(ModelParams(), [0.3, 0.5], bad, n_atoms=2)
 
 
 def test_phase_diagram_row_major_and_corner_labels():
-    grid = GridSpec(ModelParams(), 0.0, 1.0, 0.0, 1.0, n1=3, n2=3)
-    table = phase_diagram(grid)
+    axis = sweep_values(0.0, 1.0, 3, "grid axis")
+    table = phase_diagram(ModelParams(), axis, axis)
     assert len(table) == 9
     # row-major: g1 varies slowest
     assert table.g1.tolist() == [0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0]
@@ -67,20 +86,28 @@ def test_phase_diagram_row_major_and_corner_labels():
     assert by_point[(1.0, 1.0)] is PhaseLabel.LEFT_RIGHT_SR
 
 
-def test_grid_sizes_are_bounded_before_allocation():
+def test_grid_sizes_are_bounded_before_allocation(monkeypatch):
     # none of these sizes could be allocated; each is refused first
     huge = 10 ** 9
-    GridSpec(BASE, 0.0, 1.0, 0.0, 1.0, n1=1000, n2=MAX_GRID_POINTS // 1000)
     with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
-        GridSpec(BASE, 0.0, 1.0, 0.0, 1.0, n1=huge, n2=huge)
-    with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
-        GridSpec(BASE, 0.0, 1.0, 0.0, 1.0, n1=1001, n2=MAX_GRID_POINTS // 1000)
+        sweep_values(0.0, 1.0, huge, "grid g1 axis")
     with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
         overlap_area(ModelParams(), 1.2, resolution=huge)
     with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
-        line_cut(BASE, g2=0.3, g1_min=0.4, g1_max=1.0, steps=huge)
-    with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
         trace_boundary("normal_right", BASE, 0.0, 0.4, steps=huge)
+    # a grid of two admissible axes is refused before it is classified;
+    # one at the limit reaches the kernel
+    class Classified(Exception):
+        pass
+
+    def kernel(*args):
+        raise Classified
+
+    monkeypatch.setattr(scan, "classify_arrays", kernel)
+    with pytest.raises(ValueError, match="grid of 1001 x 1000 has 1001000 points"):
+        phase_diagram(BASE, np.zeros(1001), np.zeros(MAX_GRID_POINTS // 1000))
+    with pytest.raises(Classified):
+        phase_diagram(BASE, np.zeros(1000), np.zeros(MAX_GRID_POINTS // 1000))
 
 
 # Boundary kind -> (abscissa coupling, fluctuation block whose zero mode
@@ -151,7 +178,7 @@ def test_overlap_area_rejects_inverted_ratio():
 
 
 def test_line_cut_mean_field_only():
-    table = line_cut(BASE, g2=0.3, g1_min=0.4, g1_max=1.0, steps=7)
+    table = line_cut(BASE, np.linspace(0.4, 1.0, 7), 0.3)
     assert len(table) == 7
     assert table.g1.tolist() == np.linspace(0.4, 1.0, 7).tolist()
     assert all(g == 0.3 for g in table.g2.tolist())
@@ -211,8 +238,9 @@ def _rowwise_csv(table) -> str:
 
 def test_writer_output_is_independent_of_chunk_size(monkeypatch, ed_table):
     tables = {
-        "phase_diagram": phase_diagram(GridSpec(BASE, 0.0, 1.4, 0.0, 1.2, n1=9, n2=13)),
-        "line_cut": line_cut(BASE, g2=0.55, g1_min=0.5, g1_max=0.9, steps=23),
+        "phase_diagram": phase_diagram(BASE, np.linspace(0.0, 1.4, 9),
+                                       np.linspace(0.0, 1.2, 13)),
+        "line_cut": line_cut(BASE, np.linspace(0.5, 0.9, 23), 0.55),
         "ed_sweep": ed_table,
     }
     expected = {name: _rowwise_csv(table) for name, table in tables.items()}
@@ -225,7 +253,7 @@ def test_writer_output_is_independent_of_chunk_size(monkeypatch, ed_table):
 
 
 def test_csv_header_and_formatting(ed_table):
-    table = line_cut(BASE, g2=0.55, g1_min=0.5, g1_max=0.9, steps=5)
+    table = line_cut(BASE, np.linspace(0.5, 0.9, 5), 0.55)
     text = _csv(table)
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
@@ -241,7 +269,7 @@ def test_csv_header_and_formatting(ed_table):
 
 
 def test_csv_round_trip_is_lossless(ed_table):
-    line = line_cut(BASE, g2=0.55, g1_min=0.5, g1_max=0.9, steps=5)
+    line = line_cut(BASE, np.linspace(0.5, 0.9, 5), 0.55)
     for table in (line, ed_table):
         back = read_records_csv(io.StringIO(_csv(table)))
         assert len(back) == len(table)
