@@ -215,6 +215,12 @@ def _handle_ed(params: ModelParams, opts: dict) -> dict | SweepTable:
     sweep_keys = [key for key in ("g1_min", "g1_max", "steps") if opts.get(key) is not None]
     if sweep_keys and len(sweep_keys) != 3:
         raise ConfigError("ed sweep mode needs all of g1_min, g1_max, steps")
+    if sweep_keys and (opts.get("cutoff_a") is not None or opts.get("cutoff_b") is not None):
+        raise ConfigError("--cutoff-a and --cutoff-b set a single point's truncation; "
+                          "an ed sweep converges its own cutoffs")
+    if not sweep_keys and opts.get("diagonal"):
+        raise ConfigError("--diagonal applies to an ed sweep only: give --g1-min, "
+                          "--g1-max and --steps")
 
     if sweep_keys:
         g1s = sweep_values(opts["g1_min"], opts["g1_max"], opts["steps"], "ed sweep")
@@ -434,11 +440,21 @@ def run(argv=None) -> int:
         _emit(command.handler(_params_from(opts), opts), opts.get("output"))
         return 0
     except (ConvergenceError, CapacityError) as exc:
-        print(f"vdicke {command.name}: did not converge: {exc}", file=sys.stderr)
+        print(f"vdicke {command.name}: did not converge: {exc}{_trials(exc)}", file=sys.stderr)
         return 3
     except ValueError as exc:  # ConfigError and DomainError among them
         print(f"vdicke {command.name}: configuration error: {exc}", file=sys.stderr)
         return 2
+
+
+def _trials(exc: Exception) -> str:
+    """The cutoff trials solved before a CapacityError, as a suffix to its message."""
+    trace = getattr(exc, "trace", None)
+    if not trace:
+        return ""
+    return "; trials solved: " + ", ".join(
+        f"cutoffs {t['cutoff_a']}/{t['cutoff_b']} (dimension {t['dimension']}, "
+        f"photon_a {t['photon_a']:.6g}, photon_b {t['photon_b']:.6g})" for t in trace)
 
 
 def main() -> None:

@@ -66,6 +66,10 @@ certified (or any equal one) reuses the certificate's four.
 Every space is checked against DEFAULT_DIM_LIMIT, read at call time,
 before anything of its size is allocated; the limit applies to the
 whole truncated space, of which a sector is about a quarter.
+
+scipy is imported inside the functions that build or solve matrices, not
+here: the CLI imports this module, and scipy's import time would be most
+of every mean-field command's start-up.
 """
 
 from __future__ import annotations
@@ -76,8 +80,6 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import CapacityError, ConvergenceError
 from .meanfield import stationary_branches
@@ -261,6 +263,7 @@ def _occupations(space):
 
 def _level1_hop(n_atoms: int, n2: np.ndarray, n3: np.ndarray, level: int) -> sparse.csr_matrix:
     """J_1l + J_l1 on the atomic states (n2, n3), for level l = 2 or 3."""
+    from scipy import sparse
     n1 = n_atoms - n2 - n3
     src = np.flatnonzero(n1 > 0)
     n_l = (n2 if level == 2 else n3)[src]
@@ -272,6 +275,7 @@ def _level1_hop(n_atoms: int, n2: np.ndarray, n3: np.ndarray, level: int) -> spa
 
 def _position(levels: int) -> sparse.csr_matrix:
     """a + a^dagger on a mode truncated to ``levels`` Fock states."""
+    from scipy import sparse
     root = np.sqrt(np.arange(1.0, levels))
     return sparse.diags([root, root], [-1, 1], format="csr")
 
@@ -282,6 +286,7 @@ def build_hamiltonian(params: ModelParams, space) -> sparse.csr_matrix:
     The whole-space build is Kronecker products of the atomic and mode
     operators; the sector build is index arithmetic on the sector alone.
     """
+    from scipy import sparse
     truncation = space.space if isinstance(space, ParitySector) else space
     n_atoms = truncation.basis.n_atoms
     _check_dimension(n_atoms, truncation.cutoff_a, truncation.cutoff_b)
@@ -308,6 +313,7 @@ def _sector_hamiltonian(params: ModelParams, sector: ParitySector) -> sparse.csr
     with mode b) and the mode by one quantum, which keeps both parities;
     it is listed once from its source state and mirrored.
     """
+    from scipy import sparse
     space = sector.space
     n_atoms = space.basis.n_atoms
     n2, n3, n_a, n_b = _occupations(sector)
@@ -353,6 +359,7 @@ def _parities(n2, n3, n_a, n_b):
 
 def parity_operators(space: TruncatedSpace):
     """Diagonal parity operators (left, right, global) as sparse matrices."""
+    from scipy import sparse
     parities = np.broadcast_arrays(*_parities(*_occupations(space)))
     return tuple(sparse.diags(p.ravel(), format="csr") for p in parities)
 
@@ -381,9 +388,21 @@ def _h_scale(h: sparse.csr_matrix) -> float:
     return float(np.abs(h).sum(axis=1).max())
 
 
+def eigsh(*args, **kwargs):
+    """scipy's ``eigsh``, imported on the first call.
+
+    ``_eigsh_lowest`` looks this name up at every call, so a replacement
+    bound here (a counting pass-through, say) sees every ARPACK run.
+    """
+    from scipy.sparse.linalg import eigsh
+    return eigsh(*args, **kwargs)
+
+
 def _eigsh_lowest(h: sparse.csr_matrix, k: int, tol: float, seed: int,
                   start: np.ndarray | None = None):
     """Lowest k eigenpairs with explicit residual acceptance and retries."""
+    from scipy import sparse
+    from scipy.sparse.linalg import ArpackNoConvergence
     dim = h.shape[0]
     if dim <= max(_DENSE_THRESHOLD, k + 1):
         dense = np.asarray(h.todense())

@@ -8,6 +8,12 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from vdicke import exactdiag
+from vdicke.errors import ConvergenceError
+from vdicke.model import ModelParams
+
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
@@ -25,3 +31,25 @@ def test_every_traced_name_resolves():
         assert callable(getattr(importlib.import_module(module_name), func_name, None)), (
             module_name, func_name)
     assert callable(importlib.import_module("vdicke.exactdiag").eigsh)
+
+
+def test_every_arpack_run_goes_through_the_patched_eigsh(monkeypatch):
+    # the traced pass counts ARPACK runs by replacing exactdiag.eigsh, so
+    # every Lanczos solve must look that name up when it runs
+    calls = []
+
+    def counting(*args, _eigsh=exactdiag.eigsh, **kwargs):
+        calls.append(1)
+        return _eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(exactdiag, "eigsh", counting)
+    sector = exactdiag.ParitySector(exactdiag.truncated_space(6, 30, 30), 1, 1)
+    h = exactdiag.build_hamiltonian(ModelParams(g1=0.9, g2=0.8), sector)
+    assert h.shape[0] > exactdiag._DENSE_THRESHOLD
+    exactdiag.ground_state(h, tol=1e-8)
+    assert calls
+    monkeypatch.setattr(exactdiag, "LANCZOS_MAXITER", 1)
+    before = len(calls)
+    with pytest.raises(ConvergenceError, match="LANCZOS_MAXITER = 1"):
+        exactdiag.ground_state(h, tol=1e-8)
+    assert len(calls) > before

@@ -11,6 +11,8 @@ import pytest
 
 from vdicke import exactdiag, scan
 from vdicke.cli import run
+from vdicke.errors import CapacityError
+from vdicke.model import ModelParams
 from vdicke.scan import CSV_COLUMNS
 
 
@@ -251,6 +253,26 @@ def test_ed_capacity_exhaustion_exits_3(tmp_path, capsys, monkeypatch):
         assert not out.exists()
 
 
+def test_capacity_message_lists_the_trials_solved(capsys, monkeypatch):
+    # the first trial fits under the limit, its doubling does not
+    p = ModelParams(g1=0.9, g2=0.4)
+    first = exactdiag.truncated_space(3, *exactdiag.default_cutoffs(p, 3)).dimension
+    monkeypatch.setattr(exactdiag, "DEFAULT_DIM_LIMIT", 2 * first)
+    with pytest.raises(CapacityError) as refused:
+        exactdiag.converge_cutoffs(p, 3)
+    assert len(refused.value.trace) == 1
+    assert run(["ed", "--N", "3", "--g1", "0.9", "--g2", "0.4"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"exceeds the dimension limit {2 * first}; trials solved: " in err
+    for t in refused.value.trace:
+        assert (f"cutoffs {t['cutoff_a']}/{t['cutoff_b']} (dimension {t['dimension']}, "
+                f"photon_a {t['photon_a']:.6g}, photon_b {t['photon_b']:.6g})") in err
+    # a refusal before any trial keeps its message as it is
+    assert run(["ed", "--N", "3", "--cutoff-a", "400", "--cutoff-b", "400"]) == 3
+    assert "trials solved" not in capsys.readouterr().err
+
+
 def test_parity_check_json(capsys):
     code = run(["parity-check", "--N", "3", "--g1", "0.9", "--g2", "0.7",
                 "--cutoff-a", "5", "--cutoff-b", "5"])
@@ -341,6 +363,31 @@ def test_import_defaults_blas_to_one_thread():
         assert proc.stdout.strip() == expected
 
 
+def test_mean_field_commands_never_import_scipy():
+    # scipy loads on the first finite-N solve, not at start-up
+    probe = """
+import os, sys
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import vdicke
+assert not scipy_loaded(), scipy_loaded()
+from vdicke.cli import run
+for argv in (["critical", "--g1", "0.75"], ["meanfield", "--g1", "0.9", "--g2", "0.7"],
+             ["spectrum", "--g1", "1.3", "--g2", "1.2"],
+             ["phase-diagram", "--g1-min", "0", "--g1-max", "1.3", "--g2-min", "0",
+              "--g2-max", "1", "--n1", "3", "--n2", "3"],
+             ["boundary", "--which", "gtilde_c2", "--from", "0.6", "--to", "1", "--steps", "3"],
+             ["line-cut", "--g2", "0.75", "--g1-min", "0.5", "--g1-max", "1", "--steps", "3"],
+             ["overlap-area", "--ratios", "1.0,1.4", "--resolution", "5"]):
+    assert run(argv + ["--output", os.devnull]) == 0, argv
+    assert not scipy_loaded(), (argv, scipy_loaded())
+assert run(["ed", "--N", "2", "--g1", "0.6", "--g2", "0.3", "--output", os.devnull]) == 0
+assert "scipy.sparse.linalg" in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 # sha256 of each output, recorded before the handlers returned their
 # results; `ed` is left out, as its last digit depends on the CPU and BLAS
 @pytest.mark.parametrize("argv, digest", [
@@ -379,8 +426,8 @@ _ED_POINT = ["ed", "--N", "2", "--g1", "0.6", "--g2", "0.3"]
 _ED_SWEEP = ["ed", "--N", "2", "--g2", "0.3", "--g1-min", "0.5", "--g1-max", "1", "--steps", "3"]
 
 
-# every numeric flag at its bound: refused with exit 2, a message, and no
-# output file; the solver settings before any eigensolve
+# every numeric flag at its bound, and every ed flag outside its mode:
+# refused with exit 2, a message, and no output file, before any eigensolve
 @pytest.mark.parametrize("argv, message", [
     (["ed", "--N", "0"], "n_atoms and both cutoffs must be >= 1"),
     (["ed", "--N", "2", "--cutoff-a", "0", "--cutoff-b", "5"],
@@ -403,6 +450,11 @@ _ED_SWEEP = ["ed", "--N", "2", "--g2", "0.3", "--g1-min", "0.5", "--g1-max", "1"
     (["overlap-area", "--resolution", "1"], "resolution must be >= 2"),
     (["boundary", "--which", "normal_left", "--from", "0.5", "--to", "1", "--steps", "1"],
      "steps must be >= 2"),
+    (["ed", "--N", "3", "--g2", "0.75", "--g1-min", "0.5", "--g1-max", "1", "--steps", "3",
+      "--cutoff-a", "5", "--cutoff-b", "5"],
+     "--cutoff-a and --cutoff-b set a single point's truncation"),
+    (_ED_SWEEP + ["--cutoff-b", "5"], "--cutoff-a and --cutoff-b set a single point's truncation"),
+    (_ED_POINT + ["--diagonal"], "--diagonal applies to an ed sweep only"),
 ])
 def test_numeric_flag_at_its_bound_exits_2(argv, message, tmp_path, capsys, monkeypatch):
     def no_solve(*args, **kwargs):
