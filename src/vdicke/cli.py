@@ -348,7 +348,9 @@ _COMMANDS = (
             _Opt("cutoff_a", int, None, "explicit mode-a cutoff (skips convergence)"),
             _Opt("cutoff_b", int, None, "explicit mode-b cutoff (skips convergence)"),
             _Opt("tol", float, 1e-8, "eigensolver residual tolerance"),
-            _Opt("cutoff_tol", float, 1e-4, "photon-number convergence tolerance"),
+            _Opt("cutoff_tol", float, 1e-4,
+                 "photon-number tolerance: each mode's ground-state weight in its top "
+                 "two Fock levels must stay below cutoff_tol/100"),
             _Opt("seed", int, 0, "seed of the eigensolver's cold start vector"),
             _Opt("g1_min", float, None, "sweep start (sweep mode)"),
             _Opt("g1_max", float, None, "sweep end (sweep mode)"),

@@ -42,16 +42,26 @@ Solves.  The ground state comes from an implicitly restarted Lanczos
 iteration with an explicit residual acceptance test, falling back to
 dense diagonalization for tiny spaces.  A solve starts from a given
 vector when one is passed (the previous sweep point, or the previous
-cutoff trial zero-padded to the doubled cutoffs), and otherwise from a
-vector drawn from ``seed``; ARPACK gets at most LANCZOS_MAXITER restarts.
+truncation's ground vector moved onto the new cutoffs), and otherwise
+from a vector drawn from ``seed``; ARPACK gets at most LANCZOS_MAXITER
+restarts.
 
- * ``converge_cutoffs`` doubles the cutoffs until the (+, +) photon
-   numbers settle, then certifies the truncation it accepts: none of
-   the other three sectors may have its ground energy below the (+, +)
-   one by more than the solver's tolerance.  Perron-Frobenius does not
-   fix which block is lowest, and on a too-small truncation deep in a
-   superradiant phase it can be (+, -) or (-, +); such a truncation is
-   not accepted and the doubling goes on.
+Cutoffs.  A truncation holds a ground state when, for each mode, the
+state's marginal Fock weight in the mode's top two levels (its tail
+weight) is below cutoff_tol / TAIL_RATIO.  The weight is read from the
+vector already solved; photon numbers move by about ten times it.
+
+ * ``converge_cutoffs`` solves (+, +) at ``default_cutoffs``, grows any
+   mode whose tail weight is too large, shrinks once to the smallest
+   cutoffs the marginals allow (growing again only if the shrunk
+   truncation's own weights fail), and then certifies the truncation it
+   accepts: none of the other three sectors may have its ground energy
+   below the (+, +) one by more than the solver's tolerance.
+   Perron-Frobenius does not fix which block is lowest, and on a
+   too-small truncation deep in a superradiant phase it can be (+, -)
+   or (-, +); such a truncation is not accepted and both modes grow.
+ * ``hold_tail`` is the growth step alone, for a state already solved:
+   ``scan.ed_sweep`` applies it at every sweep point.
  * ``solve_point`` is exact on any space: E0 is the lowest of the four
    sector ground energies, the observables are those of that sector's
    ground state, and E1 is the lower of that sector's second level and
@@ -59,9 +69,10 @@ vector drawn from ``seed``; ARPACK gets at most LANCZOS_MAXITER restarts.
 
 A sector solved from the ``seed`` vector is a pure function of (params,
 sector, tol, seed), so those solves are memoized, one truncation's four
-sectors at a time.  A certificate on the first trial's truncation
-reuses that trial's (+, +) solve, and solve_point on the truncation just
-certified (or any equal one) reuses the certificate's four.
+sectors at a time.  A truncation accepted at ``default_cutoffs`` reuses
+that first (+, +) solve in its certificate, and solve_point on the
+truncation just certified (or any equal one) reuses the certificate's
+four.
 
 Every space is checked against DEFAULT_DIM_LIMIT, read at call time,
 before anything of its size is allocated; the limit applies to the
@@ -102,6 +113,7 @@ __all__ = [
     "observables",
     "default_cutoffs",
     "converge_cutoffs",
+    "hold_tail",
     "solve_point",
 ]
 
@@ -110,6 +122,10 @@ CUTOFF_FLOOR = 8  # smallest cutoff default_cutoffs returns
 LANCZOS_MAXITER = 1000  # ARPACK restarts allowed per eigsh call
 PARITY_SECTORS = ((1, 1), (1, -1), (-1, 1), (-1, -1))  # (left, right) parities
 _DENSE_THRESHOLD = 16  # below this dimension just diagonalize densely
+TAIL_LEVELS = 2  # a mode's tail weight is its marginal weight in its top two Fock levels
+TAIL_RATIO = 100.0  # tail-weight bound = cutoff_tol / TAIL_RATIO; photon error is ~10x the weight
+SHRINK_MARGIN = 10.0  # a shrink keeps the new top two levels plus the cut ones under bound / this
+GROWTH = 1.5  # factor one growth step applies to a cutoff
 
 
 @dataclass(frozen=True)
@@ -498,8 +514,8 @@ def default_cutoffs(params: ModelParams, n_atoms: int) -> tuple[int, int]:
 
     Uses the largest squared amplitude over all physical stationary
     branches per mode, so competing condensates near a first-order
-    boundary are both representable before convergence doubling.  Never
-    below CUTOFF_FLOOR.
+    boundary are both representable in the first solve, from which
+    converge_cutoffs shrinks.  Never below CUTOFF_FLOOR.
     """
     branches = [s for s in stationary_branches(params) if s.physical]
     field_a = max((s.phi_a ** 2 for s in branches), default=0.0)
@@ -509,13 +525,74 @@ def default_cutoffs(params: ModelParams, n_atoms: int) -> tuple[int, int]:
     return cutoff_a, cutoff_b
 
 
-def _zero_pad(sector: ParitySector, state: np.ndarray, target: ParitySector) -> np.ndarray:
-    """``state`` on ``sector`` as a vector on ``target``: same atoms and parities, larger cutoffs."""
-    occupations = np.unravel_index(sector.index, sector.space.shape)
-    padded = np.zeros(target.dimension)
-    padded[np.searchsorted(target.index,
-                           np.ravel_multi_index(occupations, target.space.shape))] = state
-    return padded
+def _transfer(sector: ParitySector, state: np.ndarray, target: ParitySector) -> np.ndarray:
+    """``state`` on ``sector`` as a vector on ``target`` (same atoms and parities).
+
+    Levels that ``target`` adds are zero-padded and levels it drops are
+    cut off, so the vector is the same state wherever both cutoffs hold.
+    """
+    atom, n_a, n_b = np.unravel_index(sector.index, sector.space.shape)
+    keep = (n_a <= target.space.cutoff_a) & (n_b <= target.space.cutoff_b)
+    moved = np.zeros(target.dimension)
+    moved[np.searchsorted(target.index, np.ravel_multi_index(
+        (atom[keep], n_a[keep], n_b[keep]), target.space.shape))] = state[keep]
+    return moved
+
+
+def _marginals(sector: ParitySector, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each mode's Fock distribution in ``state``: weights of levels 0..cutoff, for a and for b."""
+    _, n_a, n_b = np.unravel_index(sector.index, sector.space.shape)
+    weights = np.square(state)
+    return (np.bincount(n_a, weights, sector.space.cutoff_a + 1),
+            np.bincount(n_b, weights, sector.space.cutoff_b + 1))
+
+
+def _shrunk(marginal: np.ndarray, bound: float) -> int:
+    """The smallest cutoff whose top two levels and every level above hold at most
+    ``bound / SHRINK_MARGIN`` of ``marginal``, and never above its own cutoff."""
+    beyond = np.cumsum(marginal[::-1])[::-1]  # beyond[n]: the weight of levels n and up
+    above = int(np.count_nonzero(beyond > bound / SHRINK_MARGIN))
+    return min(marginal.size - 1, above + TAIL_LEVELS - 1)
+
+
+def _warm_solve(params: ModelParams, sector: ParitySector, state: np.ndarray,
+                cutoffs: list[int], eig_tol: float, trace: list | None):
+    """(+, +) at ``cutoffs``, started from ``state`` moved there: (sector, energy, vector)."""
+    space = truncated_space(sector.space.basis.n_atoms, *cutoffs, trace=trace)
+    target = ParitySector(space, 1, 1)
+    energy, vector = ground_state(build_hamiltonian(params, target), tol=eig_tol,
+                                  start=_transfer(sector, state, target))
+    return target, energy, vector
+
+
+def hold_tail(params: ModelParams, sector: ParitySector, energy: float, state: np.ndarray,
+              tol: float = 1e-4, eig_tol: float = 1e-8, trace: list | None = None):
+    """Grow a (+, +) sector until each mode's tail weight is below tol / TAIL_RATIO.
+
+    ``state`` is the ground state of H on ``sector``, of energy ``energy``,
+    solved to ``eig_tol``.  A mode whose weight in its top two Fock levels
+    reaches the bound grows by the factor GROWTH, the other keeps its
+    cutoff, and the grown sector is solved from ``state`` zero-padded;
+    this repeats until both weights pass.  Returns ``(sector, energy,
+    state)``, unchanged when they pass at once.  Each truncation checked
+    is appended to ``trace`` when one is given; CapacityError (carrying
+    it) is raised if growth passes the dimension limit.
+    """
+    bound = tol / TAIL_RATIO
+    while True:
+        marginals = _marginals(sector, state)
+        weights = [float(m[-TAIL_LEVELS:].sum()) for m in marginals]
+        if trace is not None:
+            result = observables(sector, state, energy)
+            trace.append({"cutoff_a": result.cutoff_a, "cutoff_b": result.cutoff_b,
+                          "dimension": sector.space.dimension, "energy": energy,
+                          "photon_a": result.photon_a, "photon_b": result.photon_b,
+                          "weight_a": weights[0], "weight_b": weights[1]})
+        if max(weights) < bound:
+            return sector, energy, state
+        cutoffs = [math.ceil(GROWTH * (m.size - 1)) if w >= bound else m.size - 1
+                   for m, w in zip(marginals, weights)]
+        sector, energy, state = _warm_solve(params, sector, state, cutoffs, eig_tol, trace)
 
 
 class _SectorGround(NamedTuple):
@@ -554,51 +631,39 @@ def _check_solver_settings(seed: int, tolerances: dict[str, float]) -> None:
 
 def converge_cutoffs(params: ModelParams, n_atoms: int, start: tuple[int, int] | None = None,
                      tol: float = 1e-4, eig_tol: float = 1e-8, seed: int = 0):
-    """Double the boson cutoffs until the photon numbers settle.
+    """The boson cutoffs that hold the ground state: each mode's tail weight below tol / TAIL_RATIO.
 
-    Every trial solves the (+, +) parity sector: the first from a
-    ``seed`` vector, each doubled one from the previous trial's ground
-    vector, zero-padded.  Returns ``(space, trace)`` where ``space`` is
-    the coarsest truncation whose photon_a and photon_b agree with the
-    next doubling within ``tol`` and on which no other parity sector's
-    ground energy lies below the (+, +) one by more than its solve's
-    error bound (the certificate); ``trace`` records every trial.
-    Raises ValueError for a tolerance that is not finite and positive or
-    a negative seed, and CapacityError (with the trace attached) if the
-    dimension limit is hit first.
+    The (+, +) sector is solved at ``start`` (default: ``default_cutoffs``)
+    from the ``seed`` vector and grown by ``hold_tail`` until both tail
+    weights pass.  It is then shrunk once, to the smallest cutoffs its
+    marginals allow, solved there from the restricted vector and held by
+    ``hold_tail`` again, which keeps it when its own weights pass.  Last,
+    the certificate: no other parity sector's ground energy may lie below
+    the (+, +) one by more than its solve's error bound, or both modes
+    grow by GROWTH and the tail check and certificate run again.  Returns
+    ``(space, trace)``, where ``trace`` records every truncation solved,
+    with its tail weights.  Raises ValueError for a tolerance that is not
+    finite and positive or a negative seed, and CapacityError (with the
+    trace attached) if the dimension limit is hit first.
     """
     _check_solver_settings(seed, {"photon-number tolerance tol": tol,
                                   "eigensolver tolerance eig_tol": eig_tol})
-    cutoff_a, cutoff_b = start if start is not None else default_cutoffs(params, n_atoms)
     trace = []
-    previous = None
+    cutoffs = start if start is not None else default_cutoffs(params, n_atoms)
+    first = _sector_ground(params, ParitySector(truncated_space(n_atoms, *cutoffs, trace=trace),
+                                                1, 1), eig_tol, seed)
+    sector, _, state = hold_tail(params, first.sector, first.energy, first.vector, tol, eig_tol,
+                                 trace)
+    cutoffs = [_shrunk(m, tol / TAIL_RATIO) for m in _marginals(sector, state)]
     while True:
-        space = truncated_space(n_atoms, cutoff_a, cutoff_b, trace=trace)
-        sector = ParitySector(space, 1, 1)
-        if previous is None:
-            _, e0, vec, _ = _sector_ground(params, sector, eig_tol, seed)
-        else:
-            prev_sector, prev_vec, prev_result = previous
-            e0, vec = ground_state(build_hamiltonian(params, sector), tol=eig_tol,
-                                   start=_zero_pad(prev_sector, prev_vec, sector))
-        result = observables(sector, vec, energy=e0)
-        trace.append({
-            "cutoff_a": cutoff_a,
-            "cutoff_b": cutoff_b,
-            "dimension": space.dimension,
-            "energy": e0,
-            "photon_a": result.photon_a,
-            "photon_b": result.photon_b,
-        })
-        if (previous is not None
-                and abs(result.photon_a - prev_result.photon_a) < tol
-                and abs(result.photon_b - prev_result.photon_b) < tol):
-            even, *others = _sector_grounds(params, prev_sector.space, eig_tol, seed)
-            if not any(g.energy < even.energy - g.error for g in others):
-                return prev_sector.space, trace
-        previous = (sector, vec, result)
-        cutoff_a *= 2
-        cutoff_b *= 2
+        if cutoffs != [sector.space.cutoff_a, sector.space.cutoff_b]:
+            sector, _, state = hold_tail(
+                params, *_warm_solve(params, sector, state, cutoffs, eig_tol, trace), tol,
+                eig_tol, trace)
+        even, *others = _sector_grounds(params, sector.space, eig_tol, seed)
+        if not any(g.energy < even.energy - g.error for g in others):
+            return sector.space, trace
+        cutoffs = [math.ceil(GROWTH * c) for c in (sector.space.cutoff_a, sector.space.cutoff_b)]
 
 
 def solve_point(params: ModelParams, n_atoms: int, space: TruncatedSpace,

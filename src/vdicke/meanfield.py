@@ -275,7 +275,7 @@ class _BranchTable(NamedTuple):
     bistable: np.ndarray
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _branch_table(omega21, omega31, omega_a, omega_b, g1, g2) -> _BranchTable:
     """Existence, energy and positive-sign amplitudes of each branch.
 
@@ -294,10 +294,11 @@ def _branch_table(omega21, omega31, omega_a, omega_b, g1, g2) -> _BranchTable:
     has_left = g1 >= gc1
     has_right = g2 >= gc2
     # Where a coupling is 0 its mu is infinite and the branch quantities
-    # below are inf or nan (hence the errstate); every use of them is
-    # masked by has_left, has_right or the degenerate-line test.  Squares
-    # use np.square, which rounds alike for one point and for many (** on
-    # numpy scalars goes through C pow, which can differ by one ulp).
+    # below are inf or nan, and near 0 they overflow (hence the errstate);
+    # every use of them is masked by has_left, has_right or the
+    # degenerate-line test.  Squares use np.square, which rounds alike for
+    # one point and for many (** on numpy scalars goes through C pow,
+    # which can differ by one ulp).
     mul = np.square(gc1 / g1)
     mur = np.square(gc2 / g2)
     alpha = 4.0 * np.square(g1) / wa

@@ -199,15 +199,15 @@ def ed_sweep(base: ModelParams, g1, g2, n_atoms: int, cutoff_tol: float = 1e-4,
     """Classify each (g1, g2) point at base's frequencies and attach finite-N observables.
 
     ``g1`` and ``g2`` are coupling arrays broadcast to one sweep (a
-    scalar holds that coupling fixed).  Cutoffs are converged once at
-    the most demanding sweep point (largest default cutoffs) and that
-    single truncation is reused across the sweep, keeping the
-    truncation error uniform along it.  Each point is solved on the
-    (+, +) parity sector, the first from ``seed`` and every later one
-    from the previous point's ground vector.  That the ground state lies
-    in (+, +) is certified at the most demanding point only (see
-    exactdiag.converge_cutoffs); the other points rely on needing a
-    smaller truncation than that one, and are not checked.
+    scalar holds that coupling fixed).  Cutoffs are converged at the
+    most demanding sweep point (largest default cutoffs), where the
+    ground state is also certified to lie in the (+, +) parity sector
+    (see exactdiag.converge_cutoffs).  Each point is solved on (+, +),
+    the first from ``seed`` and every later one from the previous point's
+    ground vector, and its tail weight is checked: where a mode's weight
+    reaches cutoff_tol / exactdiag.TAIL_RATIO, the shared truncation grows
+    (exactdiag.hold_tail) and stays grown for the points after it.  Each
+    row reports the cutoffs it was solved at.
     """
     # No truncation tried below is smaller than this one, so an atom
     # number too large for the dimension limit is refused before any
@@ -224,15 +224,18 @@ def ed_sweep(base: ModelParams, g1, g2, n_atoms: int, cutoff_tol: float = 1e-4,
     sector = exactdiag.ParitySector(space, 1, 1)
     rows = len(sweep)
     photon_a, photon_b = np.empty(rows), np.empty(rows)
+    cutoff_a, cutoff_b = np.empty(rows, dtype=int), np.empty(rows, dtype=int)
     state = None
     for i, params in enumerate(sweep):
         h = exactdiag.build_hamiltonian(params, sector)
         energy, state = exactdiag.ground_state(h, tol=eig_tol, seed=seed, start=state)
+        sector, energy, state = exactdiag.hold_tail(params, sector, energy, state,
+                                                    tol=cutoff_tol, eig_tol=eig_tol)
         result = exactdiag.observables(sector, state, energy)
         photon_a[i], photon_b[i] = result.photon_a, result.photon_b
+        cutoff_a[i], cutoff_b[i] = result.cutoff_a, result.cutoff_b
     return replace(table, photon_a=photon_a, photon_b=photon_b,
-                   n_atoms=np.full(rows, n_atoms), cutoff_a=np.full(rows, space.cutoff_a),
-                   cutoff_b=np.full(rows, space.cutoff_b))
+                   n_atoms=np.full(rows, n_atoms), cutoff_a=cutoff_a, cutoff_b=cutoff_b)
 
 
 def line_cut(base: ModelParams, g1, g2) -> SweepTable:

@@ -191,8 +191,15 @@ def test_ed_point_with_convergence_trace(capsys):
     code = run(["ed", "--N", "2", "--g1", "0.4", "--g2", "0.2"])
     assert code == 0
     payload = _json_out(capsys)
-    assert len(payload["convergence_trace"]) >= 2
-    assert payload["convergence_trace"][0]["cutoff_a"] >= 8
+    trace = payload["convergence_trace"]
+    assert len(trace) >= 2
+    assert trace[0]["cutoff_a"] >= 8
+    # here the shrunk truncation, the last one solved, is accepted; both
+    # its tail weights are below cutoff_tol / 100
+    assert (trace[-1]["cutoff_a"], trace[-1]["cutoff_b"]) == (payload["cutoff_a"],
+                                                              payload["cutoff_b"])
+    assert trace[-1]["dimension"] == payload["dimension"]
+    assert max(trace[-1]["weight_a"], trace[-1]["weight_b"]) < 1e-4 / 100
 
 
 def test_ed_sweep_csv(capsys):
@@ -254,17 +261,18 @@ def test_ed_capacity_exhaustion_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_capacity_message_lists_the_trials_solved(capsys, monkeypatch):
-    # the first trial fits under the limit, its doubling does not
+    # from cutoffs (4, 4) the tail weights fail; the first growth step fits
+    # under the limit, the second does not
     p = ModelParams(g1=0.9, g2=0.4)
-    first = exactdiag.truncated_space(3, *exactdiag.default_cutoffs(p, 3)).dimension
-    monkeypatch.setattr(exactdiag, "DEFAULT_DIM_LIMIT", 2 * first)
+    monkeypatch.setattr(exactdiag, "default_cutoffs", lambda params, n_atoms: (4, 4))
+    monkeypatch.setattr(exactdiag, "DEFAULT_DIM_LIMIT", 600)
     with pytest.raises(CapacityError) as refused:
         exactdiag.converge_cutoffs(p, 3)
-    assert len(refused.value.trace) == 1
+    assert [(t["cutoff_a"], t["cutoff_b"]) for t in refused.value.trace] == [(4, 4), (6, 6)]
     assert run(["ed", "--N", "3", "--g1", "0.9", "--g2", "0.4"]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert f"exceeds the dimension limit {2 * first}; trials solved: " in err
+    assert "exceeds the dimension limit 600; trials solved: " in err
     for t in refused.value.trace:
         assert (f"cutoffs {t['cutoff_a']}/{t['cutoff_b']} (dimension {t['dimension']}, "
                 f"photon_a {t['photon_a']:.6g}, photon_b {t['photon_b']:.6g})") in err
@@ -349,6 +357,18 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["gtilde_c2"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_tiny_coupling_prints_no_warning():
+    # the masked branch quantities overflow at a coupling this close to 0;
+    # numpy must not report that on stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "vdicke.cli", "meanfield", "--g1", "1e-200"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["selected"]["phase"] == "Normal"
 
 
 def test_import_defaults_blas_to_one_thread():

@@ -321,20 +321,28 @@ def test_default_cutoffs_grow_with_the_condensate():
 
 
 def test_converge_cutoffs_settles_immediately_when_decoupled():
+    # the vacuum has no weight above n = 0: accepted at the default (10, 10)
+    # with no growth, then shrunk once to (2, 2), whose top two levels are 1
+    # and 2; the vacuum is exact there too
     space, trace = converge_cutoffs(ModelParams(), 3)
-    assert (space.cutoff_a, space.cutoff_b) == (10, 10)
-    assert len(trace) == 2        # one doubling to confirm
-    assert trace[0]["dimension"] < trace[1]["dimension"]
+    assert (space.cutoff_a, space.cutoff_b) == (2, 2)
+    assert [(t["cutoff_a"], t["cutoff_b"]) for t in trace] == [(10, 10), (2, 2)]
+    assert trace[0]["dimension"] > trace[1]["dimension"] == space.dimension
     for entry in trace:
         assert abs(entry["photon_a"]) < 1e-10
         assert abs(entry["energy"]) < 1e-9
+        assert entry["weight_a"] < 1e-20 and entry["weight_b"] < 1e-20
 
 
 def test_converge_cutoffs_capacity_error_carries_trace(monkeypatch):
-    monkeypatch.setattr(exactdiag, "DEFAULT_DIM_LIMIT", 20_000)
-    with pytest.raises(CapacityError) as err:
-        converge_cutoffs(ModelParams(g1=0.9), 6)
-    assert isinstance(err.value.trace, list)
+    # from (4, 4), mode a's tail weight fails and grows it; the first growth
+    # step (to 6) fits under the limit, the second (to 9) does not
+    monkeypatch.setattr(exactdiag, "DEFAULT_DIM_LIMIT", 1000)
+    with pytest.raises(CapacityError, match="dimension limit 1000") as err:
+        converge_cutoffs(ModelParams(g1=0.9), 6, start=(4, 4))
+    trace = err.value.trace
+    assert [(t["cutoff_a"], t["cutoff_b"]) for t in trace] == [(4, 4), (6, 4)]
+    assert all(t["weight_a"] >= 1e-4 / exactdiag.TAIL_RATIO for t in trace)
 
 
 def test_solve_point_with_gap():
@@ -449,33 +457,39 @@ def test_warm_started_sweep_agrees_with_cold_solves():
         assert abs(table.photon_a[i] - cold.photon_a) <= 1e-8
         assert abs(table.photon_b[i] - cold.photon_b) <= 1e-8
 
-    # a doubled cutoff trial starts from the smaller one, zero-padded: the
-    # padded vector is the same state
+    # a grown truncation starts from the smaller one's vector, zero-padded:
+    # the padded vector is the same state
     p = ModelParams(g1=0.9, g2=0.75)
     small = ParitySector(truncated_space(4, 10, 9), 1, 1)
     large = ParitySector(truncated_space(4, 20, 18), 1, 1)
     energy, vec = ground_state(build_hamiltonian(p, small), tol=1e-8)
-    padded = exactdiag._zero_pad(small, vec, large)
+    padded = exactdiag._transfer(small, vec, large)
     assert np.linalg.norm(padded) == pytest.approx(1.0, abs=1e-14)
     for name in ("photon_a", "photon_b", "pop2", "pop3", "parity_l", "parity_r"):
         assert getattr(observables(large, padded, energy), name) == pytest.approx(
             getattr(observables(small, vec, energy), name), abs=1e-14)
     h_large = build_hamiltonian(p, large)
     assert float(padded @ (h_large @ padded)) == pytest.approx(energy, abs=1e-9)
+    # and moved back, the levels the smaller truncation drops are cut off:
+    # the same vector again
+    assert np.array_equal(exactdiag._transfer(large, padded, small), vec)
 
 
 def test_converge_cutoffs_refuses_a_truncation_with_its_ground_state_outside_even(monkeypatch):
     # at cutoffs (3, 6) the (+, -) block lies about 3.5e-4 below (+, +);
-    # with tol = 10 the photon numbers (at most cutoff / N) settle at
-    # once, so only the certificate keeps that truncation out
+    # with tol = 50 the tail-weight bound is 0.5, above both weights (0.46
+    # and 0.28), and no shrink is allowed, so only the certificate keeps
+    # that truncation out
     p, start = ModelParams(g1=2.5, g2=2.5), (3, 6)
     first = TruncatedSpace(build_basis(3), *start)
     lowest = [np.linalg.eigvalsh(build_hamiltonian(p, ParitySector(first, *s)).toarray())[0]
               for s in PARITY_SECTORS]
     assert min(lowest[1:]) < lowest[0] - 1e-4
-    space, trace = converge_cutoffs(p, 3, start=start, tol=10.0)
+    space, trace = converge_cutoffs(p, 3, start=start, tol=50.0)
+    assert (trace[0]["cutoff_a"], trace[0]["cutoff_b"]) == start
+    assert max(trace[0]["weight_a"], trace[0]["weight_b"]) < 50.0 / exactdiag.TAIL_RATIO
     assert (space.cutoff_a, space.cutoff_b) != start
-    assert len(trace) >= 3
+    assert len(trace) >= 2
     # on the accepted truncation (+, +) is lowest up to the solver's
     # eigenvalue tolerance, eig_tol times the scale of H
     dense = np.linalg.eigvalsh(build_hamiltonian(p, space).toarray())[0]
@@ -483,11 +497,97 @@ def test_converge_cutoffs_refuses_a_truncation_with_its_ground_state_outside_eve
     even = np.linalg.eigvalsh(h_even.toarray())[0]
     assert even - dense <= 1e-8 * exactdiag._h_scale(h_even) < 1e-4
 
-    # when doubling on hits the dimension limit, the refusal carries the trace
-    monkeypatch.setattr(exactdiag, "DEFAULT_DIM_LIMIT", 1000)
-    with pytest.raises(CapacityError, match="dimension limit 1000") as err:
-        converge_cutoffs(p, 3, start=start, tol=10.0)
-    assert [(t["cutoff_a"], t["cutoff_b"]) for t in err.value.trace] == [(3, 6), (6, 12)]
+    # when the growth after the refusal hits the dimension limit, the
+    # refusal carries the trace
+    monkeypatch.setattr(exactdiag, "DEFAULT_DIM_LIMIT", 500)
+    with pytest.raises(CapacityError, match="dimension limit 500") as err:
+        converge_cutoffs(p, 3, start=start, tol=50.0)
+    assert [(t["cutoff_a"], t["cutoff_b"]) for t in err.value.trace] == [start]
+
+
+# ---------------------------------------------------------------------------
+# tail-weight cutoffs against the doubling loop they replaced
+
+CUTOFF_TOL = 1e-4  # converge_cutoffs' and ed_sweep's default
+
+
+def _doubling_oracle(params: ModelParams, n_atoms: int, cutoffs: tuple[int, int],
+                     tol: float):
+    """The doubling loop converge_cutoffs used to run, from ``cutoffs``.
+
+    (+, +) is solved cold and both cutoffs doubled until photon_a and
+    photon_b settle within ``tol``.  Returns the photon numbers of the last,
+    largest truncation, and the tail weights (top two Fock levels) of
+    the first.
+    """
+    previous, weights = None, None
+    while True:
+        sector = ParitySector(truncated_space(n_atoms, *cutoffs), 1, 1)
+        energy, vec = ground_state(build_hamiltonian(params, sector), tol=1e-10)
+        result = observables(sector, vec, energy)
+        photons = np.array([result.photon_a, result.photon_b])
+        if weights is None:
+            weights = [m[-2:].sum() for m in exactdiag._marginals(sector, vec)]
+        if previous is not None and np.all(np.abs(photons - previous) < tol):
+            return photons, weights
+        previous = photons
+        cutoffs = tuple(2 * c for c in cutoffs)
+
+
+def _criterion_9_params(count: int):
+    """The first ``count`` points that criterion 9 draws (its skipped spaces too)."""
+    rng = np.random.default_rng(99)
+    while count:
+        n = int(rng.integers(2, 6))
+        dimension = (n + 1) * (n + 2) // 2 * (int(rng.integers(3, 12)) + 1) \
+            * (int(rng.integers(3, 12)) + 1)
+        if dimension > 2000:
+            continue
+        yield n, ModelParams(
+            omega21=rng.uniform(0.4, 2.0), omega31=rng.uniform(0.4, 2.0),
+            omega_a=rng.uniform(0.4, 2.0), omega_b=rng.uniform(0.4, 2.0),
+            g1=rng.uniform(0.0, 1.5), g2=rng.uniform(0.0, 1.5))
+        count -= 1
+
+
+# the four ED points of the point-query benchmark, at N = 5
+QUERY_POINTS = [(5, ModelParams(g1=a, g2=b))
+                for a, b in ((0.3, 0.3), (0.9, 0.6), (0.6, 0.9), (0.75, 0.75))]
+
+
+@pytest.mark.parametrize("n_atoms, params", list(_criterion_9_params(4)) + QUERY_POINTS,
+                         ids=[f"criterion-9-{i}" for i in range(4)]
+                         + [f"query-{p.g1}-{p.g2}" for _, p in QUERY_POINTS])
+def test_converged_cutoffs_meet_the_doubling_loop(n_atoms, params):
+    space, trace = converge_cutoffs(params, n_atoms, tol=CUTOFF_TOL)
+    result = solve_point(params, n_atoms, space)
+    photons, weights = _doubling_oracle(params, n_atoms, (space.cutoff_a, space.cutoff_b),
+                                        CUTOFF_TOL / 10)
+    assert max(weights) < CUTOFF_TOL / exactdiag.TAIL_RATIO
+    assert abs(result.photon_a - photons[0]) <= CUTOFF_TOL / 10
+    assert abs(result.photon_b - photons[1]) <= CUTOFF_TOL / 10
+    accepted = [t for t in trace if (t["cutoff_a"], t["cutoff_b"]) == (space.cutoff_a,
+                                                                        space.cutoff_b)]
+    assert accepted and max(accepted[-1]["weight_a"], accepted[-1]["weight_b"]) < \
+        CUTOFF_TOL / exactdiag.TAIL_RATIO
+
+
+def test_every_sweep_row_holds_its_tail_weight():
+    # fig4b's cut at N = 6: the widest point (g1 = 1) needs little of mode
+    # b, so its shrunk truncation is too small for the first rows, and
+    # only the check at every row grows it
+    g1 = FIXTURE_SWEEPS["fig4b"][0]
+    table = ed_sweep(ModelParams(), g1, 0.75, 6, cutoff_tol=CUTOFF_TOL)
+    for i, g in enumerate(g1):
+        cutoffs = (int(table.cutoff_a[i]), int(table.cutoff_b[i]))
+        photons, weights = _doubling_oracle(ModelParams(g1=g, g2=0.75), 6, cutoffs,
+                                            CUTOFF_TOL / 10)
+        assert max(weights) < CUTOFF_TOL / exactdiag.TAIL_RATIO, (i, cutoffs, weights)
+        assert abs(table.photon_a[i] - photons[0]) <= CUTOFF_TOL / 10, i
+        assert abs(table.photon_b[i] - photons[1]) <= CUTOFF_TOL / 10, i
+    widest = ModelParams(g1=1.0, g2=0.75)
+    space, _ = converge_cutoffs(widest, 6, start=default_cutoffs(widest, 6))
+    assert table.cutoff_b[0] > space.cutoff_b
 
 
 def test_lanczos_restarts_are_bounded(monkeypatch, capsys):
