@@ -19,14 +19,16 @@ the mode-b index fastest.  The atomic states run over n3, then n2, so
     n3 (N + 1) - n3 (n3 - 1) / 2 + n2
 
 and the basis index is (atomic index * (cutoff_a + 1) + n_a) *
-(cutoff_b + 1) + n_b.  One helper, ``_occupations``, returns n2, n3,
-n_a and n_b broadcastable over (atom, mode a, mode b) in that order; the
-diagonal of H, the parity operators and the observables are all read
-from it.  The two atomic hops J_13 + J_31 and J_12 + J_21 come from the
-index formula, with amplitude sqrt(n1 (n_l + 1)) for an atom moving
-from level 1 to level l, and each meets its mode's position operator in
-one Kronecker product.  This whole-space build is the reference the
-sector build is tested against, and parity-check's operator.
+(cutoff_b + 1) + n_b.  A TruncatedSpace is every basis index and a
+ParitySector an ascending subset of them; ``_occupations`` reads n2, n3,
+n_a and n_b of any such set back from the index formula, and the
+diagonal of H, the parity operators and the observables all come from
+it.  ``build_hamiltonian`` assembles H on either kind of space the same
+way, by index arithmetic and no Kronecker products: each atomic hop J_1l
++ J_l1 (amplitude sqrt(n1 (n_l + 1)) for an atom moving from level 1 to
+level l) meets its mode's a + a^dagger, and the destination index is
+looked up in the space's own.  The whole-space matrix is parity-check's
+operator; the solves only ever build sector blocks.
 
 Parity sectors.  The left parity (-1)^(n3 + n_a) and the right parity
 (-1)^(n2 + n_b) both commute with H, so H splits exactly into four
@@ -35,8 +37,6 @@ the ascending array of the whole-space basis indices of its states,
 ``ParitySector.index``, so it keeps the whole-space order; its
 occupations are read back from the index formula, and a whole-space
 index maps into the sector by a binary search in ``index``.
-``build_hamiltonian`` on a ParitySector assembles that block from these
-indices alone; the whole-space matrix is never built.
 
 Solves.  The ground state comes from an implicitly restarted Lanczos
 iteration with an explicit residual acceptance test, falling back to
@@ -69,10 +69,11 @@ vector already solved; photon numbers move by about ten times it.
 
 A sector solved from the ``seed`` vector is a pure function of (params,
 sector, tol, seed), so those solves are memoized, one truncation's four
-sectors at a time.  A truncation accepted at ``default_cutoffs`` reuses
-that first (+, +) solve in its certificate, and solve_point on the
-truncation just certified (or any equal one) reuses the certificate's
-four.
+sectors at a time.  converge_cutoffs solves (+, +) from the seed at
+``default_cutoffs`` and again at the shrunk cutoffs, so the certificate
+reuses the (+, +) solve of the truncation it checks (unless that grew
+in ``hold_tail``), and solve_point on the truncation just certified (or
+any equal one) reuses the certificate's four.
 
 Every space is checked against DEFAULT_DIM_LIMIT, read at call time,
 before anything of its size is allocated; the limit applies to the
@@ -180,7 +181,7 @@ class ParitySector:
     @cached_property
     def index(self) -> np.ndarray:
         """Whole-space basis indices of the sector's states, ascending and read-only."""
-        left, right, _ = _parities(*_occupations(self.space))
+        left, right, _ = _parities(*_occupations(*_indexed(self.space)))
         index = np.flatnonzero((left == self.left) & (right == self.right))
         index.flags.writeable = False
         return index
@@ -260,87 +261,44 @@ def _atomic_states(n_atoms: int):
     return np.arange(n3.size) - _atom_index(n_atoms, 0, n3), n3
 
 
-def _occupations(space):
-    """n2, n3, n_a and n_b of the basis, broadcastable over its states.
-
-    For a TruncatedSpace the shapes are (S, 1, 1), (S, 1, 1), (A, 1) and
-    (B,) for S atomic states and A, B Fock levels; broadcast together,
-    their C-order ravel runs along the basis index.  For a ParitySector
-    all four are flat, in sector order.
-    """
+def _indexed(space) -> tuple[TruncatedSpace, np.ndarray]:
+    """The truncation a TruncatedSpace or ParitySector lives in, and its
+    ascending whole-space basis indices (all of them for a TruncatedSpace)."""
     if isinstance(space, ParitySector):
-        atom, n_a, n_b = np.unravel_index(space.index, space.space.shape)
-        n2, n3 = _atomic_states(space.space.basis.n_atoms)
-        return n2[atom], n3[atom], n_a, n_b
-    n2, n3 = _atomic_states(space.basis.n_atoms)
-    return (n2[:, None, None], n3[:, None, None],
-            np.arange(space.cutoff_a + 1)[:, None], np.arange(space.cutoff_b + 1))
+        return space.space, space.index
+    return space, np.arange(space.dimension)
 
 
-def _level1_hop(n_atoms: int, n2: np.ndarray, n3: np.ndarray, level: int) -> sparse.csr_matrix:
-    """J_1l + J_l1 on the atomic states (n2, n3), for level l = 2 or 3."""
-    from scipy import sparse
-    n1 = n_atoms - n2 - n3
-    src = np.flatnonzero(n1 > 0)
-    n_l = (n2 if level == 2 else n3)[src]
-    dst = _atom_index(n_atoms, n2[src] + (level == 2), n3[src] + (level == 3))
-    up = sparse.csr_matrix((np.sqrt(n1[src] * (n_l + 1)), (dst, src)),
-                           shape=(n2.size, n2.size))
-    return up + up.T
-
-
-def _position(levels: int) -> sparse.csr_matrix:
-    """a + a^dagger on a mode truncated to ``levels`` Fock states."""
-    from scipy import sparse
-    root = np.sqrt(np.arange(1.0, levels))
-    return sparse.diags([root, root], [-1, 1], format="csr")
+def _occupations(truncation: TruncatedSpace, index: np.ndarray):
+    """n2, n3, n_a and n_b of the basis states ``index`` of ``truncation``, in that order."""
+    atom, n_a, n_b = np.unravel_index(index, truncation.shape)
+    n2, n3 = _atomic_states(truncation.basis.n_atoms)
+    return n2[atom], n3[atom], n_a, n_b
 
 
 def build_hamiltonian(params: ModelParams, space) -> sparse.csr_matrix:
     """Assemble the collective Hamiltonian (real CSR) on a TruncatedSpace or one ParitySector.
 
-    The whole-space build is Kronecker products of the atomic and mode
-    operators; the sector build is index arithmetic on the sector alone.
+    Both are a set of whole-space basis indices, and H is assembled on
+    them alone, in their order: a ParitySector's block is, entry for
+    entry, the whole-space H restricted to it.  Every hop moves an atom
+    from level 1 to level l (3 with mode a, 2 with mode b) and the mode by
+    one quantum, which keeps both parities; it is listed once from its
+    source state and mirrored.
     """
     from scipy import sparse
-    truncation = space.space if isinstance(space, ParitySector) else space
+    truncation, index = _indexed(space)
     n_atoms = truncation.basis.n_atoms
     _check_dimension(n_atoms, truncation.cutoff_a, truncation.cutoff_b)
-    if isinstance(space, ParitySector):
-        return _sector_hamiltonian(params, space)
-    n2, n3, n_a, n_b = _occupations(space)
-    diagonal = (params.omega21 * n2 + params.omega31 * n3
-                + params.omega_a * n_a + params.omega_b * n_b)
-    x13 = _level1_hop(n_atoms, n2[:, 0, 0], n3[:, 0, 0], level=3)
-    x12 = _level1_hop(n_atoms, n2[:, 0, 0], n3[:, 0, 0], level=2)
-    na, nb = space.cutoff_a + 1, space.cutoff_b + 1
-    pos_a = sparse.kron(_position(na), sparse.identity(nb), format="csr")
-    pos_b = sparse.kron(sparse.identity(na), _position(nb), format="csr")
-    scale = 1.0 / math.sqrt(n_atoms)
-    return (sparse.diags(diagonal.ravel(), format="csr")
-            + params.g1 * scale * sparse.kron(x13, pos_a, format="csr")
-            + params.g2 * scale * sparse.kron(x12, pos_b, format="csr"))
-
-
-def _sector_hamiltonian(params: ModelParams, sector: ParitySector) -> sparse.csr_matrix:
-    """H on one parity sector, entry for entry the whole-space H restricted to it.
-
-    Every hop moves an atom from level 1 to level l (3 with mode a, 2
-    with mode b) and the mode by one quantum, which keeps both parities;
-    it is listed once from its source state and mirrored.
-    """
-    from scipy import sparse
-    space = sector.space
-    n_atoms = space.basis.n_atoms
-    n2, n3, n_a, n_b = _occupations(sector)
+    n2, n3, n_a, n_b = _occupations(truncation, index)
     n1 = n_atoms - n2 - n3
     diagonal = (params.omega21 * n2 + params.omega31 * n3
                 + params.omega_a * n_a + params.omega_b * n_b)
     rows, cols, values = [], [], []
     scale = 1.0 / math.sqrt(n_atoms)
     src = np.flatnonzero(n1 > 0)
-    for coupling, level, mode, cutoff in ((params.g1, 3, n_a, space.cutoff_a),
-                                          (params.g2, 2, n_b, space.cutoff_b)):
+    for coupling, level, mode, cutoff in ((params.g1, 3, n_a, truncation.cutoff_a),
+                                          (params.g2, 2, n_b, truncation.cutoff_b)):
         n_l = (n2 if level == 2 else n3)[src]
         dst_atom = _atom_index(n_atoms, n2[src] + (level == 2), n3[src] + (level == 3))
         atomic = np.sqrt(n1[src] * (n_l + 1))
@@ -349,17 +307,17 @@ def _sector_hamiltonian(params: ModelParams, sector: ParitySector) -> sparse.csr
             keep = (moved >= 0) & (moved <= cutoff)
             from_state, moved = src[keep], moved[keep]
             dst_a, dst_b = (moved, n_b[from_state]) if level == 3 else (n_a[from_state], moved)
-            dst = np.ravel_multi_index((dst_atom[keep], dst_a, dst_b), space.shape)
-            rows.append(np.searchsorted(sector.index, dst))
+            dst = np.ravel_multi_index((dst_atom[keep], dst_a, dst_b), truncation.shape)
+            rows.append(np.searchsorted(index, dst))
             cols.append(from_state)
             values.append(coupling * scale
                           * (atomic[keep] * np.sqrt(np.maximum(mode[from_state], moved))))
     rows, cols, values = (np.concatenate(part) for part in (rows, cols, values))
-    states = np.arange(sector.dimension)
+    states = np.arange(index.size)
     return sparse.csr_matrix(
         (np.concatenate([diagonal, values, values]),
          (np.concatenate([states, rows, cols]), np.concatenate([states, cols, rows]))),
-        shape=(sector.dimension, sector.dimension))
+        shape=(index.size, index.size))
 
 
 def _parities(n2, n3, n_a, n_b):
@@ -376,8 +334,8 @@ def _parities(n2, n3, n_a, n_b):
 def parity_operators(space: TruncatedSpace):
     """Diagonal parity operators (left, right, global) as sparse matrices."""
     from scipy import sparse
-    parities = np.broadcast_arrays(*_parities(*_occupations(space)))
-    return tuple(sparse.diags(p.ravel(), format="csr") for p in parities)
+    parities = _parities(*_occupations(*_indexed(space)))
+    return tuple(sparse.diags(p, format="csr") for p in parities)
 
 
 def parity_commutator_norms(params: ModelParams,
@@ -483,12 +441,10 @@ def lowest_two(h: sparse.csr_matrix, tol: float = 1e-10, seed: int = 0):
 def observables(space, state: np.ndarray, energy: float,
                 gap: float | None = None) -> GroundStateResult:
     """Scaled observables of a normalized state on a TruncatedSpace or one ParitySector."""
-    truncation = space.space if isinstance(space, ParitySector) else space
+    truncation, index = _indexed(space)
     n_atoms = truncation.basis.n_atoms
-    occupations = _occupations(space)
-    n2, n3, n_a, n_b = occupations
-    shape = np.broadcast_shapes(*(o.shape for o in occupations))
-    weights = np.abs(np.asarray(state).reshape(shape)) ** 2
+    n2, n3, n_a, n_b = _occupations(truncation, index)
+    weights = np.abs(np.asarray(state)) ** 2
 
     def mean(values) -> float:
         return float(np.sum(weights * values))
@@ -555,16 +511,6 @@ def _shrunk(marginal: np.ndarray, bound: float) -> int:
     return min(marginal.size - 1, above + TAIL_LEVELS - 1)
 
 
-def _warm_solve(params: ModelParams, sector: ParitySector, state: np.ndarray,
-                cutoffs: list[int], eig_tol: float, trace: list | None):
-    """(+, +) at ``cutoffs``, started from ``state`` moved there: (sector, energy, vector)."""
-    space = truncated_space(sector.space.basis.n_atoms, *cutoffs, trace=trace)
-    target = ParitySector(space, 1, 1)
-    energy, vector = ground_state(build_hamiltonian(params, target), tol=eig_tol,
-                                  start=_transfer(sector, state, target))
-    return target, energy, vector
-
-
 def hold_tail(params: ModelParams, sector: ParitySector, energy: float, state: np.ndarray,
               tol: float = 1e-4, eig_tol: float = 1e-8, trace: list | None = None):
     """Grow a (+, +) sector until each mode's tail weight is below tol / TAIL_RATIO.
@@ -592,7 +538,11 @@ def hold_tail(params: ModelParams, sector: ParitySector, energy: float, state: n
             return sector, energy, state
         cutoffs = [math.ceil(GROWTH * (m.size - 1)) if w >= bound else m.size - 1
                    for m, w in zip(marginals, weights)]
-        sector, energy, state = _warm_solve(params, sector, state, cutoffs, eig_tol, trace)
+        grown = ParitySector(truncated_space(sector.space.basis.n_atoms, *cutoffs, trace=trace),
+                             1, 1)
+        energy, state = ground_state(build_hamiltonian(params, grown), tol=eig_tol,
+                                     start=_transfer(sector, state, grown))
+        sector = grown
 
 
 class _SectorGround(NamedTuple):
@@ -636,30 +586,32 @@ def converge_cutoffs(params: ModelParams, n_atoms: int, start: tuple[int, int] |
     The (+, +) sector is solved at ``start`` (default: ``default_cutoffs``)
     from the ``seed`` vector and grown by ``hold_tail`` until both tail
     weights pass.  It is then shrunk once, to the smallest cutoffs its
-    marginals allow, solved there from the restricted vector and held by
+    marginals allow, solved there from the ``seed`` vector and held by
     ``hold_tail`` again, which keeps it when its own weights pass.  Last,
     the certificate: no other parity sector's ground energy may lie below
     the (+, +) one by more than its solve's error bound, or both modes
-    grow by GROWTH and the tail check and certificate run again.  Returns
-    ``(space, trace)``, where ``trace`` records every truncation solved,
-    with its tail weights.  Raises ValueError for a tolerance that is not
-    finite and positive or a negative seed, and CapacityError (with the
-    trace attached) if the dimension limit is hit first.
+    grow by GROWTH, are solved there from the seed, and the tail check
+    and certificate run again.  Each (+, +) seed solve is memoized, so the
+    certificate reuses it.  Returns ``(space, trace)``, where ``trace``
+    records every truncation solved, with its tail weights.  Raises
+    ValueError for a tolerance that is not finite and positive or a
+    negative seed, and CapacityError (with the trace attached) if the
+    dimension limit is hit first.
     """
     _check_solver_settings(seed, {"photon-number tolerance tol": tol,
                                   "eigensolver tolerance eig_tol": eig_tol})
     trace = []
-    cutoffs = start if start is not None else default_cutoffs(params, n_atoms)
-    first = _sector_ground(params, ParitySector(truncated_space(n_atoms, *cutoffs, trace=trace),
-                                                1, 1), eig_tol, seed)
-    sector, _, state = hold_tail(params, first.sector, first.energy, first.vector, tol, eig_tol,
-                                 trace)
+
+    def held(cutoffs):
+        even = _sector_ground(params, ParitySector(truncated_space(n_atoms, *cutoffs, trace=trace),
+                                                   1, 1), eig_tol, seed)
+        return hold_tail(params, even.sector, even.energy, even.vector, tol, eig_tol, trace)
+
+    sector, _, state = held(start if start is not None else default_cutoffs(params, n_atoms))
     cutoffs = [_shrunk(m, tol / TAIL_RATIO) for m in _marginals(sector, state)]
     while True:
         if cutoffs != [sector.space.cutoff_a, sector.space.cutoff_b]:
-            sector, _, state = hold_tail(
-                params, *_warm_solve(params, sector, state, cutoffs, eig_tol, trace), tol,
-                eig_tol, trace)
+            sector, _, state = held(cutoffs)
         even, *others = _sector_grounds(params, sector.space, eig_tol, seed)
         if not any(g.energy < even.energy - g.error for g in others):
             return sector.space, trace

@@ -282,8 +282,10 @@ def records_to_csv_text(records: list[SweepRecord]) -> str:
     cols = {name: np.array([getattr(r, name) for r in records]) for name in names}
     codes = np.array([PHASES.index(label) for label in cols.pop("phase")], dtype=np.int8)
     # Records carry neither psi1 nor the valley flag; both follow from
-    # the columns they do carry, as in classify_arrays.
-    psi1 = np.sqrt(np.maximum(0.0, 1.0 - np.square(cols["psi2"]) - np.square(cols["psi3"])))
+    # the columns they do carry, as in classify_arrays.  psi1 is never
+    # written, so a square that overflows (clamped to 0 here) is harmless.
+    with np.errstate(over="ignore"):
+        psi1 = np.sqrt(np.maximum(0.0, 1.0 - np.square(cols["psi2"]) - np.square(cols["psi3"])))
     phases = PhaseArrays(phase=codes, psi1=psi1, degenerate_valley=codes == 3,
                          **{name: cols.pop(name) for name in CSV_COLUMNS[3:]})
     buffer = io.StringIO()

@@ -50,6 +50,20 @@ def test_basis_size_is_triangular():
             assert min(n1, n2, n3) >= 0
 
 
+def test_atomic_layout_is_the_basis_order():
+    for n in range(1, 13):
+        states = build_basis(n).states
+        n2, n3 = exactdiag._atomic_states(n)
+        assert list(zip(n2.tolist(), n3.tolist())) == [(s[1], s[2]) for s in states]
+        assert np.array_equal(exactdiag._atom_index(n, n2, n3), np.arange(len(states)))
+        # and the other way round, from every (n2, n3) with n2 + n3 <= n
+        pairs = np.array([(a, b) for a in range(n + 1) for b in range(n + 1 - a)])
+        positions = exactdiag._atom_index(n, pairs[:, 0], pairs[:, 1])
+        assert sorted(positions.tolist()) == list(range(len(states)))
+        assert np.array_equal(n2[positions], pairs[:, 0])
+        assert np.array_equal(n3[positions], pairs[:, 1])
+
+
 def test_basis_enumeration_order():
     basis = build_basis(2)
     assert basis.states == (
@@ -122,8 +136,21 @@ def test_hamiltonian_matches_explicit_tensor_product():
             ca, cb = (1, 1) if trial == 0 else (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
             full_iso = np.kron(np.kron(iso, np.eye(ca + 1)), np.eye(cb + 1))
             projected = full_iso.T @ _explicit_hamiltonian(p, n, ca, cb) @ full_iso
-            got = build_hamiltonian(p, TruncatedSpace(basis, ca, cb)).toarray()
+            space = TruncatedSpace(basis, ca, cb)
+            got = build_hamiltonian(p, space).toarray()
             assert np.max(np.abs(got - projected)) <= 1e-13, (n, trial, ca, cb)
+            # each parity block is the projected H restricted to its states,
+            # with the parities read off the basis enumeration itself
+            occupations = np.array([(n2, n3, na, nb) for _, n2, n3 in basis.states
+                                    for na in range(ca + 1) for nb in range(cb + 1)])
+            n2, n3, na, nb = occupations.T
+            for left, right in PARITY_SECTORS:
+                mask = ((-1) ** (n3 + na) == left) & ((-1) ** (n2 + nb) == right)
+                block = build_hamiltonian(p, ParitySector(space, left, right)).toarray()
+                expected = projected[np.ix_(mask, mask)]
+                assert block.shape == expected.shape
+                assert np.max(np.abs(block - expected)) <= 1e-13, (n, trial, left, right)
+
 
 def test_hamiltonian_is_real_symmetric():
     p = ModelParams(omega21=0.9, omega31=1.4, omega_a=1.1, omega_b=0.7,
