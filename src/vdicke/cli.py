@@ -447,6 +447,10 @@ def run(argv=None) -> int:
     except ValueError as exc:  # ConfigError and DomainError among them
         print(f"vdicke {command.name}: configuration error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # a closed form overflowed or divided by an underflowed 0
+        print(f"vdicke {command.name}: configuration error: the inputs lie outside the range "
+              f"the closed forms can represent ({type(exc).__name__}: {exc})", file=sys.stderr)
+        return 2
 
 
 def _trials(exc: Exception) -> str:

@@ -482,16 +482,11 @@ def default_cutoffs(params: ModelParams, n_atoms: int) -> tuple[int, int]:
 
 
 def _transfer(sector: ParitySector, state: np.ndarray, target: ParitySector) -> np.ndarray:
-    """``state`` on ``sector`` as a vector on ``target`` (same atoms and parities).
-
-    Levels that ``target`` adds are zero-padded and levels it drops are
-    cut off, so the vector is the same state wherever both cutoffs hold.
-    """
-    atom, n_a, n_b = np.unravel_index(sector.index, sector.space.shape)
-    keep = (n_a <= target.space.cutoff_a) & (n_b <= target.space.cutoff_b)
+    """``state`` on ``sector`` zero-padded to ``target``: the same atoms and
+    parities, and no cutoff lower (a lower one raises ValueError)."""
     moved = np.zeros(target.dimension)
     moved[np.searchsorted(target.index, np.ravel_multi_index(
-        (atom[keep], n_a[keep], n_b[keep]), target.space.shape))] = state[keep]
+        np.unravel_index(sector.index, sector.space.shape), target.space.shape))] = state
     return moved
 
 
@@ -579,24 +574,23 @@ def _check_solver_settings(seed: int, tolerances: dict[str, float]) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
-def converge_cutoffs(params: ModelParams, n_atoms: int, start: tuple[int, int] | None = None,
-                     tol: float = 1e-4, eig_tol: float = 1e-8, seed: int = 0):
+def converge_cutoffs(params: ModelParams, n_atoms: int, tol: float = 1e-4, eig_tol: float = 1e-8,
+                     seed: int = 0):
     """The boson cutoffs that hold the ground state: each mode's tail weight below tol / TAIL_RATIO.
 
-    The (+, +) sector is solved at ``start`` (default: ``default_cutoffs``)
-    from the ``seed`` vector and grown by ``hold_tail`` until both tail
-    weights pass.  It is then shrunk once, to the smallest cutoffs its
-    marginals allow, solved there from the ``seed`` vector and held by
-    ``hold_tail`` again, which keeps it when its own weights pass.  Last,
-    the certificate: no other parity sector's ground energy may lie below
-    the (+, +) one by more than its solve's error bound, or both modes
-    grow by GROWTH, are solved there from the seed, and the tail check
-    and certificate run again.  Each (+, +) seed solve is memoized, so the
-    certificate reuses it.  Returns ``(space, trace)``, where ``trace``
-    records every truncation solved, with its tail weights.  Raises
-    ValueError for a tolerance that is not finite and positive or a
-    negative seed, and CapacityError (with the trace attached) if the
-    dimension limit is hit first.
+    The (+, +) sector is solved at ``default_cutoffs`` from the ``seed``
+    vector and grown by ``hold_tail`` until both tail weights pass.  It is
+    then shrunk once, to the smallest cutoffs its marginals allow, solved
+    there from the ``seed`` vector and held by ``hold_tail`` again, which
+    keeps it when its own weights pass.  Last, the certificate: no other
+    parity sector's ground energy may lie below the (+, +) one by more
+    than its solve's error bound, or both modes grow by GROWTH, are solved
+    there from the seed, and the tail check and certificate run again.
+    Each (+, +) seed solve is memoized, so the certificate reuses it.
+    Returns ``(space, trace)``, where ``trace`` records every truncation
+    solved, with its tail weights.  Raises ValueError for a tolerance that
+    is not finite and positive or a negative seed, and CapacityError (with
+    the trace attached) if the dimension limit is hit first.
     """
     _check_solver_settings(seed, {"photon-number tolerance tol": tol,
                                   "eigensolver tolerance eig_tol": eig_tol})
@@ -607,7 +601,7 @@ def converge_cutoffs(params: ModelParams, n_atoms: int, start: tuple[int, int] |
                                                    1, 1), eig_tol, seed)
         return hold_tail(params, even.sector, even.energy, even.vector, tol, eig_tol, trace)
 
-    sector, _, state = held(start if start is not None else default_cutoffs(params, n_atoms))
+    sector, _, state = held(default_cutoffs(params, n_atoms))
     cutoffs = [_shrunk(m, tol / TAIL_RATIO) for m in _marginals(sector, state)]
     while True:
         if cutoffs != [sector.space.cutoff_a, sector.space.cutoff_b]:

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BracketError, DomainError
-from .model import ModelParams, critical_g1, critical_g2, mu_left, mu_right
+from .model import ModelParams, critical_g1, critical_g2, mu_left
 
 __all__ = [
     "QuadraticBosonForm",
@@ -68,16 +68,12 @@ class FluctuationSpectrum:
     eps_minus_sq: float
 
 
-def _closed_form_squares(form: QuadraticBosonForm) -> tuple[float, float]:
+def diagonalize(form: QuadraticBosonForm) -> FluctuationSpectrum:
+    """Eigenfrequencies of one two-mode block, from the closed form."""
     w1sq = form.freq1 ** 2
     w2sq = form.freq2 ** 2
     root = math.sqrt((w1sq - w2sq) ** 2 + 16.0 * form.coupling ** 2 * form.freq1 * form.freq2)
-    return 0.5 * (w1sq + w2sq - root), 0.5 * (w1sq + w2sq + root)
-
-
-def diagonalize(form: QuadraticBosonForm) -> FluctuationSpectrum:
-    """Eigenfrequencies of one two-mode block, from the closed form."""
-    lo_sq, hi_sq = _closed_form_squares(form)
+    lo_sq, hi_sq = 0.5 * (w1sq + w2sq - root), 0.5 * (w1sq + w2sq + root)
     scale = max(1.0, abs(hi_sq))
     stable = lo_sq >= -1e-12 * scale
     eps_minus = math.sqrt(lo_sq) if lo_sq > 0.0 else 0.0
@@ -91,9 +87,7 @@ def diagonalize(form: QuadraticBosonForm) -> FluctuationSpectrum:
 
 def normal_phase_forms(params: ModelParams) -> tuple[QuadraticBosonForm, QuadraticBosonForm]:
     """Fluctuation blocks about the normal state: (left, right)."""
-    left = QuadraticBosonForm(params.omega_a, params.omega31, params.g1)
-    right = QuadraticBosonForm(params.omega_b, params.omega21, params.g2)
-    return left, right
+    return tuple(QuadraticBosonForm(p.omega_a, p.omega31, p.g1) for p in (params, params.mirrored()))
 
 
 def right_branch_form(params: ModelParams) -> QuadraticBosonForm:
@@ -121,10 +115,7 @@ def left_branch_form(params: ModelParams) -> QuadraticBosonForm:
         raise DomainError(
             f"left_branch_form requires g2 >= {critical_g2(params)!r}; got g2 = {params.g2!r}"
         )
-    mu = mu_right(params)
-    shifted = params.omega31 + params.omega21 * (1.0 - mu) / (2.0 * mu)
-    dressed = params.g1 * math.sqrt((1.0 + mu) / 2.0)
-    return QuadraticBosonForm(params.omega_a, shifted, dressed)
+    return right_branch_form(params.mirrored())
 
 
 def critical_coupling_by_zero_mode(form_family, bracket, tol: float = 1e-12) -> float:

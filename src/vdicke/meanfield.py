@@ -39,7 +39,6 @@ __all__ = [
     "MeanFieldSolution",
     "energy",
     "gradient",
-    "stationarity_brackets",
     "on_degenerate_line",
     "stationary_branches",
     "PhaseArrays",
@@ -130,38 +129,31 @@ def _energy_raw(params: ModelParams, psi2, psi3):
     )
 
 
-def stationarity_brackets(params: ModelParams, psi2, psi3):
-    """The two bracket factors whose zeros (or psi = 0) give stationarity.
+def gradient(params: ModelParams, psi2, psi3):
+    """Analytic gradient of :func:`energy` with respect to (psi2, psi3).
 
     gradient = (2*psi2*bracket2, 2*psi3*bracket3) with
 
         bracket2 = omega21 + a*psi3^2 + b*psi2^2 - b*psi1^2
         bracket3 = omega31 + b*psi2^2 + a*psi3^2 - a*psi1^2
 
-    and a = 4*g1^2/omega_a, b = 4*g2^2/omega_b.
+    and a = 4*g1^2/omega_a, b = 4*g2^2/omega_b; stationarity needs each
+    bracket or its amplitude to vanish.
     """
     a = 4.0 * params.g1 ** 2 / params.omega_a
     b = 4.0 * params.g2 ** 2 / params.omega_b
-    s2 = np.asarray(psi2, dtype=float) ** 2
-    s3 = np.asarray(psi3, dtype=float) ** 2
+    psi2, psi3 = np.asarray(psi2, dtype=float), np.asarray(psi3, dtype=float)
+    s2, s3 = psi2 ** 2, psi3 ** 2
     psi1_sq = 1.0 - s2 - s3
-    bracket2 = params.omega21 + a * s3 + b * s2 - b * psi1_sq
-    bracket3 = params.omega31 + b * s2 + a * s3 - a * psi1_sq
-    return bracket2, bracket3
-
-
-def gradient(params: ModelParams, psi2, psi3):
-    """Analytic gradient of :func:`energy` with respect to (psi2, psi3)."""
-    bracket2, bracket3 = stationarity_brackets(params, psi2, psi3)
-    g2c = 2.0 * np.asarray(psi2, dtype=float) * bracket2
-    g3c = 2.0 * np.asarray(psi3, dtype=float) * bracket3
+    g2c = 2.0 * psi2 * (params.omega21 + a * s3 + b * s2 - b * psi1_sq)
+    g3c = 2.0 * psi3 * (params.omega31 + b * s2 + a * s3 - a * psi1_sq)
     if g2c.ndim == 0:
         return float(g2c), float(g3c)
     return g2c, g3c
 
 
-def _solution(params, psi2, psi3, phase, *, energy_value=None, degeneracy=None,
-              physical=True, bistable=False, degenerate_valley=False):
+def _solution(params, psi2, psi3, phase, *, energy_value=None, physical=True,
+              bistable=False, degenerate_valley=False):
     # x * x rounds as np.square does, so entries match classify_arrays bitwise.
     psi1 = math.sqrt(max(0.0, 1.0 - psi2 * psi2 - psi3 * psi3))
     if energy_value is None:
@@ -175,7 +167,7 @@ def _solution(params, psi2, psi3, phase, *, energy_value=None, degeneracy=None,
         energy=float(energy_value),
         phase=phase,
         bistable=bistable,
-        degeneracy=degeneracy if degeneracy is not None else _DEGENERACY[phase],
+        degeneracy=_DEGENERACY[phase],
         physical=physical,
         degenerate_valley=degenerate_valley,
     )
@@ -190,13 +182,12 @@ def on_degenerate_line(params: ModelParams) -> bool:
     return bool(_branch_table(*astuple(params)).degenerate)
 
 
-def _generic_mixed_squares(params: ModelParams):
-    """Squared amplitudes of the generic mixed stationary point (alpha != beta)."""
+def _generic_mixed_square(params: ModelParams) -> float:
+    """psi2^2 of the generic mixed stationary point (alpha != beta); its
+    psi3^2 is this on the mirrored model."""
     alpha, beta = alpha_beta(params)
-    denom = (alpha - beta) ** 2
-    s2 = (2.0 * alpha * (params.omega21 - beta) - (params.omega31 - alpha) * (alpha + beta)) / denom
-    s3 = (2.0 * beta * (params.omega31 - alpha) - (params.omega21 - beta) * (alpha + beta)) / denom
-    return s2, s3
+    return (2.0 * alpha * (params.omega21 - beta)
+            - (params.omega31 - alpha) * (alpha + beta)) / (alpha - beta) ** 2
 
 
 def stationary_branches(params: ModelParams) -> list[MeanFieldSolution]:
@@ -230,7 +221,7 @@ def stationary_branches(params: ModelParams) -> list[MeanFieldSolution]:
     elif not t.degenerate and params.g1 > 0.0 and params.g2 > 0.0:
         alpha, beta = alpha_beta(params)
         if abs(alpha - beta) > DEGENERATE_LINE_RTOL * max(alpha, beta):
-            s2, s3 = _generic_mixed_squares(params)
+            s2, s3 = _generic_mixed_square(params), _generic_mixed_square(params.mirrored())
             if s2 > 1e-12 and s3 > 1e-12 and s2 + s3 <= 1.0 + 1e-12:
                 out += copies(math.sqrt(s2), math.sqrt(min(s3, 1.0 - s2)),
                               PhaseLabel.LEFT_RIGHT_SR, None, _FOUR_SIGNS, physical=False)
@@ -289,31 +280,14 @@ def _branch_table(omega21, omega31, omega_a, omega_b, g1, g2) -> _BranchTable:
     """
     w21, w31, wa, wb, g1, g2 = (np.asarray(v, dtype=float)
                                 for v in (omega21, omega31, omega_a, omega_b, g1, g2))
-    gc1 = 0.5 * np.sqrt(wa * w31)
-    gc2 = 0.5 * np.sqrt(wb * w21)
-    has_left = g1 >= gc1
-    has_right = g2 >= gc2
-    # Where a coupling is 0 its mu is infinite and the branch quantities
-    # below are inf or nan, and near 0 they overflow (hence the errstate);
-    # every use of them is masked by has_left, has_right or the
-    # degenerate-line test.  Squares use np.square, which rounds alike for
-    # one point and for many (** on numpy scalars goes through C pow,
-    # which can differ by one ulp).
-    mul = np.square(gc1 / g1)
-    mur = np.square(gc2 / g2)
-    alpha = 4.0 * np.square(g1) / wa
-    beta = 4.0 * np.square(g2) / wb
-    e_left = -w31 * np.square(1.0 - mul) / (4.0 * mul)
-    e_right = -w21 * np.square(1.0 - mur) / (4.0 * mur)
-    gt2 = 0.5 * np.sqrt(1.0 / (1.0 + mul)) * np.sqrt(2.0 * w21 * wb + w31 * wb * (1.0 - mul) / mul)
-    gt1 = 0.5 * np.sqrt(1.0 / (1.0 + mur)) * np.sqrt(2.0 * w31 * wa + w21 * wa * (1.0 - mur) / mur)
+    # The right branch is the left one with the two branches' arguments swapped.
+    has_left, mul, alpha, e_left, gt2, psi3_left, psi3_valley = _condensate(w31, wa, g1, w21, wb)
+    has_right, mur, beta, e_right, gt1, psi2_right, psi2_valley = _condensate(w21, wb, g2, w31, wa)
     degenerate = ((g1 > 0.0) & (g2 > 0.0)
                   & (np.abs(alpha - beta) <= DEGENERATE_LINE_RTOL * np.maximum(alpha, beta))
                   & (np.abs(w21 - w31) <= DEGENERATE_LINE_RTOL * np.maximum(w21, w31)))
     valley = degenerate & (mul < 1.0)
 
-    e_left = np.where(has_left, e_left, np.inf)
-    e_right = np.where(has_right, e_right, np.inf)
     tie = (has_left & has_right & (np.abs(e_left - e_right) <= ENERGY_TIE_TOL)
            & (np.minimum(e_left, e_right) < 0.0))
     # Both condensates exist and each is strictly stable against the
@@ -323,14 +297,31 @@ def _branch_table(omega21, omega31, omega_a, omega_b, g1, g2) -> _BranchTable:
     # connected ground manifold, not a pair of competing minima.
     both_stable = has_left & has_right & (g2 < gt2) & (g1 < gt1)
     bistable = ~valley & (tie | (~degenerate & both_stable))
-    return _BranchTable(
-        has_left, has_right, degenerate, valley, mul, mur, gt1, gt2, e_left, e_right,
-        psi3_left=np.sqrt(np.maximum(0.0, (1.0 - mul) / 2.0)),
-        psi2_right=np.sqrt(np.maximum(0.0, (1.0 - mur) / 2.0)),
-        psi2_valley=np.sqrt(np.maximum(0.0, 1.0 - mur)) / 2.0,
-        psi3_valley=np.sqrt(np.maximum(0.0, 1.0 - mul)) / 2.0,
-        tie=tie, bistable=bistable,
-    )
+    return _BranchTable(has_left, has_right, degenerate, valley, mul, mur, gt1, gt2, e_left,
+                        e_right, psi3_left, psi2_right, psi2_valley, psi3_valley, tie, bistable)
+
+
+def _condensate(w, w_mode, g, w_other, w_mode_other):
+    """The left branch's condensate closed forms at broadcast points.
+
+    For a branch of transition frequency w, mode frequency w_mode and
+    coupling g, the other branch's being w_other and w_mode_other, returns
+    (exists, mu, alpha, energy (+inf where it does not exist), the other
+    branch's renormalized threshold, amplitude, valley amplitude).  Where
+    g is 0, mu is infinite and the rest inf or nan, and near 0 they
+    overflow (hence _branch_table's errstate); every use is masked by
+    ``exists`` or the degenerate-line test.  Squares use np.square, which
+    rounds alike for one point and for many (** on numpy scalars goes
+    through C pow, which can differ by one ulp).
+    """
+    gc = 0.5 * np.sqrt(w_mode * w)
+    exists = g >= gc
+    mu = np.square(gc / g)
+    energy = np.where(exists, -w * np.square(1.0 - mu) / (4.0 * mu), np.inf)
+    threshold = 0.5 * np.sqrt(1.0 / (1.0 + mu)) * np.sqrt(
+        2.0 * w_other * w_mode_other + w * w_mode_other * (1.0 - mu) / mu)
+    return (exists, mu, 4.0 * np.square(g) / w_mode, energy, threshold,
+            np.sqrt(np.maximum(0.0, (1.0 - mu) / 2.0)), np.sqrt(np.maximum(0.0, 1.0 - mu)) / 2.0)
 
 
 def classify_arrays(omega21, omega31, omega_a, omega_b, g1, g2) -> PhaseArrays:
@@ -364,20 +355,10 @@ def classify_arrays(omega21, omega31, omega_a, omega_b, g1, g2) -> PhaseArrays:
 
 def classify(params: ModelParams) -> MeanFieldSolution:
     """Global minimum of the energy surface: :func:`classify_arrays` at one point."""
-    result = classify_arrays(*astuple(params))
-    phase = PHASES[int(result.phase)]
-    return MeanFieldSolution(
-        psi1=float(result.psi1),
-        psi2=float(result.psi2),
-        psi3=float(result.psi3),
-        phi_a=float(result.phi_a),
-        phi_b=float(result.phi_b),
-        energy=float(result.energy),
-        phase=phase,
-        bistable=bool(result.bistable),
-        degeneracy=_DEGENERACY[phase],
-        degenerate_valley=bool(result.degenerate_valley),
-    )
+    r = classify_arrays(*astuple(params))
+    return _solution(params, float(r.psi2), float(r.psi3), PHASES[int(r.phase)],
+                     energy_value=r.energy, bistable=bool(r.bistable),
+                     degenerate_valley=bool(r.degenerate_valley))
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,14 @@ class ModelParams:
             if value < 0.0 or not math.isfinite(value):
                 raise ValueError(f"{name} must be a nonnegative finite number, got {value!r}")
 
+    def mirrored(self) -> ModelParams:
+        """The model with its branches exchanged: omega21<->omega31, omega_a<->omega_b, g1<->g2.
+
+        This maps LeftSR onto RightSR, so every right-branch closed form
+        is its left-branch twin evaluated on the mirrored model.
+        """
+        return ModelParams(self.omega31, self.omega21, self.omega_b, self.omega_a, self.g2, self.g1)
+
 
 def critical_g1(params: ModelParams) -> float:
     """Bare superradiant threshold of the left branch, sqrt(omega_a*omega31)/2."""
@@ -85,7 +93,7 @@ def critical_g1(params: ModelParams) -> float:
 
 def critical_g2(params: ModelParams) -> float:
     """Bare superradiant threshold of the right branch, sqrt(omega_b*omega21)/2."""
-    return 0.5 * math.sqrt(params.omega_b * params.omega21)
+    return critical_g1(params.mirrored())
 
 
 def mu_left(params: ModelParams) -> float:
@@ -103,7 +111,7 @@ def mu_right(params: ModelParams) -> float:
     """Squared ratio of the right bare threshold to the actual coupling."""
     if params.g2 == 0.0:
         raise DomainError("mu_right is undefined at g2 = 0")
-    return (critical_g2(params) / params.g2) ** 2
+    return mu_left(params.mirrored())
 
 
 def renormalized_critical_g2(params: ModelParams) -> float:
@@ -130,9 +138,7 @@ def renormalized_critical_g1(params: ModelParams) -> float:
         raise DomainError(
             f"renormalized_critical_g1 requires g2 >= {gc2!r} (right branch condensed); got g2 = {params.g2!r}"
         )
-    mu = mu_right(params)
-    inner = 2.0 * params.omega31 * params.omega_a + params.omega21 * params.omega_a * (1.0 - mu) / mu
-    return 0.5 * math.sqrt(1.0 / (1.0 + mu)) * math.sqrt(inner)
+    return renormalized_critical_g2(params.mirrored())
 
 
 def alpha_beta(params: ModelParams) -> tuple[float, float]:

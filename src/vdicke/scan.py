@@ -217,10 +217,8 @@ def ed_sweep(base: ModelParams, g1, g2, n_atoms: int, cutoff_tol: float = 1e-4,
     sweep = [replace(base, g1=a, g2=b) for a, b in zip(table.g1.tolist(), table.g2.tolist())]
     defaults = [exactdiag.default_cutoffs(p, n_atoms) for p in sweep]
     widest = max(range(len(sweep)), key=lambda i: defaults[i][0] * defaults[i][1])
-    space, _ = exactdiag.converge_cutoffs(
-        sweep[widest], n_atoms, start=defaults[widest], tol=cutoff_tol,
-        eig_tol=eig_tol, seed=seed,
-    )
+    space, _ = exactdiag.converge_cutoffs(sweep[widest], n_atoms, tol=cutoff_tol,
+                                          eig_tol=eig_tol, seed=seed)
     sector = exactdiag.ParitySector(space, 1, 1)
     rows = len(sweep)
     photon_a, photon_b = np.empty(rows), np.empty(rows)

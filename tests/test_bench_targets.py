@@ -1,9 +1,11 @@
 """The benchmark's traced pass patches package functions by name.
 
-bench/tracing.py lists them in TARGETS and replaces exactdiag's eigsh.
-A rename that breaks one of them should fail here, not in a traced run.
+bench/tracing.py lists them in TARGETS and replaces exactdiag's eigsh,
+and the bench scripts import and call further package names.  A rename
+that breaks one of them should fail here, not in a benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -14,7 +16,8 @@ from vdicke import exactdiag
 from vdicke.errors import ConvergenceError
 from vdicke.model import ModelParams
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def _targets():
@@ -31,6 +34,55 @@ def test_every_traced_name_resolves():
         assert callable(getattr(importlib.import_module(module_name), func_name, None)), (
             module_name, func_name)
     assert callable(importlib.import_module("vdicke.exactdiag").eigsh)
+
+
+def _vdicke_names(tree: ast.AST) -> set[str]:
+    """Dotted vdicke names a script imports, and those it reads off a name it imported."""
+    bound, names = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "vdicke":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "vdicke":
+                    bound[alias.asname or "vdicke"] = alias.name if alias.asname else "vdicke"
+                    names.add(alias.name)
+    names.update(bound.values())
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in bound:
+            names.add(".".join([bound[node.id], *chain]))
+    return names
+
+
+def _resolves(dotted: str) -> bool:
+    """True when the longest importable prefix of ``dotted`` has the rest as attributes."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attr in parts[split:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def test_every_vdicke_name_the_bench_scripts_use_resolves():
+    names = set().union(*(_vdicke_names(ast.parse(script.read_text(encoding="utf-8")))
+                          for script in sorted(BENCH.glob("*.py"))))
+    # the point queries call fluctuation forms that no traced target covers
+    assert {"vdicke.fluctuations.left_branch_form", "vdicke.fluctuations.right_branch_form",
+            "vdicke.fluctuations.normal_phase_forms", "vdicke.cli.run"} <= names
+    assert not _resolves("vdicke.fluctuations.no_such_form")
+    assert sorted(name for name in names if not _resolves(name)) == []
 
 
 def test_every_arpack_run_goes_through_the_patched_eigsh(monkeypatch):

@@ -444,6 +444,7 @@ def test_missing_required_option_exits_2():
 
 _ED_POINT = ["ed", "--N", "2", "--g1", "0.6", "--g2", "0.3"]
 _ED_SWEEP = ["ed", "--N", "2", "--g2", "0.3", "--g1-min", "0.5", "--g1-max", "1", "--steps", "3"]
+_UNREPRESENTABLE = "the inputs lie outside the range the closed forms can represent"
 
 
 # every numeric flag at its bound, and every ed flag outside its mode:
@@ -475,6 +476,19 @@ _ED_SWEEP = ["ed", "--N", "2", "--g2", "0.3", "--g1-min", "0.5", "--g1-max", "1"
      "--cutoff-a and --cutoff-b set a single point's truncation"),
     (_ED_SWEEP + ["--cutoff-b", "5"], "--cutoff-a and --cutoff-b set a single point's truncation"),
     (_ED_POINT + ["--diagonal"], "--diagonal applies to an ed sweep only"),
+    # couplings whose closed forms overflow or divide by an underflowed mu
+    (["critical", "--g1", "1e-200"], _UNREPRESENTABLE),
+    (["critical", "--g1", "1e200"], _UNREPRESENTABLE),
+    (["boundary", "--which", "gtilde_c2", "--from", "1", "--to", "1e200", "--steps", "2"],
+     _UNREPRESENTABLE),
+    (["spectrum", "--g1", "1e300", "--g2", "1e300"], _UNREPRESENTABLE),
+    (["ed", "--N", "2", "--g1", "1e200"], _UNREPRESENTABLE),
+    # and their mirrors on the right branch
+    (["critical", "--g2", "1e-200"], _UNREPRESENTABLE),
+    (["critical", "--g2", "1e200"], _UNREPRESENTABLE),
+    (["boundary", "--which", "gtilde_c1", "--from", "1", "--to", "1e200", "--steps", "2"],
+     _UNREPRESENTABLE),
+    (["ed", "--N", "2", "--g2", "1e200"], _UNREPRESENTABLE),
 ])
 def test_numeric_flag_at_its_bound_exits_2(argv, message, tmp_path, capsys, monkeypatch):
     def no_solve(*args, **kwargs):
@@ -484,5 +498,7 @@ def test_numeric_flag_at_its_bound_exits_2(argv, message, tmp_path, capsys, monk
     monkeypatch.setattr(exactdiag, "lowest_two", no_solve)
     out = tmp_path / "out"
     assert run(argv + ["--output", str(out)]) == 2
-    assert f"configuration error: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"configuration error: {message}" in err
+    assert "Traceback" not in err and err.count("\n") == 1
     assert not out.exists()

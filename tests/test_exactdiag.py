@@ -37,6 +37,13 @@ def _swap_params(p: ModelParams) -> ModelParams:
                        g1=p.g2, g2=p.g1)
 
 
+def test_mirrored_is_the_branch_swap_and_an_involution():
+    for p in (ModelParams(), ModelParams(1.0, 1.7, 0.8, 1.3, 0.75, 0.6),
+              ModelParams(omega31=2.0, omega_b=0.5, g1=0.4)):
+        assert p.mirrored() == _swap_params(p)
+        assert p.mirrored().mirrored() == p
+
+
 # ---------------------------------------------------------------------------
 # basis bookkeeping
 
@@ -365,8 +372,9 @@ def test_converge_cutoffs_capacity_error_carries_trace(monkeypatch):
     # from (4, 4), mode a's tail weight fails and grows it; the first growth
     # step (to 6) fits under the limit, the second (to 9) does not
     monkeypatch.setattr(exactdiag, "DEFAULT_DIM_LIMIT", 1000)
+    monkeypatch.setattr(exactdiag, "default_cutoffs", lambda params, n_atoms: (4, 4))
     with pytest.raises(CapacityError, match="dimension limit 1000") as err:
-        converge_cutoffs(ModelParams(g1=0.9), 6, start=(4, 4))
+        converge_cutoffs(ModelParams(g1=0.9), 6)
     trace = err.value.trace
     assert [(t["cutoff_a"], t["cutoff_b"]) for t in trace] == [(4, 4), (6, 4)]
     assert all(t["weight_a"] >= 1e-4 / exactdiag.TAIL_RATIO for t in trace)
@@ -497,9 +505,10 @@ def test_warm_started_sweep_agrees_with_cold_solves():
             getattr(observables(small, vec, energy), name), abs=1e-14)
     h_large = build_hamiltonian(p, large)
     assert float(padded @ (h_large @ padded)) == pytest.approx(energy, abs=1e-9)
-    # and moved back, the levels the smaller truncation drops are cut off:
-    # the same vector again
-    assert np.array_equal(exactdiag._transfer(large, padded, small), vec)
+    # a truncation only ever grows, so a vector is never moved to lower
+    # cutoffs: the levels it would drop have no index there
+    with pytest.raises(ValueError, match="invalid entry in coordinates array"):
+        exactdiag._transfer(large, padded, small)
 
 
 def test_converge_cutoffs_refuses_a_truncation_with_its_ground_state_outside_even(monkeypatch):
@@ -508,11 +517,12 @@ def test_converge_cutoffs_refuses_a_truncation_with_its_ground_state_outside_eve
     # and 0.28), and no shrink is allowed, so only the certificate keeps
     # that truncation out
     p, start = ModelParams(g1=2.5, g2=2.5), (3, 6)
+    monkeypatch.setattr(exactdiag, "default_cutoffs", lambda params, n_atoms: start)
     first = TruncatedSpace(build_basis(3), *start)
     lowest = [np.linalg.eigvalsh(build_hamiltonian(p, ParitySector(first, *s)).toarray())[0]
               for s in PARITY_SECTORS]
     assert min(lowest[1:]) < lowest[0] - 1e-4
-    space, trace = converge_cutoffs(p, 3, start=start, tol=50.0)
+    space, trace = converge_cutoffs(p, 3, tol=50.0)
     assert (trace[0]["cutoff_a"], trace[0]["cutoff_b"]) == start
     assert max(trace[0]["weight_a"], trace[0]["weight_b"]) < 50.0 / exactdiag.TAIL_RATIO
     assert (space.cutoff_a, space.cutoff_b) != start
@@ -528,7 +538,7 @@ def test_converge_cutoffs_refuses_a_truncation_with_its_ground_state_outside_eve
     # refusal carries the trace
     monkeypatch.setattr(exactdiag, "DEFAULT_DIM_LIMIT", 500)
     with pytest.raises(CapacityError, match="dimension limit 500") as err:
-        converge_cutoffs(p, 3, start=start, tol=50.0)
+        converge_cutoffs(p, 3, tol=50.0)
     assert [(t["cutoff_a"], t["cutoff_b"]) for t in err.value.trace] == [start]
 
 
@@ -613,7 +623,7 @@ def test_every_sweep_row_holds_its_tail_weight():
         assert abs(table.photon_a[i] - photons[0]) <= CUTOFF_TOL / 10, i
         assert abs(table.photon_b[i] - photons[1]) <= CUTOFF_TOL / 10, i
     widest = ModelParams(g1=1.0, g2=0.75)
-    space, _ = converge_cutoffs(widest, 6, start=default_cutoffs(widest, 6))
+    space, _ = converge_cutoffs(widest, 6)
     assert table.cutoff_b[0] > space.cutoff_b
 
 
