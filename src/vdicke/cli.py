@@ -19,7 +19,7 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 
 from . import exactdiag
-from .errors import CapacityError, ConvergenceError
+from .errors import CapacityError, ConvergenceError, DomainError
 from .fluctuations import (
     diagonalize,
     left_branch_form,
@@ -140,6 +140,14 @@ def _spectrum_dict(form) -> dict:
     return {**asdict(form), **asdict(diagonalize(form))}
 
 
+def _mu_or_null(mu, params: ModelParams) -> float | None:
+    """mu_left or mu_right; None at a coupling of 0 and where (g_c / g)^2 overflows."""
+    try:
+        return mu(params)
+    except (DomainError, OverflowError):
+        return None
+
+
 # ---------------------------------------------------------------------------
 # Handlers: each takes (params, opts) and returns what it computed.
 
@@ -149,8 +157,8 @@ def _handle_critical(params: ModelParams, opts: dict) -> dict:
         "params": asdict(params),
         "g_c1": critical_g1(params),
         "g_c2": critical_g2(params),
-        "mu_left": mu_left(params) if params.g1 > 0 else None,
-        "mu_right": mu_right(params) if params.g2 > 0 else None,
+        "mu_left": _mu_or_null(mu_left, params),
+        "mu_right": _mu_or_null(mu_right, params),
         "gtilde_c2": (renormalized_critical_g2(params)
                       if params.g1 >= critical_g1(params) else None),
         "gtilde_c1": (renormalized_critical_g1(params)

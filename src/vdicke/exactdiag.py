@@ -51,17 +51,18 @@ state's marginal Fock weight in the mode's top two levels (its tail
 weight) is below cutoff_tol / TAIL_RATIO.  The weight is read from the
 vector already solved; photon numbers move by about ten times it.
 
- * ``converge_cutoffs`` solves (+, +) at ``default_cutoffs``, grows any
-   mode whose tail weight is too large, shrinks once to the smallest
-   cutoffs the marginals allow (growing again only if the shrunk
-   truncation's own weights fail), and then certifies the truncation it
-   accepts: none of the other three sectors may have its ground energy
-   below the (+, +) one by more than the solver's tolerance.
-   Perron-Frobenius does not fix which block is lowest, and on a
-   too-small truncation deep in a superradiant phase it can be (+, -)
-   or (-, +); such a truncation is not accepted and both modes grow.
- * ``hold_tail`` is the growth step alone, for a state already solved:
-   ``scan.ed_sweep`` applies it at every sweep point.
+ * ``converge_cutoffs`` solves (+, +) at (CUTOFF_FLOOR, CUTOFF_FLOOR),
+   grows any mode whose tail weight is too large, shrinks once to the
+   smallest cutoffs the marginals allow (growing again only if the
+   shrunk truncation's own weights fail), and certifies the result.
+ * ``hold_tail`` is the growth step alone: it solves (+, +) on one
+   truncation and grows it until both weights pass.  ``scan.ed_sweep``
+   applies it at every sweep point.
+ * ``hold_sector_order`` is the certificate: no other sector's ground
+   energy may lie below the (+, +) one by more than the solver's
+   tolerance, or both modes grow.  Perron-Frobenius does not fix which
+   block is lowest; on a too-small truncation deep in a superradiant
+   phase it can be (+, -) or (-, +).
  * ``solve_point`` is exact on any space: E0 is the lowest of the four
    sector ground energies, the observables are those of that sector's
    ground state, and E1 is the lower of that sector's second level and
@@ -69,11 +70,9 @@ vector already solved; photon numbers move by about ten times it.
 
 A sector solved from the ``seed`` vector is a pure function of (params,
 sector, tol, seed), so those solves are memoized, one truncation's four
-sectors at a time.  converge_cutoffs solves (+, +) from the seed at
-``default_cutoffs`` and again at the shrunk cutoffs, so the certificate
-reuses the (+, +) solve of the truncation it checks (unless that grew
-in ``hold_tail``), and solve_point on the truncation just certified (or
-any equal one) reuses the certificate's four.
+sectors at a time: the certificate reuses the (+, +) seed solve of the
+truncation it checks, and solve_point on a truncation just certified (or
+an equal one), or a sweep's first point, reuses the certificate's.
 
 Every space is checked against DEFAULT_DIM_LIMIT, read at call time,
 before anything of its size is allocated; the limit applies to the
@@ -94,7 +93,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, ConvergenceError
-from .meanfield import stationary_branches
 from .model import ModelParams
 
 __all__ = [
@@ -112,14 +110,14 @@ __all__ = [
     "ground_state",
     "lowest_two",
     "observables",
-    "default_cutoffs",
     "converge_cutoffs",
     "hold_tail",
+    "hold_sector_order",
     "solve_point",
 ]
 
 DEFAULT_DIM_LIMIT = 2_000_000
-CUTOFF_FLOOR = 8  # smallest cutoff default_cutoffs returns
+CUTOFF_FLOOR = 8  # every cutoff search starts at (CUTOFF_FLOOR, CUTOFF_FLOOR)
 LANCZOS_MAXITER = 1000  # ARPACK restarts allowed per eigsh call
 PARITY_SECTORS = ((1, 1), (1, -1), (-1, 1), (-1, -1))  # (left, right) parities
 _DENSE_THRESHOLD = 16  # below this dimension just diagonalize densely
@@ -358,8 +356,12 @@ def _seed_vector(dimension: int, seed: int) -> np.ndarray:
 
 
 def _h_scale(h: sparse.csr_matrix) -> float:
-    # Infinity norm: cheap, and an upper bound on the spectral radius.
-    return float(np.abs(h).sum(axis=1).max())
+    # Infinity norm: cheap, and an upper bound on the spectral radius.  Every solve
+    # reads it first; the Lanczos norms square it, so an overflowing square is refused.
+    scale = float(np.abs(h).sum(axis=1).max())
+    if scale * scale == math.inf:
+        raise OverflowError(f"the scale of H, {scale:.6g}, squared overflows a float")
+    return scale
 
 
 def eigsh(*args, **kwargs):
@@ -377,13 +379,12 @@ def _eigsh_lowest(h: sparse.csr_matrix, k: int, tol: float, seed: int,
     """Lowest k eigenpairs with explicit residual acceptance and retries."""
     from scipy import sparse
     from scipy.sparse.linalg import ArpackNoConvergence
-    dim = h.shape[0]
+    dim, scale = h.shape[0], _h_scale(h)
     if dim <= max(_DENSE_THRESHOLD, k + 1):
         dense = np.asarray(h.todense())
         vals, vecs = np.linalg.eigh(dense)
         return vals[:k], vecs[:, :k]
     v0 = _seed_vector(dim, seed) if start is None else np.asarray(start, dtype=float)
-    scale = _h_scale(h)
     # Shift the spectrum strictly below zero before the Lanczos run.  An
     # eigenvalue at exactly 0 (the decoupled ground state, say) is
     # annihilated by the matvec and can be purged at restarts, making
@@ -465,22 +466,6 @@ def observables(space, state: np.ndarray, energy: float,
     )
 
 
-def default_cutoffs(params: ModelParams, n_atoms: int) -> tuple[int, int]:
-    """Cutoff heuristic from the mean-field mode amplitudes.
-
-    Uses the largest squared amplitude over all physical stationary
-    branches per mode, so competing condensates near a first-order
-    boundary are both representable in the first solve, from which
-    converge_cutoffs shrinks.  Never below CUTOFF_FLOOR.
-    """
-    branches = [s for s in stationary_branches(params) if s.physical]
-    field_a = max((s.phi_a ** 2 for s in branches), default=0.0)
-    field_b = max((s.phi_b ** 2 for s in branches), default=0.0)
-    cutoff_a = max(CUTOFF_FLOOR, math.ceil(6.0 * n_atoms * field_a + 10.0))
-    cutoff_b = max(CUTOFF_FLOOR, math.ceil(6.0 * n_atoms * field_b + 10.0))
-    return cutoff_a, cutoff_b
-
-
 def _transfer(sector: ParitySector, state: np.ndarray, target: ParitySector) -> np.ndarray:
     """``state`` on ``sector`` zero-padded to ``target``: the same atoms and
     parities, and no cutoff lower (a lower one raises ValueError)."""
@@ -506,21 +491,29 @@ def _shrunk(marginal: np.ndarray, bound: float) -> int:
     return min(marginal.size - 1, above + TAIL_LEVELS - 1)
 
 
-def hold_tail(params: ModelParams, sector: ParitySector, energy: float, state: np.ndarray,
-              tol: float = 1e-4, eig_tol: float = 1e-8, trace: list | None = None):
-    """Grow a (+, +) sector until each mode's tail weight is below tol / TAIL_RATIO.
+def _even_sector(n_atoms: int, cutoffs, trace: list | None = None) -> ParitySector:
+    """(+, +) at ``cutoffs``; CapacityError, carrying ``trace``, past the dimension limit."""
+    return ParitySector(truncated_space(n_atoms, *cutoffs, trace=trace), 1, 1)
 
-    ``state`` is the ground state of H on ``sector``, of energy ``energy``,
-    solved to ``eig_tol``.  A mode whose weight in its top two Fock levels
-    reaches the bound grows by the factor GROWTH, the other keeps its
-    cutoff, and the grown sector is solved from ``state`` zero-padded;
-    this repeats until both weights pass.  Returns ``(sector, energy,
-    state)``, unchanged when they pass at once.  Each truncation checked
-    is appended to ``trace`` when one is given; CapacityError (carrying
-    it) is raised if growth passes the dimension limit.
+
+def hold_tail(params: ModelParams, sector: ParitySector, start: np.ndarray | None = None,
+              tol: float = 1e-4, eig_tol: float = 1e-8, seed: int = 0, trace: list | None = None):
+    """Solve a (+, +) sector and grow it until each mode's tail weight is below tol / TAIL_RATIO.
+
+    H is solved to ``eig_tol`` from ``start``, or from the ``seed`` vector
+    (memoized) when it is None.  A mode whose top two Fock levels weigh at
+    least the bound grows by GROWTH, and the grown sector is solved from the
+    state zero-padded, until both weights pass.  Returns ``(sector, energy,
+    state)``, ``sector`` itself if they pass at once.  Each truncation
+    checked is appended to ``trace`` when one is given, which CapacityError
+    carries if growth passes the dimension limit.
     """
     bound = tol / TAIL_RATIO
     while True:
+        if start is None:
+            _, energy, state, _ = _sector_ground(params, sector, eig_tol, seed)
+        else:
+            energy, state = ground_state(build_hamiltonian(params, sector), eig_tol, start=start)
         marginals = _marginals(sector, state)
         weights = [float(m[-TAIL_LEVELS:].sum()) for m in marginals]
         if trace is not None:
@@ -531,13 +524,10 @@ def hold_tail(params: ModelParams, sector: ParitySector, energy: float, state: n
                           "weight_a": weights[0], "weight_b": weights[1]})
         if max(weights) < bound:
             return sector, energy, state
-        cutoffs = [math.ceil(GROWTH * (m.size - 1)) if w >= bound else m.size - 1
-                   for m, w in zip(marginals, weights)]
-        grown = ParitySector(truncated_space(sector.space.basis.n_atoms, *cutoffs, trace=trace),
-                             1, 1)
-        energy, state = ground_state(build_hamiltonian(params, grown), tol=eig_tol,
-                                     start=_transfer(sector, state, grown))
-        sector = grown
+        grown = _even_sector(sector.space.basis.n_atoms,
+                             [math.ceil(GROWTH * (m.size - 1)) if w >= bound else m.size - 1
+                              for m, w in zip(marginals, weights)], trace)
+        sector, start = grown, _transfer(sector, state, grown)
 
 
 class _SectorGround(NamedTuple):
@@ -553,9 +543,10 @@ class _SectorGround(NamedTuple):
 def _sector_ground(params: ModelParams, sector: ParitySector, tol: float,
                    seed: int) -> _SectorGround:
     h = build_hamiltonian(params, sector)
+    scale = _h_scale(h)  # before the solve: it refuses an H the solve cannot represent
     energy, vector = ground_state(h, tol=tol, seed=seed)
     vector.flags.writeable = False
-    return _SectorGround(sector, energy, vector, tol * max(1.0, _h_scale(h)))
+    return _SectorGround(sector, energy, vector, tol * max(1.0, scale))
 
 
 def _sector_grounds(params: ModelParams, space: TruncatedSpace, tol: float,
@@ -574,42 +565,46 @@ def _check_solver_settings(seed: int, tolerances: dict[str, float]) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
+def hold_sector_order(params: ModelParams, space: TruncatedSpace, tol: float = 1e-4,
+                      eig_tol: float = 1e-8, seed: int = 0,
+                      trace: list | None = None) -> TruncatedSpace:
+    """The certificate: grow ``space`` until (+, +) holds the lowest ground energy.
+
+    Every sector is solved from the ``seed`` vector (memoized).  While another
+    lies below (+, +) by more than its solve's error bound, both cutoffs grow
+    by GROWTH and ``hold_tail`` holds (+, +) there; ``trace`` as in hold_tail.
+    """
+    while True:
+        even, *others = _sector_grounds(params, space, eig_tol, seed)
+        if not any(g.energy < even.energy - g.error for g in others):
+            return space
+        grown = _even_sector(space.basis.n_atoms, [math.ceil(GROWTH * c) for c in
+                                                   (space.cutoff_a, space.cutoff_b)], trace)
+        space = hold_tail(params, grown, None, tol, eig_tol, seed, trace)[0].space
+
+
 def converge_cutoffs(params: ModelParams, n_atoms: int, tol: float = 1e-4, eig_tol: float = 1e-8,
                      seed: int = 0):
     """The boson cutoffs that hold the ground state: each mode's tail weight below tol / TAIL_RATIO.
 
-    The (+, +) sector is solved at ``default_cutoffs`` from the ``seed``
-    vector and grown by ``hold_tail`` until both tail weights pass.  It is
-    then shrunk once, to the smallest cutoffs its marginals allow, solved
-    there from the ``seed`` vector and held by ``hold_tail`` again, which
-    keeps it when its own weights pass.  Last, the certificate: no other
-    parity sector's ground energy may lie below the (+, +) one by more
-    than its solve's error bound, or both modes grow by GROWTH, are solved
-    there from the seed, and the tail check and certificate run again.
-    Each (+, +) seed solve is memoized, so the certificate reuses it.
-    Returns ``(space, trace)``, where ``trace`` records every truncation
-    solved, with its tail weights.  Raises ValueError for a tolerance that
-    is not finite and positive or a negative seed, and CapacityError (with
-    the trace attached) if the dimension limit is hit first.
+    ``hold_tail`` solves (+, +) from the ``seed`` vector at (CUTOFF_FLOOR,
+    CUTOFF_FLOOR), read at call time, and grows it; the truncation is then
+    shrunk once, to the smallest cutoffs its marginals allow, held again,
+    and certified by ``hold_sector_order``.  Returns ``(space, trace)``,
+    ``trace`` recording every truncation solved with its tail weights.
+    Raises ValueError for a tolerance that is not finite and positive or a
+    negative seed, and CapacityError (with the trace) past the dimension limit.
     """
     _check_solver_settings(seed, {"photon-number tolerance tol": tol,
                                   "eigensolver tolerance eig_tol": eig_tol})
     trace = []
-
-    def held(cutoffs):
-        even = _sector_ground(params, ParitySector(truncated_space(n_atoms, *cutoffs, trace=trace),
-                                                   1, 1), eig_tol, seed)
-        return hold_tail(params, even.sector, even.energy, even.vector, tol, eig_tol, trace)
-
-    sector, _, state = held(default_cutoffs(params, n_atoms))
+    sector, _, state = hold_tail(params, _even_sector(n_atoms, (CUTOFF_FLOOR, CUTOFF_FLOOR), trace),
+                                 None, tol, eig_tol, seed, trace)
     cutoffs = [_shrunk(m, tol / TAIL_RATIO) for m in _marginals(sector, state)]
-    while True:
-        if cutoffs != [sector.space.cutoff_a, sector.space.cutoff_b]:
-            sector, _, state = held(cutoffs)
-        even, *others = _sector_grounds(params, sector.space, eig_tol, seed)
-        if not any(g.energy < even.energy - g.error for g in others):
-            return sector.space, trace
-        cutoffs = [math.ceil(GROWTH * c) for c in (sector.space.cutoff_a, sector.space.cutoff_b)]
+    if cutoffs != [sector.space.cutoff_a, sector.space.cutoff_b]:
+        sector, _, _ = hold_tail(params, _even_sector(n_atoms, cutoffs, trace), None, tol,
+                                 eig_tol, seed, trace)
+    return hold_sector_order(params, sector.space, tol, eig_tol, seed, trace), trace
 
 
 def solve_point(params: ModelParams, n_atoms: int, space: TruncatedSpace,

@@ -199,41 +199,36 @@ def ed_sweep(base: ModelParams, g1, g2, n_atoms: int, cutoff_tol: float = 1e-4,
     """Classify each (g1, g2) point at base's frequencies and attach finite-N observables.
 
     ``g1`` and ``g2`` are coupling arrays broadcast to one sweep (a
-    scalar holds that coupling fixed).  Cutoffs are converged at the
-    most demanding sweep point (largest default cutoffs), where the
-    ground state is also certified to lie in the (+, +) parity sector
-    (see exactdiag.converge_cutoffs).  Each point is solved on (+, +),
-    the first from ``seed`` and every later one from the previous point's
-    ground vector, and its tail weight is checked: where a mode's weight
-    reaches cutoff_tol / exactdiag.TAIL_RATIO, the shared truncation grows
-    (exactdiag.hold_tail) and stays grown for the points after it.  Each
-    row reports the cutoffs it was solved at.
+    scalar holds that coupling fixed).  Cutoffs are converged and certified
+    at the first point (exactdiag.converge_cutoffs).  Each later point is
+    solved on (+, +) from the previous one's ground vector and grows the
+    shared truncation where its tail weight needs it (exactdiag.hold_tail).
+    If it grew, the truncation the sweep ends on is certified for the point
+    that grew it last (exactdiag.hold_sector_order); when that grows it
+    too, every point is solved again there.  Each row reports its cutoffs.
     """
-    # No truncation tried below is smaller than this one, so an atom
-    # number too large for the dimension limit is refused before any
-    # per-point work.
+    # No truncation below is smaller: an atom number too large for the
+    # dimension limit is refused here, before any per-point work.
     exactdiag.truncated_space(n_atoms, exactdiag.CUTOFF_FLOOR, exactdiag.CUTOFF_FLOOR)
     table = _classified(base, g1, g2)
     sweep = [replace(base, g1=a, g2=b) for a, b in zip(table.g1.tolist(), table.g2.tolist())]
-    defaults = [exactdiag.default_cutoffs(p, n_atoms) for p in sweep]
-    widest = max(range(len(sweep)), key=lambda i: defaults[i][0] * defaults[i][1])
-    space, _ = exactdiag.converge_cutoffs(sweep[widest], n_atoms, tol=cutoff_tol,
-                                          eig_tol=eig_tol, seed=seed)
-    sector = exactdiag.ParitySector(space, 1, 1)
-    rows = len(sweep)
-    photon_a, photon_b = np.empty(rows), np.empty(rows)
-    cutoff_a, cutoff_b = np.empty(rows, dtype=int), np.empty(rows, dtype=int)
-    state = None
-    for i, params in enumerate(sweep):
-        h = exactdiag.build_hamiltonian(params, sector)
-        energy, state = exactdiag.ground_state(h, tol=eig_tol, seed=seed, start=state)
-        sector, energy, state = exactdiag.hold_tail(params, sector, energy, state,
-                                                    tol=cutoff_tol, eig_tol=eig_tol)
-        result = exactdiag.observables(sector, state, energy)
-        photon_a[i], photon_b[i] = result.photon_a, result.photon_b
-        cutoff_a[i], cutoff_b[i] = result.cutoff_a, result.cutoff_b
-    return replace(table, photon_a=photon_a, photon_b=photon_b,
-                   n_atoms=np.full(rows, n_atoms), cutoff_a=cutoff_a, cutoff_b=cutoff_b)
+    space, _ = exactdiag.converge_cutoffs(sweep[0], n_atoms, cutoff_tol, eig_tol, seed)
+    while True:
+        sector, state, grew, results = exactdiag.ParitySector(space, 1, 1), None, None, []
+        for i, params in enumerate(sweep):
+            held, energy, state = exactdiag.hold_tail(params, sector, state, cutoff_tol,
+                                                      eig_tol, seed)
+            if held != sector:
+                sector, grew = held, i
+            results.append(exactdiag.observables(sector, state, energy))
+        if grew is None:
+            break
+        space = exactdiag.hold_sector_order(sweep[grew], sector.space, cutoff_tol, eig_tol, seed)
+        if space == sector.space:
+            break
+    columns = {name: np.array([getattr(r, name) for r in results])
+               for name in ("photon_a", "photon_b", "cutoff_a", "cutoff_b")}
+    return replace(table, n_atoms=np.full(len(sweep), n_atoms), **columns)
 
 
 def line_cut(base: ModelParams, g1, g2) -> SweepTable:

@@ -38,6 +38,17 @@ def test_critical_below_threshold_reports_null(capsys):
     assert payload["mu_right"] is None      # g2 = 0
 
 
+@pytest.mark.parametrize("flag, field, other", [("--g1", "mu_left", "mu_right"),
+                                                ("--g2", "mu_right", "mu_left")])
+def test_critical_reports_an_overflowing_mu_as_null(flag, field, other, capsys):
+    # (g_c / g)^2 overflows at g = 1e-200: that field alone is null, as at g = 0
+    assert run(["critical", flag, "1e-200"]) == 0
+    payload = _json_out(capsys)
+    assert payload[field] is None and payload[other] is None  # the other coupling is 0
+    assert payload["g_c1"] == payload["g_c2"] == 0.5
+    assert payload["gtilde_c1"] is None and payload["gtilde_c2"] is None
+
+
 def test_meanfield_selected_and_branches(capsys):
     assert run(["meanfield", "--g1", "1.0"]) == 0
     payload = _json_out(capsys)
@@ -240,14 +251,14 @@ def test_ed_capacity_exhaustion_exits_3(tmp_path, capsys, monkeypatch):
         assert run(argv) == 3
         assert "exceeds the dimension limit 2000000" in capsys.readouterr().err
 
-    # an oversized sweep is refused before any per-point cutoff heuristic
-    def no_cutoffs(params, n_atoms):
-        raise AssertionError("default_cutoffs called for a rejected sweep")
+    # an oversized sweep is refused before any cutoff search
+    def no_cutoffs(*args, **kwargs):
+        raise AssertionError("converge_cutoffs called for a rejected sweep")
 
     def no_kernel(*args):
         raise AssertionError("classify_arrays called for a rejected sweep")
 
-    monkeypatch.setattr(exactdiag, "default_cutoffs", no_cutoffs)
+    monkeypatch.setattr(exactdiag, "converge_cutoffs", no_cutoffs)
     monkeypatch.setattr(scan, "classify_arrays", no_kernel)
     out = tmp_path / "sweep.csv"
     for steps in ("20000", huge):
@@ -261,10 +272,10 @@ def test_ed_capacity_exhaustion_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_capacity_message_lists_the_trials_solved(capsys, monkeypatch):
-    # from cutoffs (4, 4) the tail weights fail; the first growth step fits
-    # under the limit, the second does not
+    # from a floor of (4, 4) the tail weights fail; the first growth step
+    # fits under the limit, the second does not
     p = ModelParams(g1=0.9, g2=0.4)
-    monkeypatch.setattr(exactdiag, "default_cutoffs", lambda params, n_atoms: (4, 4))
+    monkeypatch.setattr(exactdiag, "CUTOFF_FLOOR", 4)
     monkeypatch.setattr(exactdiag, "DEFAULT_DIM_LIMIT", 600)
     with pytest.raises(CapacityError) as refused:
         exactdiag.converge_cutoffs(p, 3)
@@ -447,6 +458,22 @@ _ED_SWEEP = ["ed", "--N", "2", "--g2", "0.3", "--g1-min", "0.5", "--g1-max", "1"
 _UNREPRESENTABLE = "the inputs lie outside the range the closed forms can represent"
 
 
+# a Hamiltonian whose scale squared overflows is refused before it is solved,
+# in point mode with explicit cutoffs and at any row of a sweep
+@pytest.mark.parametrize("argv", [
+    ["ed", "--N", "2", "--g1", "1e200", "--cutoff-a", "4", "--cutoff-b", "4"],
+    ["ed", "--N", "2", "--g2", "1e200", "--g1-min", "0.5", "--g1-max", "1", "--steps", "3"],
+    ["ed", "--N", "2", "--g2", "0.3", "--g1-min", "0.5", "--g1-max", "1e200", "--steps", "3"],
+])
+def test_ed_refuses_an_overflowing_hamiltonian(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {_UNREPRESENTABLE}" in err
+    assert "squared overflows a float" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 # every numeric flag at its bound, and every ed flag outside its mode:
 # refused with exit 2, a message, and no output file, before any eigensolve
 @pytest.mark.parametrize("argv, message", [
@@ -477,14 +504,12 @@ _UNREPRESENTABLE = "the inputs lie outside the range the closed forms can repres
     (_ED_SWEEP + ["--cutoff-b", "5"], "--cutoff-a and --cutoff-b set a single point's truncation"),
     (_ED_POINT + ["--diagonal"], "--diagonal applies to an ed sweep only"),
     # couplings whose closed forms overflow or divide by an underflowed mu
-    (["critical", "--g1", "1e-200"], _UNREPRESENTABLE),
     (["critical", "--g1", "1e200"], _UNREPRESENTABLE),
     (["boundary", "--which", "gtilde_c2", "--from", "1", "--to", "1e200", "--steps", "2"],
      _UNREPRESENTABLE),
     (["spectrum", "--g1", "1e300", "--g2", "1e300"], _UNREPRESENTABLE),
     (["ed", "--N", "2", "--g1", "1e200"], _UNREPRESENTABLE),
     # and their mirrors on the right branch
-    (["critical", "--g2", "1e-200"], _UNREPRESENTABLE),
     (["critical", "--g2", "1e200"], _UNREPRESENTABLE),
     (["boundary", "--which", "gtilde_c1", "--from", "1", "--to", "1e200", "--steps", "2"],
      _UNREPRESENTABLE),

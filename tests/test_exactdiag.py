@@ -1,6 +1,8 @@
+import ast
 import itertools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from vdicke.exactdiag import (
     build_basis,
     build_hamiltonian,
     converge_cutoffs,
-    default_cutoffs,
     ground_state,
     lowest_two,
     observables,
@@ -26,6 +27,7 @@ from vdicke.exactdiag import (
     solve_point,
     truncated_space,
 )
+from vdicke.meanfield import classify_arrays, stationary_branches
 from vdicke.model import ModelParams
 from vdicke.scan import ed_sweep
 
@@ -346,21 +348,13 @@ def test_observables_against_dense_expectation_values():
             assert abs(getattr(res, name) - expected) < 1e-13, name
 
 
-def test_default_cutoffs_grow_with_the_condensate():
-    lo = default_cutoffs(ModelParams(), 10)
-    hi = default_cutoffs(ModelParams(g1=1.0), 10)
-    assert lo == (10, 10)
-    assert hi[0] > lo[0]          # mode a must make room for the field
-    assert hi[1] == lo[1]
-
-
 def test_converge_cutoffs_settles_immediately_when_decoupled():
-    # the vacuum has no weight above n = 0: accepted at the default (10, 10)
+    # the vacuum has no weight above n = 0: accepted at the floor (8, 8)
     # with no growth, then shrunk once to (2, 2), whose top two levels are 1
     # and 2; the vacuum is exact there too
     space, trace = converge_cutoffs(ModelParams(), 3)
     assert (space.cutoff_a, space.cutoff_b) == (2, 2)
-    assert [(t["cutoff_a"], t["cutoff_b"]) for t in trace] == [(10, 10), (2, 2)]
+    assert [(t["cutoff_a"], t["cutoff_b"]) for t in trace] == [(8, 8), (2, 2)]
     assert trace[0]["dimension"] > trace[1]["dimension"] == space.dimension
     for entry in trace:
         assert abs(entry["photon_a"]) < 1e-10
@@ -368,11 +362,33 @@ def test_converge_cutoffs_settles_immediately_when_decoupled():
         assert entry["weight_a"] < 1e-20 and entry["weight_b"] < 1e-20
 
 
+def test_every_cutoff_search_starts_at_the_floor(monkeypatch):
+    # the first truncation solved is (CUTOFF_FLOOR, CUTOFF_FLOOR), read at
+    # call time, whatever the condensate
+    for floor in (exactdiag.CUTOFF_FLOOR, 5):
+        monkeypatch.setattr(exactdiag, "CUTOFF_FLOOR", floor)
+        for p in (ModelParams(), ModelParams(g1=1.0, g2=0.75), ModelParams(g1=0.4, g2=1.1)):
+            _, trace = converge_cutoffs(p, 4)
+            assert (trace[0]["cutoff_a"], trace[0]["cutoff_b"]) == (floor, floor), (floor, p)
+
+
+def test_exactdiag_imports_nothing_from_meanfield():
+    # the cutoffs come from the solved state alone, not from mean-field amplitudes
+    tree = ast.parse(Path(exactdiag.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert imported and not any("meanfield" in name.split(".") for name in imported)
+
+
 def test_converge_cutoffs_capacity_error_carries_trace(monkeypatch):
-    # from (4, 4), mode a's tail weight fails and grows it; the first growth
-    # step (to 6) fits under the limit, the second (to 9) does not
+    # from a floor of (4, 4), mode a's tail weight fails and grows it; the
+    # first growth step (to 6) fits under the limit, the second (to 9) does not
     monkeypatch.setattr(exactdiag, "DEFAULT_DIM_LIMIT", 1000)
-    monkeypatch.setattr(exactdiag, "default_cutoffs", lambda params, n_atoms: (4, 4))
+    monkeypatch.setattr(exactdiag, "CUTOFF_FLOOR", 4)
     with pytest.raises(CapacityError, match="dimension limit 1000") as err:
         converge_cutoffs(ModelParams(g1=0.9), 6)
     trace = err.value.trace
@@ -382,7 +398,7 @@ def test_converge_cutoffs_capacity_error_carries_trace(monkeypatch):
 
 def test_solve_point_with_gap():
     p = ModelParams(omega31=1.7, g1=0.8, g2=0.3)
-    space = truncated_space(2, *default_cutoffs(p, 2))
+    space = truncated_space(2, 15, 10)
     res = solve_point(p, 2, space, with_gap=True)
     assert res.gap is not None and res.gap > 0.0
     assert res.cutoff_a >= 8 and res.cutoff_b >= 8
@@ -473,8 +489,9 @@ def test_fixture_sweeps_match_whole_space_solves(fixture, n_atoms):
     g1, g2 = FIXTURE_SWEEPS[fixture]
     g2 = g1 if g2 is None else g2
     table = ed_sweep(ModelParams(), g1, g2, n_atoms)
-    space = truncated_space(n_atoms, int(table.cutoff_a[0]), int(table.cutoff_b[0]))
     for i, (a, b) in enumerate(zip(table.g1, table.g2)):
+        # each row against a cold solve on the whole truncation it reports
+        space = truncated_space(n_atoms, int(table.cutoff_a[i]), int(table.cutoff_b[i]))
         h = build_hamiltonian(ModelParams(g1=float(a), g2=float(b)), space)
         energy, vec = ground_state(h, tol=1e-8)
         whole = observables(space, vec, energy)
@@ -485,8 +502,9 @@ def test_fixture_sweeps_match_whole_space_solves(fixture, n_atoms):
 def test_warm_started_sweep_agrees_with_cold_solves():
     g1 = np.linspace(0.5, 1.0, 9)
     table = ed_sweep(ModelParams(), g1, 0.75, 4)
-    sector = ParitySector(truncated_space(4, int(table.cutoff_a[0]), int(table.cutoff_b[0])), 1, 1)
     for i, g in enumerate(g1):
+        sector = ParitySector(truncated_space(4, int(table.cutoff_a[i]), int(table.cutoff_b[i])),
+                              1, 1)
         energy, vec = ground_state(build_hamiltonian(ModelParams(g1=g, g2=0.75), sector), tol=1e-8)
         cold = observables(sector, vec, energy)
         assert abs(table.photon_a[i] - cold.photon_a) <= 1e-8
@@ -512,12 +530,12 @@ def test_warm_started_sweep_agrees_with_cold_solves():
 
 
 def test_converge_cutoffs_refuses_a_truncation_with_its_ground_state_outside_even(monkeypatch):
-    # at cutoffs (3, 6) the (+, -) block lies about 3.5e-4 below (+, +);
-    # with tol = 50 the tail-weight bound is 0.5, above both weights (0.46
-    # and 0.28), and no shrink is allowed, so only the certificate keeps
-    # that truncation out
-    p, start = ModelParams(g1=2.5, g2=2.5), (3, 6)
-    monkeypatch.setattr(exactdiag, "default_cutoffs", lambda params, n_atoms: start)
+    # at cutoffs (6, 6) the (+, -) block lies about 6.9e-4 below (+, +);
+    # with tol = 50 the tail-weight bound is 0.5, above both weights (0.22),
+    # and no shrink is allowed, so only the certificate keeps that
+    # truncation out
+    p, start = ModelParams(g1=2.5, g2=2.5), (6, 6)
+    monkeypatch.setattr(exactdiag, "CUTOFF_FLOOR", 6)
     first = TruncatedSpace(build_basis(3), *start)
     lowest = [np.linalg.eigvalsh(build_hamiltonian(p, ParitySector(first, *s)).toarray())[0]
               for s in PARITY_SECTORS]
@@ -553,9 +571,9 @@ def _doubling_oracle(params: ModelParams, n_atoms: int, cutoffs: tuple[int, int]
     """The doubling loop converge_cutoffs used to run, from ``cutoffs``.
 
     (+, +) is solved cold and both cutoffs doubled until photon_a and
-    photon_b settle within ``tol``.  Returns the photon numbers of the last,
-    largest truncation, and the tail weights (top two Fock levels) of
-    the first.
+    photon_b settle within ``tol``.  Returns the photon numbers and the
+    ground energy of the last, largest truncation, and the tail weights
+    (top two Fock levels) of the first.
     """
     previous, weights = None, None
     while True:
@@ -566,7 +584,7 @@ def _doubling_oracle(params: ModelParams, n_atoms: int, cutoffs: tuple[int, int]
         if weights is None:
             weights = [m[-2:].sum() for m in exactdiag._marginals(sector, vec)]
         if previous is not None and np.all(np.abs(photons - previous) < tol):
-            return photons, weights
+            return photons, energy, weights
         previous = photons
         cutoffs = tuple(2 * c for c in cutoffs)
 
@@ -598,8 +616,8 @@ QUERY_POINTS = [(5, ModelParams(g1=a, g2=b))
 def test_converged_cutoffs_meet_the_doubling_loop(n_atoms, params):
     space, trace = converge_cutoffs(params, n_atoms, tol=CUTOFF_TOL)
     result = solve_point(params, n_atoms, space)
-    photons, weights = _doubling_oracle(params, n_atoms, (space.cutoff_a, space.cutoff_b),
-                                        CUTOFF_TOL / 10)
+    photons, _, weights = _doubling_oracle(params, n_atoms, (space.cutoff_a, space.cutoff_b),
+                                           CUTOFF_TOL / 10)
     assert max(weights) < CUTOFF_TOL / exactdiag.TAIL_RATIO
     assert abs(result.photon_a - photons[0]) <= CUTOFF_TOL / 10
     assert abs(result.photon_b - photons[1]) <= CUTOFF_TOL / 10
@@ -609,22 +627,94 @@ def test_converged_cutoffs_meet_the_doubling_loop(n_atoms, params):
         CUTOFF_TOL / exactdiag.TAIL_RATIO
 
 
+def _bistable_points() -> list[ModelParams]:
+    """The mean-field bistable points of a 25 x 25 grid over fig2a's window
+    (omega31 = 1.7, each coupling up to twice its bare threshold)."""
+    g1, g2 = np.linspace(0.0, 1.30384048104053, 25), np.linspace(0.0, 1.0, 25)
+    bistable = classify_arrays(1.0, 1.7, 1.0, 1.0, g1[:, None], g2[None, :]).bistable
+    return [ModelParams(omega31=1.7, g1=float(g1[i]), g2=float(g2[j]))
+            for i, j in zip(*np.nonzero(bistable))]
+
+
+def _branch_covering_floor(params: ModelParams, n_atoms: int) -> int:
+    """A square start that holds every physical mean-field branch in both
+    modes: 6 N phi^2 + 10 at the largest squared field amplitude."""
+    fields = [max(s.phi_a ** 2, s.phi_b ** 2) for s in stationary_branches(params) if s.physical]
+    return math.ceil(6.0 * n_atoms * max(fields) + 10.0)
+
+
+@pytest.mark.parametrize("n_atoms", [6, 8, 10])
+def test_floor_start_holds_the_competing_condensates(n_atoms, monkeypatch):
+    # where two condensates compete, a start too small for the losing well
+    # could settle in the wrong one; the floor start must give the ground
+    # state that a start holding every mean-field branch gives, and that
+    # of the doubling loop from its own cutoffs
+    points = _bistable_points()
+    assert len(points) == 3
+    for p in points:
+        space, _ = converge_cutoffs(p, n_atoms)
+        result = solve_point(p, n_atoms, space)
+        with monkeypatch.context() as patch:
+            start = _branch_covering_floor(p, n_atoms)
+            patch.setattr(exactdiag, "CUTOFF_FLOOR", start)
+            wide_space, trace = converge_cutoffs(p, n_atoms)
+        assert (trace[0]["cutoff_a"], trace[0]["cutoff_b"]) == (start, start)
+        wide = solve_point(p, n_atoms, wide_space)
+        photons, energy, _ = _doubling_oracle(p, n_atoms, (space.cutoff_a, space.cutoff_b),
+                                              CUTOFF_TOL / 10)
+        for reference in ((wide.photon_a, wide.photon_b, wide.energy), (*photons, energy)):
+            assert abs(result.photon_a - reference[0]) <= CUTOFF_TOL / 10, (p, reference)
+            assert abs(result.photon_b - reference[1]) <= CUTOFF_TOL / 10, (p, reference)
+            assert abs(result.energy - reference[2]) / n_atoms <= CUTOFF_TOL / 100, (p, reference)
+
+
 def test_every_sweep_row_holds_its_tail_weight():
-    # fig4b's cut at N = 6: the widest point (g1 = 1) needs little of mode
-    # b, so its shrunk truncation is too small for the first rows, and
-    # only the check at every row grows it
+    # fig4b's cut at N = 6: the first point (g1 = 0.5) needs little of mode
+    # a, so the truncation converged there is too small for the last rows,
+    # and only the check at every row grows it
     g1 = FIXTURE_SWEEPS["fig4b"][0]
     table = ed_sweep(ModelParams(), g1, 0.75, 6, cutoff_tol=CUTOFF_TOL)
     for i, g in enumerate(g1):
         cutoffs = (int(table.cutoff_a[i]), int(table.cutoff_b[i]))
-        photons, weights = _doubling_oracle(ModelParams(g1=g, g2=0.75), 6, cutoffs,
-                                            CUTOFF_TOL / 10)
+        photons, _, weights = _doubling_oracle(ModelParams(g1=g, g2=0.75), 6, cutoffs,
+                                               CUTOFF_TOL / 10)
         assert max(weights) < CUTOFF_TOL / exactdiag.TAIL_RATIO, (i, cutoffs, weights)
         assert abs(table.photon_a[i] - photons[0]) <= CUTOFF_TOL / 10, i
         assert abs(table.photon_b[i] - photons[1]) <= CUTOFF_TOL / 10, i
-    widest = ModelParams(g1=1.0, g2=0.75)
-    space, _ = converge_cutoffs(widest, 6)
-    assert table.cutoff_b[0] > space.cutoff_b
+    first, _ = converge_cutoffs(ModelParams(g1=g1[0], g2=0.75), 6)
+    assert (table.cutoff_a[0], table.cutoff_b[0]) == (first.cutoff_a, first.cutoff_b)
+    assert table.cutoff_a[-1] > first.cutoff_a
+    # and the last point's own truncation is too small for the first rows
+    last, _ = converge_cutoffs(ModelParams(g1=g1[-1], g2=0.75), 6)
+    assert table.cutoff_b[0] > last.cutoff_b
+
+
+def test_sweep_resolves_every_row_when_its_last_growth_is_refused(monkeypatch):
+    # N = 3 along g2 = 0.75 with tol = 20: the rows grow the truncation to
+    # (12, 6), where the last row's (-, +) block lies about 1.2e-6 below
+    # (+, +), twice the solver's error bound; the certificate grows it to
+    # (18, 9), and every row is solved again there
+    g1, p_last = np.linspace(0.3, 2.5, 6), ModelParams(g1=2.5, g2=0.75)
+    refused = TruncatedSpace(build_basis(3), 12, 6)
+    blocks = [build_hamiltonian(p_last, ParitySector(refused, *s)) for s in PARITY_SECTORS]
+    lowest = [np.linalg.eigvalsh(h.toarray())[0] for h in blocks]
+    assert lowest[2] < lowest[0] - 1e-8 * exactdiag._h_scale(blocks[2])
+    with monkeypatch.context() as patch:
+        patch.setattr(exactdiag, "hold_sector_order", lambda params, space, *args: space)
+        uncertified = ed_sweep(ModelParams(), g1, 0.75, 3, cutoff_tol=20.0)
+    assert (uncertified.cutoff_a[-1], uncertified.cutoff_b[-1]) == (12, 6)
+    table = ed_sweep(ModelParams(), g1, 0.75, 3, cutoff_tol=20.0)
+    assert set(zip(table.cutoff_a.tolist(), table.cutoff_b.tolist())) == {(18, 9)}
+    space = truncated_space(3, 18, 9)
+    dense = np.linalg.eigvalsh(build_hamiltonian(p_last, space).toarray())[0]
+    h_even = build_hamiltonian(p_last, ParitySector(space, 1, 1))
+    assert np.linalg.eigvalsh(h_even.toarray())[0] - dense <= 1e-8 * exactdiag._h_scale(h_even)
+    for i, g in enumerate(g1):
+        sector = ParitySector(space, 1, 1)
+        energy, vec = ground_state(build_hamiltonian(ModelParams(g1=g, g2=0.75), sector), tol=1e-8)
+        cold = observables(sector, vec, energy)
+        assert abs(table.photon_a[i] - cold.photon_a) <= 1e-8, i
+        assert abs(table.photon_b[i] - cold.photon_b) <= 1e-8, i
 
 
 def test_lanczos_restarts_are_bounded(monkeypatch, capsys):
