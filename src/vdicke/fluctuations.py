@@ -119,11 +119,15 @@ def left_branch_form(params: ModelParams) -> QuadraticBosonForm:
 
 
 def critical_coupling_by_zero_mode(form_family, bracket, tol: float = 1e-12) -> float:
-    """Bisection root of eps_minus^2(g) = 0 over a coupling bracket.
+    """Root of eps_minus^2(g) = 0 over a coupling bracket, by bracketing secant (Illinois).
 
     ``form_family`` maps a coupling value to a QuadraticBosonForm.  The
-    bracket must straddle the sign change; otherwise BracketError.  The
-    returned root is accurate to well below 1e-10 absolute.
+    bracket must straddle the sign change; otherwise BracketError.  Each
+    step replaces one end by the secant point (the midpoint, should that
+    round onto an end), halving the value kept at an end that survives
+    twice in a row.  It stops on an exact zero, at a bracket no wider
+    than ``tol`` or after 200 steps, and returns the bracket's midpoint,
+    accurate to well below 1e-10 absolute.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
@@ -138,15 +142,24 @@ def critical_coupling_by_zero_mode(form_family, bracket, tol: float = 1e-12) -> 
         raise BracketError(
             f"eps_minus^2 has the same sign at both bracket ends ({f_lo}, {f_hi})"
         )
+    kept = 0  # -1 after the low end was kept, +1 after the high end
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = diagonalize(form_family(mid)).eps_minus_sq
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        f_x = diagonalize(form_family(x)).eps_minus_sq
+        if f_x == 0.0:
+            return x
+        if (f_x > 0.0) == (f_lo > 0.0):
+            lo, f_lo = x, f_x
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
         else:
-            hi = mid
+            hi, f_hi = x, f_x
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
         if hi - lo <= tol:
             break
     return 0.5 * (lo + hi)

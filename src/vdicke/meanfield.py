@@ -367,26 +367,41 @@ def classify(params: ModelParams) -> MeanFieldSolution:
 
 class _OracleMesh(NamedTuple):
     xs: np.ndarray
-    p2: np.ndarray
-    p3: np.ndarray
-    inside: np.ndarray      # the closed quarter disc
-    p2_inside: np.ndarray
-    p3_inside: np.ndarray
+    sq: np.ndarray          # xs ** 2
+    outside: np.ndarray     # 0 on the closed quarter disc, +inf beyond it
 
 
 @functools.lru_cache(maxsize=4)
 def _oracle_mesh(resolution: int) -> _OracleMesh:
-    """brute_force_minimize's sampling mesh and mask, built once per resolution.
+    """brute_force_minimize's sampling axis and disc mask, built once per resolution.
 
     The arrays are shared by every call, so they are made read-only.
     """
     xs = np.linspace(0.0, 1.0, resolution)
-    p2, p3 = np.meshgrid(xs, xs, indexing="ij")
-    inside = p2 ** 2 + p3 ** 2 <= 1.0
-    mesh = _OracleMesh(xs, p2, p3, inside, p2[inside], p3[inside])
+    sq = xs ** 2
+    outside = np.where(np.add.outer(sq, sq) <= 1.0, 0.0, np.inf)
+    mesh = _OracleMesh(xs, sq, outside)
     for array in mesh:
         array.flags.writeable = False
     return mesh
+
+
+def _mesh_energies(params: ModelParams, mesh: _OracleMesh) -> np.ndarray:
+    """The energy at every mesh point (psi2 along rows, psi3 along columns), +inf off the disc.
+
+    _energy_raw multiplied out in the squares s2, s3 is one outer product
+    plus a vector per axis, which row 0 and column 0 hold exactly:
+
+        E = (omega21 - b) s2 + b s2^2 + (omega31 - a) s3 + a s3^2 + (a + b) s2 s3.
+    """
+    a = 4.0 * params.g1 ** 2 / params.omega_a
+    b = 4.0 * params.g2 ** 2 / params.omega_b
+    sq = mesh.sq
+    values = np.multiply.outer((a + b) * sq, sq)
+    values += ((params.omega21 - b) * sq + b * np.square(sq))[:, None]
+    values += (params.omega31 - a) * sq + a * np.square(sq)
+    values += mesh.outside
+    return values
 
 
 def brute_force_minimize(params: ModelParams, resolution: int = 400) -> MeanFieldSolution:
@@ -394,31 +409,30 @@ def brute_force_minimize(params: ModelParams, resolution: int = 400) -> MeanFiel
 
     The surface is even in each amplitude, so only the quarter disc
     psi2, psi3 >= 0 is sampled, on a resolution x resolution grid that
-    holds both axes exactly.  The origin, the best cell overall and the
-    best cell on each axis are then refined by a shrinking-window search
-    down to ~1e-10 in position, which pins the energy far below the 1e-8
-    contract.  Independent of the closed-form branch logic, so it serves
-    as its oracle.
+    holds both axes exactly (see _mesh_energies).  The origin, the best
+    cell overall and the best cell on each axis start one batched
+    shrinking-window search (_refine_all) down to ~1e-10 in position,
+    which pins the energy far below the 1e-8 contract; the lowest start
+    wins, the earliest on a tie.  Nothing here uses the closed-form
+    branches, so it serves as their oracle.
     """
     if resolution < 100:
         raise ValueError(f"resolution must be >= 100, got {resolution}")
     mesh = _oracle_mesh(resolution)
-    values = np.full(mesh.p2.shape, np.inf)
-    values[mesh.inside] = _energy_raw(params, mesh.p2_inside, mesh.p3_inside)
+    values = _mesh_energies(params, mesh)
 
     # The axes hold the one-branch phases, so nearly degenerate wells on
     # and off them are all polished and compared; on an exact tie (the
     # degenerate valley) the earlier start wins.
     xs = mesh.xs
     i2, i3 = np.unravel_index(np.argmin(values), values.shape)
-    starts = [(0.0, 0.0), (xs[i2], xs[i3]), (xs[np.argmin(values[:, 0])], 0.0),
-              (0.0, xs[np.argmin(values[0])])]
-    window = 2.0 * (xs[1] - xs[0])
-    best = min((_refine(params, start, window) for start in starts), key=lambda r: r[0])
-    _, b2, b3 = best
+    starts = dict.fromkeys([(0.0, 0.0), (xs[i2], xs[i3]), (xs[np.argmin(values[:, 0])], 0.0),
+                            (0.0, xs[np.argmin(values[0])])])
+    energies, b2s, b3s = _refine_all(params, np.array(list(starts)).T, 2.0 * (xs[1] - xs[0]))
+    best = int(np.argmin(energies))
 
     # Canonical signs: the surface is even in each amplitude separately.
-    b2, b3 = abs(b2), abs(b3)
+    b2, b3 = abs(float(b2s[best])), abs(float(b3s[best]))
     s2, s3 = b2 ** 2, b3 ** 2
     if s2 < _ORACLE_AMP_SQ_TOL and s3 < _ORACLE_AMP_SQ_TOL:
         label = PhaseLabel.NORMAL
@@ -434,20 +448,28 @@ def brute_force_minimize(params: ModelParams, resolution: int = 400) -> MeanFiel
     return _solution(params, b2, b3, label, bistable=bool(_branch_table(*astuple(params)).bistable))
 
 
-def _refine(params: ModelParams, start, window):
-    c2, c3 = start
-    best = (float(_energy_raw(params, np.asarray(c2), np.asarray(c3))), c2, c3)
+def _refine_all(params: ModelParams, centers: np.ndarray, window: float):
+    """Shrinking-window search from each column of ``centers`` (psi2 row, psi3 row), at once.
+
+    Each level lays a _REFINE_POINTS-square window of half-width w on
+    every start's best point and moves it to the window's lowest point
+    inside the disc (the first on a tie) only when that is strictly
+    lower; w shrinks by _REFINE_SHRINK down to _REFINE_STOP.  Returns
+    (energies, psi2, psi3), one entry per start.
+    """
+    best = _energy_raw(params, centers[0], centers[1])
+    rows = np.arange(centers.shape[1])
     w = window
     while w > _REFINE_STOP:
-        g2s = np.linspace(best[1] - w, best[1] + w, _REFINE_POINTS)
-        g3s = np.linspace(best[2] - w, best[2] + w, _REFINE_POINTS)
-        p2, p3 = np.meshgrid(g2s, g3s, indexing="ij")
-        inside = p2 ** 2 + p3 ** 2 <= 1.0
-        if np.any(inside):
-            vals = np.full(p2.shape, np.inf)
-            vals[inside] = _energy_raw(params, p2[inside], p3[inside])
-            flat = np.argmin(vals)
-            if vals.flat[flat] < best[0]:
-                best = (float(vals.flat[flat]), float(p2.flat[flat]), float(p3.flat[flat]))
+        g2s, g3s = np.linspace(centers - w, centers + w, _REFINE_POINTS, axis=-1)
+        # One row per start: its window flattened, psi2 major (contiguous
+        # rows evaluate faster than broadcast (start, psi2, psi3) blocks).
+        p2, p3 = np.repeat(g2s, _REFINE_POINTS, axis=1), np.tile(g3s, _REFINE_POINTS)
+        vals = np.where(p2 ** 2 + p3 ** 2 <= 1.0, _energy_raw(params, p2, p3), np.inf)
+        flat = vals.argmin(axis=1)
+        lowest = vals[rows, flat]
+        moved = lowest < best
+        best = np.where(moved, lowest, best)
+        centers = np.where(moved, (p2[rows, flat], p3[rows, flat]), centers)
         w *= _REFINE_SHRINK
-    return best
+    return best, centers[0], centers[1]

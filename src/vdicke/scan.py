@@ -204,8 +204,9 @@ def ed_sweep(base: ModelParams, g1, g2, n_atoms: int, cutoff_tol: float = 1e-4,
     solved on (+, +) from the previous one's ground vector and grows the
     shared truncation where its tail weight needs it (exactdiag.hold_tail).
     If it grew, the truncation the sweep ends on is certified for the point
-    that grew it last (exactdiag.hold_sector_order); when that grows it
-    too, every point is solved again there.  Each row reports its cutoffs.
+    that grew it last (exactdiag.hold_sector_order, given that point's
+    (+, +) energy); when that grows it too, every point is solved again
+    there.  Each row reports its cutoffs.
     """
     # No truncation below is smaller: an atom number too large for the
     # dimension limit is refused here, before any per-point work.
@@ -223,7 +224,8 @@ def ed_sweep(base: ModelParams, g1, g2, n_atoms: int, cutoff_tol: float = 1e-4,
             results.append(exactdiag.observables(sector, state, energy))
         if grew is None:
             break
-        space = exactdiag.hold_sector_order(sweep[grew], sector.space, cutoff_tol, eig_tol, seed)
+        space = exactdiag._hold_sector_order(sweep[grew], sector.space, results[grew].energy,
+                                             cutoff_tol, eig_tol, seed, None)
         if space == sector.space:
             break
     columns = {name: np.array([getattr(r, name) for r in results])

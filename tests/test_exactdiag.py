@@ -700,7 +700,7 @@ def test_sweep_resolves_every_row_when_its_last_growth_is_refused(monkeypatch):
     lowest = [np.linalg.eigvalsh(h.toarray())[0] for h in blocks]
     assert lowest[2] < lowest[0] - 1e-8 * exactdiag._h_scale(blocks[2])
     with monkeypatch.context() as patch:
-        patch.setattr(exactdiag, "hold_sector_order", lambda params, space, *args: space)
+        patch.setattr(exactdiag, "_hold_sector_order", lambda params, space, *args: space)
         uncertified = ed_sweep(ModelParams(), g1, 0.75, 3, cutoff_tol=20.0)
     assert (uncertified.cutoff_a[-1], uncertified.cutoff_b[-1]) == (12, 6)
     table = ed_sweep(ModelParams(), g1, 0.75, 3, cutoff_tol=20.0)
@@ -715,6 +715,31 @@ def test_sweep_resolves_every_row_when_its_last_growth_is_refused(monkeypatch):
         cold = observables(sector, vec, energy)
         assert abs(table.photon_a[i] - cold.photon_a) <= 1e-8, i
         assert abs(table.photon_b[i] - cold.photon_b) <= 1e-8, i
+
+
+def test_sweep_certificate_reuses_the_rows_even_solve(monkeypatch):
+    # fig4b's cut at N = 6 grows its truncation; the certificate at the end
+    # takes (+, +)'s energy from the warm solve of the row that grew it, so
+    # it solves one sector fewer than a certificate that solves all four
+    g1 = FIXTURE_SWEEPS["fig4b"][0]
+    certify, solve, solves = exactdiag._hold_sector_order, exactdiag.ground_state, []
+    monkeypatch.setattr(exactdiag, "ground_state",
+                        lambda *a, **k: solves.append(1) or solve(*a, **k))
+
+    def cold(params, space, even_energy, *args):
+        return certify(params, space, None, *args)
+
+    tables, counts = [], []
+    for certificate in (certify, cold):
+        monkeypatch.setattr(exactdiag, "_hold_sector_order", certificate)
+        exactdiag._sector_ground.cache_clear()
+        before = len(solves)
+        tables.append(ed_sweep(ModelParams(), g1, 0.75, 6, cutoff_tol=CUTOFF_TOL))
+        counts.append(len(solves) - before)
+    assert tables[0].cutoff_a[-1] > tables[0].cutoff_a[0]  # the sweep grew
+    assert counts[0] == counts[1] - 1
+    for name in ("photon_a", "photon_b", "cutoff_a", "cutoff_b"):
+        np.testing.assert_array_equal(getattr(tables[0], name), getattr(tables[1], name))
 
 
 def test_lanczos_restarts_are_bounded(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,6 +165,74 @@ def test_bisection_rejects_bracket_without_sign_change():
 
     with pytest.raises(BracketError):
         critical_coupling_by_zero_mode(family, (0.01, 0.1))  # both stable
+    with pytest.raises(BracketError):
+        critical_coupling_by_zero_mode(family, (0.75, 0.25))  # lo > hi
+
+
+def test_zero_mode_root_returns_exact_zeros():
+    # at w1 = w2 = 1, eps_minus^2 = 1 - 2 lam exactly: zero at 1/2
+    def family(lam):
+        return QuadraticBosonForm(1.0, 1.0, lam)
+
+    assert critical_coupling_by_zero_mode(family, (0.5, 0.9)) == 0.5
+    assert critical_coupling_by_zero_mode(family, (0.1, 0.5)) == 0.5
+    # the first secant point of (1/4, 3/4) is the root itself
+    assert critical_coupling_by_zero_mode(family, (0.25, 0.75)) == 0.5
+
+
+def _bisection_root(form_family, bracket, tol=1e-12):
+    """Plain bisection of eps_minus^2 over a sign-change bracket: the secant's oracle."""
+    lo, hi = bracket
+    f_lo = diagonalize(form_family(lo)).eps_minus_sq
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = diagonalize(form_family(mid)).eps_minus_sq
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+        if hi - lo <= tol:
+            break
+    return 0.5 * (lo + hi)
+
+
+def _criterion_2_families():
+    """Acceptance criterion 2's 100 draws: (form family, closed-form root), two per draw."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for draw in range(100):
+        base = ModelParams(
+            omega21=rng.uniform(0.4, 2.0), omega31=rng.uniform(0.4, 2.0),
+            omega_a=rng.uniform(0.4, 2.0), omega_b=rng.uniform(0.4, 2.0))
+        if draw % 2 == 0:
+            out.append((lambda g, b=base: normal_phase_forms(replace(b, g1=g))[0],
+                        critical_g1(base)))
+            p = replace(base, g1=critical_g1(base) * rng.uniform(1.02, 3.0))
+            out.append((lambda g, p=p: right_branch_form(replace(p, g2=g)),
+                        renormalized_critical_g2(p)))
+        else:
+            out.append((lambda g, b=base: normal_phase_forms(replace(b, g2=g))[1],
+                        critical_g2(base)))
+            p = replace(base, g2=critical_g2(base) * rng.uniform(1.02, 3.0))
+            out.append((lambda g, p=p: left_branch_form(replace(p, g1=g)),
+                        renormalized_critical_g1(p)))
+    return out
+
+
+def test_secant_root_matches_bisection_in_few_evaluations():
+    for family, target in _criterion_2_families():
+        calls = []
+
+        def counted(g, family=family):
+            calls.append(g)
+            return family(g)
+
+        bracket = (0.2 * target, 3.0 * target)
+        found = critical_coupling_by_zero_mode(counted, bracket)
+        assert abs(found - _bisection_root(family, bracket)) <= 1e-10, target
+        assert len(calls) <= 30, (target, len(calls))
 
 
 def test_spectrum_record_fields():

@@ -6,9 +6,16 @@ import pytest
 
 from vdicke.errors import DomainError
 from vdicke.meanfield import (
+    _REFINE_POINTS,
+    _REFINE_SHRINK,
+    _REFINE_STOP,
     PHASES,
     MeanFieldSolution,
     _branch_table,
+    _energy_raw,
+    _mesh_energies,
+    _oracle_mesh,
+    _refine_all,
     brute_force_minimize,
     classify,
     classify_arrays,
@@ -265,6 +272,66 @@ def test_brute_force_keeps_its_contract_on_the_axes(point):
     oracle = brute_force_minimize(ModelParams(*point), resolution=400)
     assert abs(oracle.energy - e_min) <= 1e-8
     assert oracle.phase in labels and oracle.phase is not PhaseLabel.LEFT_RIGHT_SR
+
+
+def _criterion_1_points(every: int = 1):
+    """Acceptance criterion 1's two 50 x 50 coupling grids, every ``every``-th point."""
+    points = [replace(base, g1=float(g1), g2=float(g2))
+              for base in (ModelParams(), ModelParams(omega31=1.7))
+              for g1 in np.linspace(0.0, 2.0 * critical_g1(base), 50)
+              for g2 in np.linspace(0.0, 2.0 * critical_g2(base), 50)]
+    return points[::every]
+
+
+def _refine(params, start, window):
+    """One start's shrinking-window search, one window at a time: the batched search's oracle."""
+    c2, c3 = start
+    best = (float(_energy_raw(params, np.asarray(c2), np.asarray(c3))), c2, c3)
+    w = window
+    while w > _REFINE_STOP:
+        g2s = np.linspace(best[1] - w, best[1] + w, _REFINE_POINTS)
+        g3s = np.linspace(best[2] - w, best[2] + w, _REFINE_POINTS)
+        p2, p3 = np.meshgrid(g2s, g3s, indexing="ij")
+        inside = p2 ** 2 + p3 ** 2 <= 1.0
+        if np.any(inside):
+            vals = np.full(p2.shape, np.inf)
+            vals[inside] = _energy_raw(params, p2[inside], p3[inside])
+            flat = np.argmin(vals)
+            if vals.flat[flat] < best[0]:
+                best = (float(vals.flat[flat]), float(p2.flat[flat]), float(p3.flat[flat]))
+        w *= _REFINE_SHRINK
+    return best
+
+
+def test_batched_refinement_is_the_one_start_search():
+    # brute_force_minimize's four starts, plus two on the disc's rim,
+    # where the windows are cut by it
+    xs = _oracle_mesh(400).xs
+    window = 2.0 * (xs[1] - xs[0])
+    for p in _criterion_1_points(every=23):
+        values = _mesh_energies(p, _oracle_mesh(400))
+        i2, i3 = np.unravel_index(np.argmin(values), values.shape)
+        starts = [(0.0, 0.0), (xs[i2], xs[i3]), (xs[np.argmin(values[:, 0])], 0.0),
+                  (0.0, xs[np.argmin(values[0])]), (1.0, 0.0), (0.6, 0.8)]
+        batched = _refine_all(p, np.array(starts).T, window)
+        for k, start in enumerate(starts):
+            one = _refine(p, start, window)
+            assert tuple(float(column[k]).hex() for column in batched) == \
+                tuple(x.hex() for x in one), (p, start)
+
+
+def _assert_kkt(params):
+    """classify's minimum is a stationary point, and no physical branch lies lower."""
+    picked = classify(params)
+    bound = KKT_TOL * max(1.0, abs(picked.energy))
+    assert max(abs(g) for g in gradient(params, picked.psi2, picked.psi3)) <= bound, params
+    assert all(s.energy >= picked.energy for s in stationary_branches(params) if s.physical), \
+        params
+
+
+def test_classify_meets_kkt_on_the_criterion_1_grids():
+    for p in _criterion_1_points():
+        _assert_kkt(p)
 
 
 def test_brute_force_guards_resolution():

@@ -11,6 +11,14 @@ Exchanging levels 2<->3, modes a<->b and g1<->g2 relabels the left branch
 as the right one, so classification commutes with that exchange.  And a
 condensate only stiffens the other branch the deeper it is, so each
 renormalized threshold is non-decreasing in the condensed coupling.
+
+Each coupling enters the energy as -(4 g^2 / omega) psi1^2 psi^2 with
+psi1^2 psi^2 <= 1/4, so the ground energy is Lipschitz in it, with
+constant 2 g / omega: continuous across every threshold and first-order
+crossing, though the order parameters jump there.
+
+The brute-force oracle's mesh evaluates the energy multiplied out in
+the squared amplitudes; it must agree with the surface itself.
 """
 
 import math
@@ -23,7 +31,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from vdicke.meanfield import classify, classify_arrays  # noqa: E402
+from vdicke.meanfield import (  # noqa: E402
+    _energy_raw,
+    _mesh_energies,
+    _oracle_mesh,
+    classify,
+    classify_arrays,
+)
 from vdicke.model import (  # noqa: E402
     ModelParams,
     PhaseLabel,
@@ -140,3 +154,67 @@ def test_renormalized_thresholds_grow_with_the_condensed_coupling(case):
     at_hi = threshold(replace(base, **{axis: hi}))
     assert at_lo >= bare * (1.0 - REL_TOL), case
     assert at_hi >= at_lo * (1.0 - REL_TOL), case
+
+
+@st.composite
+def threshold_lines(draw):
+    """Frequencies in [0.4, 2], a phase boundary, the coupling crossing it and a half-step h.
+
+    Returns (frequencies, couplings at the crossing, axis crossed, h), the
+    axis 0 for g1 and 1 for g2.  The boundaries: each bare threshold (the
+    other coupling in [0, 3 g_c]), each renormalized one (the condensed
+    coupling in [g_c, 3 g_c]) and the first-order crossing, where the two
+    condensates tie.
+    """
+    w21, w31, wa, wb = (draw(st.floats(0.4, 2.0)) for _ in range(4))
+    base = ModelParams(w21, w31, wa, wb)
+    gc1, gc2 = critical_g1(base), critical_g2(base)
+    kind = draw(st.sampled_from(["bare g1", "bare g2", "renormalized g1", "renormalized g2",
+                                 "first order"]))
+    if kind == "bare g1":
+        g, axis = (gc1, draw(st.floats(0.0, 3.0 * gc2))), 0
+    elif kind == "bare g2":
+        g, axis = (draw(st.floats(0.0, 3.0 * gc1)), gc2), 1
+    elif kind == "renormalized g1":
+        g2 = draw(st.floats(gc2, 3.0 * gc2))
+        g, axis = (renormalized_critical_g1(replace(base, g2=g2)), g2), 0
+    elif kind == "renormalized g2":
+        g1 = draw(st.floats(gc1, 3.0 * gc1))
+        g, axis = (g1, renormalized_critical_g2(replace(base, g1=g1))), 1
+    else:
+        # equal condensate energies (a - w31)^2 / a = (b - w21)^2 / b, b > w21
+        g1 = draw(st.floats(1.01 * gc1, 3.0 * gc1))
+        a = 4.0 * g1 ** 2 / wa
+        c = (a - w31) ** 2 / a
+        b = 0.5 * (2.0 * w21 + c + math.sqrt((2.0 * w21 + c) ** 2 - 4.0 * w21 ** 2))
+        g, axis = (g1, 0.5 * math.sqrt(b * wb)), draw(st.sampled_from([0, 1]))
+    return (w21, w31, wa, wb), g, axis, 10.0 ** draw(st.floats(-9.0, -3.0))
+
+
+@settings(max_examples=600, deadline=None)
+@given(threshold_lines())
+def test_ground_energy_is_continuous_across_phase_boundaries(case):
+    freqs, g, axis, h = case
+    couplings = np.array([g, g])
+    couplings[:, axis] += (-h, h)
+    e_below, e_above = _energies(freqs, couplings)
+    lipschitz = 2.0 * (g[axis] + h) / freqs[2 + axis]  # 2 g / omega_a for g1, omega_b for g2
+    tol = REL_TOL * (1.0 + max(abs(e_below), abs(e_above)))
+    assert abs(e_above - e_below) <= lipschitz * 2.0 * h + tol, case
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[st.floats(0.3, 2.5)] * 4, *[st.floats(0.0, 2.0)] * 2),
+       st.sampled_from([100, 400]))
+def test_oracle_mesh_is_the_energy_surface(point, resolution):
+    params = ModelParams(*point)
+    mesh = _oracle_mesh(resolution)
+    values = _mesh_energies(params, mesh)
+    p2, p3 = np.meshgrid(mesh.xs, mesh.xs, indexing="ij")
+    inside = p2 ** 2 + p3 ** 2 <= 1.0
+    assert np.all(values[~inside] == np.inf)
+    # a few ulps of the largest term, each at most max(omega21, omega31, a, b)
+    a, b = 4.0 * params.g1 ** 2 / params.omega_a, 4.0 * params.g2 ** 2 / params.omega_b
+    bound = 8.0 * np.finfo(float).eps * max(params.omega21, params.omega31, a, b)
+    error = np.abs(values[inside] - _energy_raw(params, p2[inside], p3[inside]))
+    assert error.max() <= bound, point
