@@ -51,18 +51,21 @@ state's marginal Fock weight in the mode's top two levels (its tail
 weight) is below cutoff_tol / TAIL_RATIO.  The weight is read from the
 vector already solved; photon numbers move by about ten times it.
 
- * ``converge_cutoffs`` solves (+, +) at (CUTOFF_FLOOR, CUTOFF_FLOOR),
-   grows any mode whose tail weight is too large, shrinks once to the
-   smallest cutoffs the marginals allow (growing again only if the
-   shrunk truncation's own weights fail), and certifies the result.
- * ``hold_tail`` is the growth step alone: it solves (+, +) on one
-   truncation and grows it until both weights pass.  ``scan.ed_sweep``
-   applies it at every sweep point.
- * ``hold_sector_order`` is the certificate: no other sector's ground
-   energy may lie below the (+, +) one by more than the solver's
-   tolerance, or both modes grow.  Perron-Frobenius does not fix which
-   block is lowest; on a too-small truncation deep in a superradiant
-   phase it can be (+, -) or (-, +).
+ * ``_hold_tail`` solves (+, +) on one truncation and grows it until
+   both weights pass.
+ * ``_hold_sector_order`` is the one certificate: no other sector's
+   ground energy may lie below the (+, +) one, which its caller has
+   just solved and hands it, by more than the solver's tolerance, or
+   both modes grow.  Perron-Frobenius does not fix which block is
+   lowest; on a too-small truncation deep in a superradiant phase it can
+   be (+, -) or (-, +).
+ * ``converge_cutoffs`` holds the tail from (CUTOFF_FLOOR, CUTOFF_FLOOR),
+   shrinks once to the smallest cutoffs the marginals allow, holds the
+   tail there, and certifies the result.
+ * ``solve_sweep`` converges at a sweep's first point and holds the tail
+   at every point, warm from the previous one's vector, on one shared
+   truncation; if it grew, the truncation is certified for the point
+   that grew it last, and when that grows it every point is solved again.
  * ``solve_point`` is exact on any space: E0 is the lowest of the four
    sector ground energies, the observables are those of that sector's
    ground state, and E1 is the lower of that sector's second level and
@@ -70,11 +73,9 @@ vector already solved; photon numbers move by about ten times it.
 
 A sector solved from the ``seed`` vector is a pure function of (params,
 sector, tol, seed), so those solves are memoized, one truncation's four
-sectors at a time: the certificate reuses the (+, +) seed solve of the
-truncation it checks, and solve_point on a truncation just certified (or
-an equal one), or a sweep's first point, reuses the certificate's.  The
-certificate at the end of a sweep takes (+, +)'s energy from the warm
-solve of the point it certifies, and solves only the other three.
+sectors at a time: solve_point on a truncation just certified (or an
+equal one) reuses the certificate's three solves, and it and a sweep's
+first point reuse (+, +)'s when ``_hold_tail`` accepted it ungrown.
 
 Every space is checked against DEFAULT_DIM_LIMIT, read at call time,
 before anything of its size is allocated; the limit applies to the
@@ -113,8 +114,7 @@ __all__ = [
     "lowest_two",
     "observables",
     "converge_cutoffs",
-    "hold_tail",
-    "hold_sector_order",
+    "solve_sweep",
     "solve_point",
 ]
 
@@ -226,27 +226,26 @@ def build_basis(n_atoms: int) -> SymmetricBasis:
     return SymmetricBasis(n_atoms=n_atoms, states=states)
 
 
-def _check_dimension(n_atoms: int, cutoff_a: int, cutoff_b: int, trace=None) -> None:
+def _check_dimension(n_atoms: int, cutoff_a: int, cutoff_b: int) -> None:
     dimension = (n_atoms + 1) * (n_atoms + 2) // 2 * (cutoff_a + 1) * (cutoff_b + 1)
     if dimension > DEFAULT_DIM_LIMIT:
         raise CapacityError(
             f"space dimension {dimension} (N = {n_atoms}, cutoffs {cutoff_a} and "
             f"{cutoff_b}) exceeds the dimension limit {DEFAULT_DIM_LIMIT}",
-            trace=trace,
         )
 
 
-def truncated_space(n_atoms: int, cutoff_a: int, cutoff_b: int, trace=None) -> TruncatedSpace:
+def truncated_space(n_atoms: int, cutoff_a: int, cutoff_b: int) -> TruncatedSpace:
     """Symmetric sector tensor two truncated modes, bounded before enumeration.
 
     The dimension (N+1)(N+2)/2 * (cutoff_a+1) * (cutoff_b+1) is checked
     against DEFAULT_DIM_LIMIT before the basis is built, so an oversized
-    request raises CapacityError (carrying ``trace``) without allocating.
+    request raises CapacityError without allocating.
     """
     if n_atoms < 1 or cutoff_a < 1 or cutoff_b < 1:
         raise ValueError(f"n_atoms and both cutoffs must be >= 1, got "
                          f"{n_atoms}, {cutoff_a}, {cutoff_b}")
-    _check_dimension(n_atoms, cutoff_a, cutoff_b, trace=trace)
+    _check_dimension(n_atoms, cutoff_a, cutoff_b)
     return TruncatedSpace(basis=build_basis(n_atoms), cutoff_a=cutoff_a, cutoff_b=cutoff_b)
 
 
@@ -493,13 +492,13 @@ def _shrunk(marginal: np.ndarray, bound: float) -> int:
     return min(marginal.size - 1, above + TAIL_LEVELS - 1)
 
 
-def _even_sector(n_atoms: int, cutoffs, trace: list | None = None) -> ParitySector:
-    """(+, +) at ``cutoffs``; CapacityError, carrying ``trace``, past the dimension limit."""
-    return ParitySector(truncated_space(n_atoms, *cutoffs, trace=trace), 1, 1)
+def _even_sector(n_atoms: int, cutoffs) -> ParitySector:
+    """(+, +) at ``cutoffs``; CapacityError past the dimension limit."""
+    return ParitySector(truncated_space(n_atoms, *cutoffs), 1, 1)
 
 
-def hold_tail(params: ModelParams, sector: ParitySector, start: np.ndarray | None = None,
-              tol: float = 1e-4, eig_tol: float = 1e-8, seed: int = 0, trace: list | None = None):
+def _hold_tail(params: ModelParams, sector: ParitySector, start: np.ndarray | None,
+               tol: float, eig_tol: float, seed: int, trace: list | None = None):
     """Solve a (+, +) sector and grow it until each mode's tail weight is below tol / TAIL_RATIO.
 
     H is solved to ``eig_tol`` from ``start``, or from the ``seed`` vector
@@ -507,8 +506,7 @@ def hold_tail(params: ModelParams, sector: ParitySector, start: np.ndarray | Non
     least the bound grows by GROWTH, and the grown sector is solved from the
     state zero-padded, until both weights pass.  Returns ``(sector, energy,
     state)``, ``sector`` itself if they pass at once.  Each truncation
-    checked is appended to ``trace`` when one is given, which CapacityError
-    carries if growth passes the dimension limit.
+    checked is appended to ``trace`` when one is given.
     """
     bound = tol / TAIL_RATIO
     while True:
@@ -528,7 +526,7 @@ def hold_tail(params: ModelParams, sector: ParitySector, start: np.ndarray | Non
             return sector, energy, state
         grown = _even_sector(sector.space.basis.n_atoms,
                              [math.ceil(GROWTH * (m.size - 1)) if w >= bound else m.size - 1
-                              for m, w in zip(marginals, weights)], trace)
+                              for m, w in zip(marginals, weights)])
         sector, start = grown, _transfer(sector, state, grown)
 
 
@@ -567,45 +565,32 @@ def _check_solver_settings(seed: int, tolerances: dict[str, float]) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
-def hold_sector_order(params: ModelParams, space: TruncatedSpace, tol: float = 1e-4,
-                      eig_tol: float = 1e-8, seed: int = 0,
-                      trace: list | None = None) -> TruncatedSpace:
-    """The certificate: grow ``space`` until (+, +) holds the lowest ground energy.
-
-    Every sector is solved from the ``seed`` vector (memoized).  While another
-    lies below (+, +) by more than its solve's error bound, both cutoffs grow
-    by GROWTH and ``hold_tail`` holds (+, +) there; ``trace`` as in hold_tail.
-    """
-    return _hold_sector_order(params, space, None, tol, eig_tol, seed, trace)
-
-
-def _hold_sector_order(params: ModelParams, space: TruncatedSpace, even_energy: float | None,
+def _hold_sector_order(params: ModelParams, space: TruncatedSpace, even_energy: float,
                        tol: float, eig_tol: float, seed: int,
-                       trace: list | None) -> TruncatedSpace:
-    """hold_sector_order, given (+, +)'s energy on ``space`` when a caller has
-    just solved it there to ``eig_tol`` (warm, say), so that only the other
-    three sectors are solved: the test reads their error bounds, not its own."""
+                       trace: list | None = None) -> TruncatedSpace:
+    """The certificate: grow ``space`` until (+, +), whose ground energy there
+    is ``even_energy``, holds the lowest.  The other sectors are solved from
+    the ``seed`` vector (memoized); ``trace`` as in _hold_tail.
+    """
     while True:
-        if even_energy is None:
-            even_energy = _sector_ground(params, ParitySector(space, 1, 1), eig_tol, seed).energy
         others = [_sector_ground(params, ParitySector(space, left, right), eig_tol, seed)
                   for left, right in PARITY_SECTORS[1:]]
         if not any(g.energy < even_energy - g.error for g in others):
             return space
         grown = _even_sector(space.basis.n_atoms, [math.ceil(GROWTH * c) for c in
-                                                   (space.cutoff_a, space.cutoff_b)], trace)
-        space = hold_tail(params, grown, None, tol, eig_tol, seed, trace)[0].space
-        even_energy = None
+                                                   (space.cutoff_a, space.cutoff_b)])
+        sector, even_energy, _ = _hold_tail(params, grown, None, tol, eig_tol, seed, trace)
+        space = sector.space
 
 
 def converge_cutoffs(params: ModelParams, n_atoms: int, tol: float = 1e-4, eig_tol: float = 1e-8,
                      seed: int = 0):
     """The boson cutoffs that hold the ground state: each mode's tail weight below tol / TAIL_RATIO.
 
-    ``hold_tail`` solves (+, +) from the ``seed`` vector at (CUTOFF_FLOOR,
+    ``_hold_tail`` solves (+, +) from the ``seed`` vector at (CUTOFF_FLOOR,
     CUTOFF_FLOOR), read at call time, and grows it; the truncation is then
     shrunk once, to the smallest cutoffs its marginals allow, held again,
-    and certified by ``hold_sector_order``.  Returns ``(space, trace)``,
+    and certified by ``_hold_sector_order``.  Returns ``(space, trace)``,
     ``trace`` recording every truncation solved with its tail weights.
     Raises ValueError for a tolerance that is not finite and positive or a
     negative seed, and CapacityError (with the trace) past the dimension limit.
@@ -613,13 +598,40 @@ def converge_cutoffs(params: ModelParams, n_atoms: int, tol: float = 1e-4, eig_t
     _check_solver_settings(seed, {"photon-number tolerance tol": tol,
                                   "eigensolver tolerance eig_tol": eig_tol})
     trace = []
-    sector, _, state = hold_tail(params, _even_sector(n_atoms, (CUTOFF_FLOOR, CUTOFF_FLOOR), trace),
-                                 None, tol, eig_tol, seed, trace)
-    cutoffs = [_shrunk(m, tol / TAIL_RATIO) for m in _marginals(sector, state)]
-    if cutoffs != [sector.space.cutoff_a, sector.space.cutoff_b]:
-        sector, _, _ = hold_tail(params, _even_sector(n_atoms, cutoffs, trace), None, tol,
-                                 eig_tol, seed, trace)
-    return hold_sector_order(params, sector.space, tol, eig_tol, seed, trace), trace
+    try:
+        sector, energy, state = _hold_tail(
+            params, _even_sector(n_atoms, (CUTOFF_FLOOR, CUTOFF_FLOOR)), None, tol, eig_tol,
+            seed, trace)
+        cutoffs = [_shrunk(m, tol / TAIL_RATIO) for m in _marginals(sector, state)]
+        if cutoffs != [sector.space.cutoff_a, sector.space.cutoff_b]:
+            sector, energy, _ = _hold_tail(params, _even_sector(n_atoms, cutoffs), None, tol,
+                                           eig_tol, seed, trace)
+        return _hold_sector_order(params, sector.space, energy, tol, eig_tol, seed, trace), trace
+    except CapacityError as exc:
+        exc.trace = list(trace)
+        raise
+
+
+def solve_sweep(points: list[ModelParams], n_atoms: int, tol: float = 1e-4,
+                eig_tol: float = 1e-8, seed: int = 0) -> list[GroundStateResult]:
+    """(+, +) ground-state observables of n_atoms atoms at each of ``points``,
+    on one truncation grown and certified as the module docstring says; each
+    result carries its cutoffs.  Raises as converge_cutoffs does.
+    """
+    space, _ = converge_cutoffs(points[0], n_atoms, tol, eig_tol, seed)
+    while True:
+        sector, state, grew, results = ParitySector(space, 1, 1), None, None, []
+        for i, params in enumerate(points):
+            held, energy, state = _hold_tail(params, sector, state, tol, eig_tol, seed)
+            if held != sector:
+                sector, grew = held, i
+            results.append(observables(sector, state, energy))
+        if grew is None:
+            return results
+        space = _hold_sector_order(points[grew], sector.space, results[grew].energy, tol,
+                                   eig_tol, seed)
+        if space == sector.space:
+            return results
 
 
 def solve_point(params: ModelParams, n_atoms: int, space: TruncatedSpace,

@@ -414,7 +414,9 @@ def brute_force_minimize(params: ModelParams, resolution: int = 400) -> MeanFiel
     shrinking-window search (_refine_all) down to ~1e-10 in position,
     which pins the energy far below the 1e-8 contract; the lowest start
     wins, the earliest on a tie.  Nothing here uses the closed-form
-    branches, so it serves as their oracle.
+    branches, so it serves as their oracle.  It judges phase, amplitudes
+    and energy only: ``bistable`` stays False, since whether a second well
+    is locally stable is the closed forms' call, not a grid search's.
     """
     if resolution < 100:
         raise ValueError(f"resolution must be >= 100, got {resolution}")
@@ -445,7 +447,7 @@ def brute_force_minimize(params: ModelParams, resolution: int = 400) -> MeanFiel
         b3 = 0.0
     else:
         label = PhaseLabel.LEFT_RIGHT_SR
-    return _solution(params, b2, b3, label, bistable=bool(_branch_table(*astuple(params)).bistable))
+    return _solution(params, b2, b3, label)
 
 
 def _refine_all(params: ModelParams, centers: np.ndarray, window: float):

@@ -199,35 +199,18 @@ def ed_sweep(base: ModelParams, g1, g2, n_atoms: int, cutoff_tol: float = 1e-4,
     """Classify each (g1, g2) point at base's frequencies and attach finite-N observables.
 
     ``g1`` and ``g2`` are coupling arrays broadcast to one sweep (a
-    scalar holds that coupling fixed).  Cutoffs are converged and certified
-    at the first point (exactdiag.converge_cutoffs).  Each later point is
-    solved on (+, +) from the previous one's ground vector and grows the
-    shared truncation where its tail weight needs it (exactdiag.hold_tail).
-    If it grew, the truncation the sweep ends on is certified for the point
-    that grew it last (exactdiag.hold_sector_order, given that point's
-    (+, +) energy); when that grows it too, every point is solved again
-    there.  Each row reports its cutoffs.
+    scalar holds that coupling fixed).  exactdiag.solve_sweep solves the
+    points on one truncation: converged and certified at the first point,
+    grown where a later point's tail weight needs it, and certified again
+    for the point that grew it last, every point being solved again if
+    that grows it.  Each row reports the cutoffs it was solved at.
     """
     # No truncation below is smaller: an atom number too large for the
     # dimension limit is refused here, before any per-point work.
     exactdiag.truncated_space(n_atoms, exactdiag.CUTOFF_FLOOR, exactdiag.CUTOFF_FLOOR)
     table = _classified(base, g1, g2)
     sweep = [replace(base, g1=a, g2=b) for a, b in zip(table.g1.tolist(), table.g2.tolist())]
-    space, _ = exactdiag.converge_cutoffs(sweep[0], n_atoms, cutoff_tol, eig_tol, seed)
-    while True:
-        sector, state, grew, results = exactdiag.ParitySector(space, 1, 1), None, None, []
-        for i, params in enumerate(sweep):
-            held, energy, state = exactdiag.hold_tail(params, sector, state, cutoff_tol,
-                                                      eig_tol, seed)
-            if held != sector:
-                sector, grew = held, i
-            results.append(exactdiag.observables(sector, state, energy))
-        if grew is None:
-            break
-        space = exactdiag._hold_sector_order(sweep[grew], sector.space, results[grew].energy,
-                                             cutoff_tol, eig_tol, seed, None)
-        if space == sector.space:
-            break
+    results = exactdiag.solve_sweep(sweep, n_atoms, cutoff_tol, eig_tol, seed)
     columns = {name: np.array([getattr(r, name) for r in results])
                for name in ("photon_a", "photon_b", "cutoff_a", "cutoff_b")}
     return replace(table, n_atoms=np.full(len(sweep), n_atoms), **columns)

@@ -699,13 +699,20 @@ def test_sweep_resolves_every_row_when_its_last_growth_is_refused(monkeypatch):
     blocks = [build_hamiltonian(p_last, ParitySector(refused, *s)) for s in PARITY_SECTORS]
     lowest = [np.linalg.eigvalsh(h.toarray())[0] for h in blocks]
     assert lowest[2] < lowest[0] - 1e-8 * exactdiag._h_scale(blocks[2])
+    space = truncated_space(3, 18, 9)
+    # the certificate alone, given (+, +)'s exact energy, grows (12, 6) to (18, 9)
+    assert exactdiag._hold_sector_order(p_last, refused, lowest[0], 20.0, 1e-8, 0) == space
+    asked = []
     with monkeypatch.context() as patch:
-        patch.setattr(exactdiag, "_hold_sector_order", lambda params, space, *args: space)
+        patch.setattr(exactdiag, "_hold_sector_order",
+                      lambda params, truncation, *args: asked.append((params, truncation))
+                      or truncation)
         uncertified = ed_sweep(ModelParams(), g1, 0.75, 3, cutoff_tol=20.0)
     assert (uncertified.cutoff_a[-1], uncertified.cutoff_b[-1]) == (12, 6)
+    # the sweep asked about (12, 6) for the last row, the one that grew it last
+    assert asked[-1] == (p_last, refused)
     table = ed_sweep(ModelParams(), g1, 0.75, 3, cutoff_tol=20.0)
     assert set(zip(table.cutoff_a.tolist(), table.cutoff_b.tolist())) == {(18, 9)}
-    space = truncated_space(3, 18, 9)
     dense = np.linalg.eigvalsh(build_hamiltonian(p_last, space).toarray())[0]
     h_even = build_hamiltonian(p_last, ParitySector(space, 1, 1))
     assert np.linalg.eigvalsh(h_even.toarray())[0] - dense <= 1e-8 * exactdiag._h_scale(h_even)
@@ -720,23 +727,41 @@ def test_sweep_resolves_every_row_when_its_last_growth_is_refused(monkeypatch):
 def test_sweep_certificate_reuses_the_rows_even_solve(monkeypatch):
     # fig4b's cut at N = 6 grows its truncation; the certificate at the end
     # takes (+, +)'s energy from the warm solve of the row that grew it, so
-    # it solves one sector fewer than a certificate that solves all four
+    # at the truncation the sweep ends on it solves only the three other
+    # sectors, one solve fewer than when it is handed (+, +)'s seed solve,
+    # and it decides the same
     g1 = FIXTURE_SWEEPS["fig4b"][0]
-    certify, solve, solves = exactdiag._hold_sector_order, exactdiag.ground_state, []
+    certify, build, solve = (exactdiag._hold_sector_order, exactdiag.build_hamiltonian,
+                             exactdiag.ground_state)
+    built, solves, certified = [], [], []
+    monkeypatch.setattr(exactdiag, "build_hamiltonian",
+                        lambda params, space: built.append(space) or build(params, space))
     monkeypatch.setattr(exactdiag, "ground_state",
                         lambda *a, **k: solves.append(1) or solve(*a, **k))
 
-    def cold(params, space, even_energy, *args):
-        return certify(params, space, None, *args)
+    def recording(params, space, *args):
+        before = len(built)
+        accepted = certify(params, space, *args)
+        certified.append((space, accepted, built[before:]))
+        return accepted
+
+    def seeded(params, space, even_energy, tol, eig_tol, seed, *args):
+        even = exactdiag._sector_ground(params, ParitySector(space, 1, 1), eig_tol, seed)
+        return certify(params, space, even.energy, tol, eig_tol, seed, *args)
 
     tables, counts = [], []
-    for certificate in (certify, cold):
+    for certificate in (recording, seeded):
         monkeypatch.setattr(exactdiag, "_hold_sector_order", certificate)
         exactdiag._sector_ground.cache_clear()
         before = len(solves)
         tables.append(ed_sweep(ModelParams(), g1, 0.75, 6, cutoff_tol=CUTOFF_TOL))
         counts.append(len(solves) - before)
     assert tables[0].cutoff_a[-1] > tables[0].cutoff_a[0]  # the sweep grew
+    space, accepted, sectors = certified[-1]
+    assert (space.cutoff_a, space.cutoff_b) == (tables[0].cutoff_a[-1], tables[0].cutoff_b[-1])
+    assert accepted == space
+    assert [(s.space, s.left, s.right) for s in sectors] == \
+        [(space, left, right) for left, right in PARITY_SECTORS[1:]]
     assert counts[0] == counts[1] - 1
     for name in ("photon_a", "photon_b", "cutoff_a", "cutoff_b"):
         np.testing.assert_array_equal(getattr(tables[0], name), getattr(tables[1], name))

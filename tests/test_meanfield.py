@@ -4,6 +4,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
+from vdicke import meanfield
 from vdicke.errors import DomainError
 from vdicke.meanfield import (
     _REFINE_POINTS,
@@ -255,6 +256,26 @@ def test_classification_matches_brute_force_on_a_spot_grid():
             assert abs(oracle.psi2 ** 2 - picked.psi2 ** 2) < 1e-5
             assert abs(oracle.psi3 ** 2 - picked.psi3 ** 2) < 1e-5
 
+
+
+def test_brute_force_needs_no_closed_form_branch(monkeypatch):
+    # the oracle checks the closed-form branches, so it must find classify's
+    # minimum with the branch table refusing every call; it judges phase,
+    # amplitudes and energy only, so a bistable point is not flagged
+    p = ModelParams(omega31=1.7, g1=1.0, g2=0.8643)
+    picked = classify(p)
+    assert picked.bistable
+
+    def refuse(*args):
+        raise AssertionError("brute_force_minimize read the closed-form branch table")
+
+    monkeypatch.setattr(meanfield, "_branch_table", refuse)
+    oracle = brute_force_minimize(p, resolution=240)
+    assert oracle.phase is picked.phase
+    assert abs(oracle.energy - picked.energy) < 1e-8
+    assert abs(oracle.psi2 ** 2 - picked.psi2 ** 2) < 1e-5
+    assert abs(oracle.psi3 ** 2 - picked.psi3 ** 2) < 1e-5
+    assert not oracle.bistable
 
 # Points where a grid without the axes stopped the oracle off an axis, 1e-6
 # to 5e-6 above a one-branch minimum, labelled LeftRightSR: the true phase

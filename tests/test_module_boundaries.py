@@ -1,0 +1,83 @@
+"""Module boundaries inside the package, read from its source with ``ast``.
+
+An underscore name is private to the module that defines it: a module
+that reads another's depends on a detail its owner may change.  A name
+in ``__all__`` is a promise that ``from module import *`` must keep.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import vdicke
+
+SOURCES = sorted(Path(vdicke.__file__).parent.glob("*.py"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _foreign_private_reads(filename: str, text: str) -> list[str]:
+    """``file:line name`` for each underscore name the source reads from another vdicke module."""
+    tree = ast.parse(text)
+    modules, found = set(), []  # local names bound to vdicke modules
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "vdicke"):
+            for alias in node.names:
+                if node.module in (None, "vdicke"):  # from . import exactdiag
+                    modules.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    found.append(f"{filename}:{node.lineno} {alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "vdicke":
+                    modules.add(alias.asname or "vdicke")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                found.append(f"{filename}:{node.lineno} {node.attr}")
+    return found
+
+
+def test_the_guard_finds_every_kind_of_private_read():
+    probe = ("from . import exactdiag\n"
+             "from .meanfield import _branch_table, classify\n"
+             "import vdicke.scan\n"
+             "import vdicke.model as model\n"
+             "exactdiag._sector_ground, exactdiag.solve_point, exactdiag.__name__\n"
+             "vdicke.scan._classified, model._quadratic_roots, self._own\n")
+    assert sorted(_foreign_private_reads("probe.py", probe)) == [
+        "probe.py:2 _branch_table", "probe.py:5 _sector_ground", "probe.py:6 _classified",
+        "probe.py:6 _quadratic_roots"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+def test_no_module_reads_another_modules_private_names(path):
+    assert _foreign_private_reads(path.name, path.read_text(encoding="utf-8")) == []
+
+
+def _declared_all(path: Path) -> list[str] | None:
+    """The names a module's source assigns to ``__all__``, or None when it assigns none."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
+
+
+DECLARED = {path.name: names for path in SOURCES if (names := _declared_all(path)) is not None}
+
+
+@pytest.mark.parametrize("filename", sorted(DECLARED))
+def test_every_name_in_all_resolves(filename):
+    stem, names = filename.removesuffix(".py"), DECLARED[filename]
+    module = importlib.import_module("vdicke" if stem == "__init__" else f"vdicke.{stem}")
+    assert names and len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(module, name)] == []
