@@ -38,13 +38,16 @@ the ascending array of the whole-space basis indices of its states,
 occupations are read back from the index formula, and a whole-space
 index maps into the sector by a binary search in ``index``.
 
-Solves.  The ground state comes from an implicitly restarted Lanczos
-iteration with an explicit residual acceptance test, falling back to
-dense diagonalization for tiny spaces.  A solve starts from a given
+Solves.  H is a ``Hamiltonian``: its diagonal and, per row, one partner
+column for each hop term and direction (ELL layout), applied by a
+gather.  The ground state comes from a thick-restart Lanczos iteration
+(``eigsh``) that stops once its Ritz residual is LANCZOS_STOP of the
+acceptance bound, and an explicit residual acceptance test, falling back
+to dense diagonalization for tiny spaces.  A solve starts from a given
 vector when one is passed (the previous sweep point, or the previous
 truncation's ground vector moved onto the new cutoffs), and otherwise
-from a vector drawn from ``seed``; ARPACK gets at most LANCZOS_MAXITER
-restarts.
+from a vector drawn from ``seed``; a Lanczos run gets at most
+LANCZOS_MAXITER restarts.
 
 Cutoffs.  A truncation holds a ground state when, for each mode, the
 state's marginal Fock weight in the mode's top two levels (its tail
@@ -80,10 +83,6 @@ first point reuse (+, +)'s when ``_hold_tail`` accepted it ungrown.
 Every space is checked against DEFAULT_DIM_LIMIT, read at call time,
 before anything of its size is allocated; the limit applies to the
 whole truncated space, of which a sector is about a quarter.
-
-scipy is imported inside the functions that build or solve matrices, not
-here: the CLI imports this module, and scipy's import time would be most
-of every mean-field command's start-up.
 """
 
 from __future__ import annotations
@@ -104,6 +103,7 @@ __all__ = [
     "TruncatedSpace",
     "ParitySector",
     "GroundStateResult",
+    "Hamiltonian",
     "build_basis",
     "truncated_space",
     "build_hamiltonian",
@@ -120,7 +120,13 @@ __all__ = [
 
 DEFAULT_DIM_LIMIT = 2_000_000
 CUTOFF_FLOOR = 8  # every cutoff search starts at (CUTOFF_FLOOR, CUTOFF_FLOOR)
-LANCZOS_MAXITER = 1000  # ARPACK restarts allowed per eigsh call
+LANCZOS_MAXITER = 1000  # restarts allowed per eigsh call
+LANCZOS_BASIS = 20  # Lanczos vectors held before a restart
+LANCZOS_KEEP = 10  # Ritz vectors a restart keeps
+LANCZOS_CHECK = 4  # Lanczos steps between two reads of the Ritz residuals
+LANCZOS_STOP = 1e-3  # a Lanczos run stops at this share of the acceptance bound
+_REORTHOGONALISE = 1 / math.sqrt(2)  # beta below this share of |a v|: orthogonalise twice
+_BREAKDOWN = 1e-12  # beta at most this share of |a v|: the basis spans an invariant subspace
 PARITY_SECTORS = ((1, 1), (1, -1), (-1, 1), (-1, -1))  # (left, right) parities
 _DENSE_THRESHOLD = 16  # below this dimension just diagonalize densely
 TAIL_LEVELS = 2  # a mode's tail weight is its marginal weight in its top two Fock levels
@@ -275,17 +281,52 @@ def _occupations(truncation: TruncatedSpace, index: np.ndarray):
     return n2[atom], n3[atom], n_a, n_b
 
 
-def build_hamiltonian(params: ModelParams, space) -> sparse.csr_matrix:
-    """Assemble the collective Hamiltonian (real CSR) on a TruncatedSpace or one ParitySector.
+HOP_COLUMNS = 8  # (coupling, photon step, direction): each fills one partner column
+_ROW_SUM = np.ones(HOP_COLUMNS)
+
+
+class Hamiltonian:
+    """A real symmetric H: its diagonal plus, per row, HOP_COLUMNS off-diagonal
+    entries in ELL layout.
+
+    Row i holds ``values[i, c]`` at column ``partners[i, c]``; an absent
+    entry is a zero pointing at row i itself.  ``nnz`` counts the stored
+    entries as a sparse matrix would: every diagonal entry and each hop.
+    """
+
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, diagonal: np.ndarray, partners: np.ndarray, values: np.ndarray,
+                 hops: int):
+        self.diagonal, self.partners, self.values = diagonal, partners, values
+        self.shape = (diagonal.size, diagonal.size)
+        self.nnz = diagonal.size + hops
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        # mode="clip" skips take's bounds check, as every partner is a row index;
+        # a product with ones sums the rows faster than einsum or sum(axis=1)
+        gathered = x.take(self.partners, mode="clip")
+        gathered *= self.values
+        return gathered @ _ROW_SUM + self.diagonal * x
+
+    def toarray(self) -> np.ndarray:
+        dense = np.diag(self.diagonal)
+        np.add.at(dense, (np.arange(self.shape[0])[:, None], self.partners), self.values)
+        return dense
+
+
+def build_hamiltonian(params: ModelParams, space) -> Hamiltonian:
+    """Assemble the collective Hamiltonian on a TruncatedSpace or one ParitySector.
 
     Both are a set of whole-space basis indices, and H is assembled on
     them alone, in their order: a ParitySector's block is, entry for
     entry, the whole-space H restricted to it.  Every hop moves an atom
     from level 1 to level l (3 with mode a, 2 with mode b) and the mode by
     one quantum, which keeps both parities; it is listed once from its
-    source state and mirrored.
+    source state and mirrored.  Each (coupling, photon step) maps sources
+    to destinations one to one, so it fills one partner column in each
+    direction.
     """
-    from scipy import sparse
     truncation, index = _indexed(space)
     n_atoms = truncation.basis.n_atoms
     _check_dimension(n_atoms, truncation.cutoff_a, truncation.cutoff_b)
@@ -293,7 +334,9 @@ def build_hamiltonian(params: ModelParams, space) -> sparse.csr_matrix:
     n1 = n_atoms - n2 - n3
     diagonal = (params.omega21 * n2 + params.omega31 * n3
                 + params.omega_a * n_a + params.omega_b * n_b)
-    rows, cols, values = [], [], []
+    partners = np.repeat(np.arange(index.size)[:, None], HOP_COLUMNS, axis=1)
+    values = np.zeros((index.size, HOP_COLUMNS))
+    hops, column = 0, 0
     scale = 1.0 / math.sqrt(n_atoms)
     src = np.flatnonzero(n1 > 0)
     for coupling, level, mode, cutoff in ((params.g1, 3, n_a, truncation.cutoff_a),
@@ -306,17 +349,14 @@ def build_hamiltonian(params: ModelParams, space) -> sparse.csr_matrix:
             keep = (moved >= 0) & (moved <= cutoff)
             from_state, moved = src[keep], moved[keep]
             dst_a, dst_b = (moved, n_b[from_state]) if level == 3 else (n_a[from_state], moved)
-            dst = np.ravel_multi_index((dst_atom[keep], dst_a, dst_b), truncation.shape)
-            rows.append(np.searchsorted(index, dst))
-            cols.append(from_state)
-            values.append(coupling * scale
-                          * (atomic[keep] * np.sqrt(np.maximum(mode[from_state], moved))))
-    rows, cols, values = (np.concatenate(part) for part in (rows, cols, values))
-    states = np.arange(index.size)
-    return sparse.csr_matrix(
-        (np.concatenate([diagonal, values, values]),
-         (np.concatenate([states, rows, cols]), np.concatenate([states, cols, rows]))),
-        shape=(index.size, index.size))
+            dst = np.searchsorted(index, np.ravel_multi_index(
+                (dst_atom[keep], dst_a, dst_b), truncation.shape))
+            value = coupling * scale * (atomic[keep] * np.sqrt(np.maximum(mode[from_state],
+                                                                           moved)))
+            partners[from_state, column], values[from_state, column] = dst, value
+            partners[dst, column + 1], values[dst, column + 1] = from_state, value
+            hops, column = hops + 2 * from_state.size, column + 2
+    return Hamiltonian(diagonal, partners, values, hops)
 
 
 def _parities(n2, n3, n_a, n_b):
@@ -331,18 +371,19 @@ def _parities(n2, n3, n_a, n_b):
 
 
 def parity_operators(space: TruncatedSpace):
-    """Diagonal parity operators (left, right, global) as sparse matrices."""
-    from scipy import sparse
-    parities = _parities(*_occupations(*_indexed(space)))
-    return tuple(sparse.diags(p, format="csr") for p in parities)
+    """The diagonals of the parity operators (left, right, global): arrays of +-1."""
+    return _parities(*_occupations(*_indexed(space)))
 
 
 def parity_commutator_norms(params: ModelParams,
                             space: TruncatedSpace) -> tuple[float, float, float]:
-    """Largest entry of [H, P] for each parity operator (left, right, global)."""
+    """Largest entry of [H, P] for each parity operator (left, right, global).
+
+    P is diagonal, so [H, P]_ij = H_ij (p_j - p_i): read from H's stored entries.
+    """
     h = build_hamiltonian(params, space)
-    commutators = [h @ p - p @ h for p in parity_operators(space)]
-    return tuple(float(np.abs(c.data).max()) if c.nnz else 0.0 for c in commutators)
+    return tuple(float(np.abs(h.values * (p[h.partners] - p[:, None])).max())
+                 for p in parity_operators(space))
 
 
 def parity_check(params: ModelParams, space: TruncatedSpace) -> float:
@@ -356,72 +397,125 @@ def _seed_vector(dimension: int, seed: int) -> np.ndarray:
     return v0 / np.linalg.norm(v0)
 
 
-def _h_scale(h: sparse.csr_matrix) -> float:
+def _h_scale(h: Hamiltonian) -> float:
     # Infinity norm: cheap, and an upper bound on the spectral radius.  Every solve
     # reads it first; the Lanczos norms square it, so an overflowing square is refused.
-    scale = float(np.abs(h).sum(axis=1).max())
+    scale = float((np.abs(h.diagonal) + np.abs(h.values).sum(axis=1)).max())
     if scale * scale == math.inf:
         raise OverflowError(f"the scale of H, {scale:.6g}, squared overflows a float")
     return scale
 
 
-def eigsh(*args, **kwargs):
-    """scipy's ``eigsh``, imported on the first call.
+def eigsh(a, k: int = 1, which: str = "SA", v0: np.ndarray | None = None, tol: float = 0.0,
+          maxiter: int = LANCZOS_MAXITER):
+    """The k lowest eigenpairs of a real symmetric ``a``: thick-restart Lanczos.
 
-    ``_eigsh_lowest`` looks this name up at every call, so a replacement
-    bound here (a counting pass-through, say) sees every ARPACK run.
+    Only ``a.shape`` and ``a @ x`` are used.  The basis holds LANCZOS_BASIS
+    vectors, each orthogonalised against all earlier ones.  Every
+    LANCZOS_CHECK steps and at the end of a cycle the Ritz residuals
+    beta |s_last| of the k lowest Ritz pairs are read; the run stops when all
+    are at most ``tol`` (an absolute bound on |a x - theta x|).  Otherwise a
+    full basis restarts from its LANCZOS_KEEP lowest Ritz vectors and the
+    residual direction (Wu and Simon, SIAM J. Matrix Anal. Appl. 22, 602
+    (2000)).  When beta vanishes the basis spans an invariant subspace: the
+    run goes on from a random vector orthogonal to it and checks again only
+    at the end of the cycle, so a start on an excited eigenvector is not
+    taken for the lowest.  Returns ``(values, vectors)``, ascending, one
+    vector per column; ConvergenceError after ``maxiter`` restarts.
     """
-    from scipy.sparse.linalg import eigsh
-    return eigsh(*args, **kwargs)
+    if which != "SA":
+        raise ValueError(f"only the smallest algebraic eigenvalues are computed, not {which!r}")
+    dim = a.shape[0]
+    size = min(LANCZOS_BASIS, dim)
+    keep = min(LANCZOS_KEEP, size - 1)
+    if not 1 <= k <= keep:
+        raise ValueError(f"k must lie in 1..{keep} at dimension {dim}, got {k}")
+    basis = np.empty((size + 1, dim))
+    start = _seed_vector(dim, 0) if v0 is None else np.asarray(v0, dtype=float)
+    basis[0] = start / np.linalg.norm(start)
+    projected = np.zeros((size, size))
+    rng = np.random.default_rng(0)
+    first, residual = 0, math.inf
+    for _restart in range(maxiter + 1):
+        next_check = first + LANCZOS_CHECK - 1
+        for j in range(first, size):
+            v, known = basis[j], basis[:j + 1]
+            w = a @ v
+            norm = math.sqrt(w @ w)  # |a v|
+            projected[j, j] = alpha = float(v @ w)
+            w -= alpha * v  # the recurrence, then every earlier vector
+            w -= projected[j, :j] @ basis[:j] if j == first else projected[j, j - 1] * basis[j - 1]
+            for _pass in range(2):  # a second pass only when the first cancels
+                before = math.sqrt(w @ w)
+                w -= (known @ w) @ known
+                beta = math.sqrt(w @ w)
+                if beta >= _REORTHOGONALISE * before:
+                    break
+            if beta <= _BREAKDOWN * norm:  # the basis spans an invariant subspace
+                beta, next_check = 0.0, size - 1
+                if j + 1 < dim:
+                    w = rng.standard_normal(dim)
+                    for _pass in range(2):
+                        w -= (known @ w) @ known
+                    w /= np.linalg.norm(w)
+            else:
+                w /= beta
+            basis[j + 1] = w
+            if j + 1 < size:
+                projected[j, j + 1] = projected[j + 1, j] = beta
+            if j < next_check and j < size - 1:
+                continue
+            next_check = j + LANCZOS_CHECK
+            ritz, vectors = np.linalg.eigh(projected[:j + 1, :j + 1])
+            residual = float(beta * np.abs(vectors[-1, :k]).max())
+            if residual <= tol:
+                return ritz[:k], (vectors[:, :k].T @ known).T
+        # restart from the lowest Ritz vectors and the residual direction
+        basis[:keep] = vectors[:, :keep].T @ basis[:size]
+        basis[keep] = basis[size]
+        projected[:] = 0.0
+        projected[np.arange(keep), np.arange(keep)] = ritz[:keep]
+        projected[keep, :keep] = projected[:keep, keep] = beta * vectors[-1, :keep]
+        first = keep
+    raise ConvergenceError(f"Lanczos residual {residual:.3g} above {tol:.3g} after "
+                           f"{maxiter} restarts", residual=residual)
 
 
-def _eigsh_lowest(h: sparse.csr_matrix, k: int, tol: float, seed: int,
+def _eigsh_lowest(h: Hamiltonian, k: int, tol: float, seed: int,
                   start: np.ndarray | None = None):
     """Lowest k eigenpairs with explicit residual acceptance and retries."""
-    from scipy import sparse
-    from scipy.sparse.linalg import ArpackNoConvergence
     dim, scale = h.shape[0], _h_scale(h)
     if dim <= max(_DENSE_THRESHOLD, k + 1):
-        dense = np.asarray(h.todense())
-        vals, vecs = np.linalg.eigh(dense)
+        vals, vecs = np.linalg.eigh(h.toarray())
         return vals[:k], vecs[:, :k]
-    v0 = _seed_vector(dim, seed) if start is None else np.asarray(start, dtype=float)
-    # Shift the spectrum strictly below zero before the Lanczos run.  An
-    # eigenvalue at exactly 0 (the decoupled ground state, say) is
-    # annihilated by the matvec and can be purged at restarts, making
-    # ARPACK skip it; the shift is exact on eigenvalues and leaves the
-    # eigenvectors untouched.
-    sigma = scale + 1.0
-    shifted = (h - sigma * sparse.identity(dim, format="csr")).tocsr()
-    arpack_tol = max(tol * 1e-2, 1e-16)
+    v0 = _seed_vector(dim, seed) if start is None else start
+    bound = tol * max(1.0, scale)
+    lanczos_tol = bound * LANCZOS_STOP
     best_residual = math.inf
     for _ in range(3):
         try:
-            vals, vecs = eigsh(shifted, k=k, which="SA", v0=v0, tol=arpack_tol,
+            vals, vecs = eigsh(h, k=k, which="SA", v0=v0, tol=lanczos_tol,
                                maxiter=LANCZOS_MAXITER)
-            vals = vals + sigma
-        except ArpackNoConvergence as exc:
+        except ConvergenceError as exc:
             raise ConvergenceError(
                 f"Lanczos iteration did not converge within LANCZOS_MAXITER = "
-                f"{LANCZOS_MAXITER} restarts at dimension {dim}",
+                f"{LANCZOS_MAXITER} restarts at dimension {dim}", residual=exc.residual,
             ) from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
         residual = max(
             float(np.linalg.norm(h @ vecs[:, i] - vals[i] * vecs[:, i]))
             for i in range(k)
         )
-        if residual <= tol * max(1.0, scale):
+        if residual <= bound:
             return vals, vecs
         best_residual = min(best_residual, residual)
-        arpack_tol *= 1e-3
+        lanczos_tol *= 1e-3
     raise ConvergenceError(
-        f"residual {best_residual} above {tol * max(1.0, scale)} after retries",
+        f"residual {best_residual} above {bound} after retries",
         residual=best_residual,
     )
 
 
-def ground_state(h: sparse.csr_matrix, tol: float = 1e-10, seed: int = 0,
+def ground_state(h: Hamiltonian, tol: float = 1e-10, seed: int = 0,
                  start: np.ndarray | None = None):
     """Lowest eigenpair (energy, normalized vector).
 
@@ -433,7 +527,7 @@ def ground_state(h: sparse.csr_matrix, tol: float = 1e-10, seed: int = 0,
     return float(vals[0]), vec / np.linalg.norm(vec)
 
 
-def lowest_two(h: sparse.csr_matrix, tol: float = 1e-10, seed: int = 0):
+def lowest_two(h: Hamiltonian, tol: float = 1e-10, seed: int = 0):
     """Lowest two eigenvalues and the ground vector: (e0, e1, v0)."""
     vals, vecs = _eigsh_lowest(h, k=2, tol=tol, seed=seed)
     vec = vecs[:, 0]
@@ -516,11 +610,12 @@ def _hold_tail(params: ModelParams, sector: ParitySector, start: np.ndarray | No
             energy, state = ground_state(build_hamiltonian(params, sector), eig_tol, start=start)
         marginals = _marginals(sector, state)
         weights = [float(m[-TAIL_LEVELS:].sum()) for m in marginals]
-        if trace is not None:
-            result = observables(sector, state, energy)
-            trace.append({"cutoff_a": result.cutoff_a, "cutoff_b": result.cutoff_b,
+        if trace is not None:  # photon numbers per atom, from the marginals
+            photons = [float(m @ np.arange(m.size)) / sector.space.basis.n_atoms
+                       for m in marginals]
+            trace.append({"cutoff_a": sector.space.cutoff_a, "cutoff_b": sector.space.cutoff_b,
                           "dimension": sector.space.dimension, "energy": energy,
-                          "photon_a": result.photon_a, "photon_b": result.photon_b,
+                          "photon_a": photons[0], "photon_b": photons[1],
                           "weight_a": weights[0], "weight_b": weights[1]})
         if max(weights) < bound:
             return sector, energy, state
@@ -616,22 +711,31 @@ def solve_sweep(points: list[ModelParams], n_atoms: int, tol: float = 1e-4,
                 eig_tol: float = 1e-8, seed: int = 0) -> list[GroundStateResult]:
     """(+, +) ground-state observables of n_atoms atoms at each of ``points``,
     on one truncation grown and certified as the module docstring says; each
-    result carries its cutoffs.  Raises as converge_cutoffs does.
+    result carries its cutoffs.  Raises as converge_cutoffs does; a
+    CapacityError from a later point names that point's couplings and carries
+    the truncations it solved.
     """
     space, _ = converge_cutoffs(points[0], n_atoms, tol, eig_tol, seed)
-    while True:
-        sector, state, grew, results = ParitySector(space, 1, 1), None, None, []
-        for i, params in enumerate(points):
-            held, energy, state = _hold_tail(params, sector, state, tol, eig_tol, seed)
-            if held != sector:
-                sector, grew = held, i
-            results.append(observables(sector, state, energy))
-        if grew is None:
-            return results
-        space = _hold_sector_order(points[grew], sector.space, results[grew].energy, tol,
-                                   eig_tol, seed)
-        if space == sector.space:
-            return results
+    try:
+        while True:
+            sector, state, grew, results = ParitySector(space, 1, 1), None, None, []
+            for row, params in enumerate(points):
+                trace = []
+                held, energy, state = _hold_tail(params, sector, state, tol, eig_tol, seed,
+                                                 trace)
+                if held != sector:
+                    sector, grew = held, row
+                results.append(observables(sector, state, energy))
+            if grew is None:
+                return results
+            row, trace = grew, []
+            space = _hold_sector_order(points[grew], sector.space, results[grew].energy, tol,
+                                       eig_tol, seed, trace)
+            if space == sector.space:
+                return results
+    except CapacityError as exc:
+        raise CapacityError(f"{exc} at the sweep point g1 = {points[row].g1:.6g}, "
+                            f"g2 = {points[row].g2:.6g}", trace) from exc
 
 
 def solve_point(params: ModelParams, n_atoms: int, space: TruncatedSpace,

@@ -86,7 +86,7 @@ def test_every_vdicke_name_the_bench_scripts_use_resolves():
 
 
 def test_every_arpack_run_goes_through_the_patched_eigsh(monkeypatch):
-    # the traced pass counts ARPACK runs by replacing exactdiag.eigsh, so
+    # the traced pass counts Lanczos runs by replacing exactdiag.eigsh, so
     # every Lanczos solve must look that name up when it runs
     calls = []
 

@@ -292,6 +292,25 @@ def test_capacity_message_lists_the_trials_solved(capsys, monkeypatch):
     assert "trials solved" not in capsys.readouterr().err
 
 
+def test_sweep_capacity_message_names_the_point_and_its_trials(capsys, monkeypatch):
+    # the sweep's truncation holds its first point; the third point's tail
+    # weight grows it past the limit
+    monkeypatch.setattr(exactdiag, "DEFAULT_DIM_LIMIT", 1000)
+    points = [ModelParams(g1=0.2 + 1.3 * i / 3, g2=0.2) for i in range(4)]  # as --steps 4
+    with pytest.raises(CapacityError) as refused:
+        exactdiag.solve_sweep(points, 3)
+    trace = refused.value.trace
+    assert trace and all(t["dimension"] <= 1000 for t in trace)
+    assert run(["ed", "--N", "3", "--g2", "0.2", "--g1-min", "0.2", "--g1-max", "1.5",
+                "--steps", "4"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert ("exceeds the dimension limit 1000 at the sweep point g1 = 1.06667, g2 = 0.2; "
+            "trials solved: ") in err
+    for t in trace:
+        assert f"cutoffs {t['cutoff_a']}/{t['cutoff_b']} (dimension {t['dimension']}, " in err
+
+
 def test_parity_check_json(capsys):
     code = run(["parity-check", "--N", "3", "--g1", "0.9", "--g2", "0.7",
                 "--cutoff-a", "5", "--cutoff-b", "5"])
@@ -394,8 +413,8 @@ def test_import_defaults_blas_to_one_thread():
         assert proc.stdout.strip() == expected
 
 
-def test_mean_field_commands_never_import_scipy():
-    # scipy loads on the first finite-N solve, not at start-up
+def test_no_command_imports_scipy():
+    # every command, the finite-N ones included, runs on numpy alone
     probe = """
 import os, sys
 def scipy_loaded():
@@ -409,11 +428,12 @@ for argv in (["critical", "--g1", "0.75"], ["meanfield", "--g1", "0.9", "--g2", 
               "--g2-max", "1", "--n1", "3", "--n2", "3"],
              ["boundary", "--which", "gtilde_c2", "--from", "0.6", "--to", "1", "--steps", "3"],
              ["line-cut", "--g2", "0.75", "--g1-min", "0.5", "--g1-max", "1", "--steps", "3"],
-             ["overlap-area", "--ratios", "1.0,1.4", "--resolution", "5"]):
+             ["overlap-area", "--ratios", "1.0,1.4", "--resolution", "5"],
+             ["ed", "--N", "2", "--g1", "0.6", "--g2", "0.3"],
+             ["ed", "--N", "3", "--g2", "0.75", "--g1-min", "0.5", "--g1-max", "1", "--steps", "3"],
+             ["parity-check", "--N", "3", "--g1", "0.9", "--g2", "0.7"]):
     assert run(argv + ["--output", os.devnull]) == 0, argv
     assert not scipy_loaded(), (argv, scipy_loaded())
-assert run(["ed", "--N", "2", "--g1", "0.6", "--g2", "0.3", "--output", os.devnull]) == 0
-assert "scipy.sparse.linalg" in sys.modules
 """
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from vdicke import exactdiag
 from vdicke.cli import run as cli_run
@@ -168,7 +167,8 @@ def test_hamiltonian_is_real_symmetric():
     h = build_hamiltonian(p, space)
     assert h.shape == (space.dimension, space.dimension)
     assert h.dtype == np.float64
-    assert abs(h - h.T).max() == 0.0
+    dense = h.toarray()
+    assert np.array_equal(dense, dense.T)
 
 
 def test_decoupled_hamiltonian_is_diagonal_with_known_spectrum():
@@ -241,10 +241,10 @@ def test_exchange_relabeling_swaps_observables():
 def test_parity_operators_square_to_identity_and_factorize():
     space = TruncatedSpace(build_basis(2), 3, 4)
     pl, pr, pg = parity_operators(space)
-    eye = sparse.identity(space.dimension)
     for op in (pl, pr, pg):
-        assert abs(op @ op - eye).max() == 0.0
-    assert abs(pg - pl @ pr).max() == 0.0
+        assert op.shape == (space.dimension,)
+        assert np.array_equal(op * op, np.ones(space.dimension))
+    assert np.array_equal(pg, pl * pr)
 
 
 def test_parity_commutes_with_hamiltonian():
@@ -322,6 +322,119 @@ def test_lowest_two_orders_the_doublet():
     assert abs(e1 - dense[1]) < 1e-9
     assert e1 >= e0
     assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+
+
+def test_operator_counts_and_applies_its_stored_entries():
+    rng = np.random.default_rng(5)
+    sector = ParitySector(TruncatedSpace(build_basis(3), 4, 5), 1, -1)
+    h = build_hamiltonian(ModelParams(omega31=1.4, g1=0.8, g2=0.5), sector)
+    dense = h.toarray()
+    # every hop is stored, and so is every diagonal entry, the zero ones too
+    assert h.nnz == h.shape[0] + np.count_nonzero(dense - np.diag(np.diagonal(dense)))
+    assert build_hamiltonian(ModelParams(omega31=1.4), sector).nnz == h.nnz
+    for _ in range(3):
+        x = rng.standard_normal(h.shape[0])
+        assert np.max(np.abs(h @ x - dense @ x)) <= 1e-13
+
+
+def test_lanczos_matches_dense_eigh_on_random_sectors():
+    rng = np.random.default_rng(61)
+    cases = 0
+    for trial in range(60):
+        p = _random_params(rng, *((0.0, 1.5), (1.5, 3.0))[trial % 2])
+        if trial % 10 == 0:  # decoupled, with degenerate levels
+            p = ModelParams(g1=0.0, g2=0.0)
+        space = TruncatedSpace(build_basis(int(rng.integers(2, 6))), int(rng.integers(3, 12)),
+                               int(rng.integers(3, 12)))
+        h = build_hamiltonian(p, ParitySector(space, *PARITY_SECTORS[trial % 4]))
+        if h.shape[0] <= exactdiag._DENSE_THRESHOLD:
+            continue
+        dense = np.linalg.eigvalsh(h.toarray())
+        tol = 1e-10 * max(1.0, exactdiag._h_scale(h))
+        k = 1 + trial % 2
+        vals, vecs = exactdiag.eigsh(h, k=k, v0=rng.standard_normal(h.shape[0]), tol=tol)
+        assert np.max(np.abs(vals - dense[:k])) <= tol, (trial, vals, dense[:k])
+        # orthonormal to rounding: a basis that lost its orthogonality shows here
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(k))) <= 1e-13, trial
+        for value, vec in zip(vals, vecs.T):
+            assert np.linalg.norm(h @ vec - value * vec) <= 2 * tol, trial
+        cases += 1
+    assert cases >= 40
+
+
+def _arpack_lowest(h, k: int) -> np.ndarray:
+    """scipy's ARPACK on the operator's stored entries, converged to 1e-12 relative."""
+    from scipy import sparse
+    from scipy.sparse.linalg import eigsh as arpack
+
+    dim = h.shape[0]
+    rows = np.concatenate([np.arange(dim), np.repeat(np.arange(dim), exactdiag.HOP_COLUMNS)])
+    cols = np.concatenate([np.arange(dim), h.partners.ravel()])
+    csr = sparse.csr_matrix((np.concatenate([h.diagonal, h.values.ravel()]), (rows, cols)),
+                            shape=h.shape)
+    return np.sort(arpack(csr, k=k, which="SA", tol=1e-12, v0=np.ones(dim),
+                          return_eigenvectors=False))
+
+
+@pytest.mark.parametrize("n_atoms, cutoffs, params", [
+    (6, (16, 12), ModelParams(g1=0.9, g2=0.8)),
+    (8, (12, 12), ModelParams(g1=0.75, g2=0.75)),  # the degenerate diagonal
+    (8, (18, 10), ModelParams(omega31=1.7, g1=0.9, g2=0.76)),  # in the bistable wedge
+    (10, (16, 10), ModelParams(omega31=1.7, g1=0.94, g2=0.8)),
+])
+def test_lanczos_matches_arpack_on_sectors(n_atoms, cutoffs, params):
+    space = truncated_space(n_atoms, *cutoffs)
+    for left, right in ((1, 1), (1, -1)):
+        h = build_hamiltonian(params, ParitySector(space, left, right))
+        bound = 1e-8 * max(1.0, exactdiag._h_scale(h))
+        expected = _arpack_lowest(h, 2)
+        energy, vec = ground_state(h, tol=1e-8)
+        assert abs(energy - expected[0]) <= bound, (left, right)
+        assert np.linalg.norm(h @ vec - energy * vec) <= bound
+        e0, e1, _ = lowest_two(h, tol=1e-8)
+        assert abs(e0 - expected[0]) <= bound and abs(e1 - expected[1]) <= bound
+        assert abs((e1 - e0) - (expected[1] - expected[0])) <= 2 * bound
+
+
+def test_lanczos_started_on_an_eigenvector():
+    # decoupled, every basis vector is an eigenvector: the first step breaks down
+    h = build_hamiltonian(ModelParams(), ParitySector(truncated_space(4, 3, 3), 1, 1))
+    levels = np.sort(h.diagonal)
+    for start in (np.argmin(h.diagonal), np.argmax(h.diagonal)):
+        v0 = np.zeros(h.shape[0])
+        v0[start] = 1.0
+        for k in (1, 2):
+            vals, vecs = exactdiag.eigsh(h, k=k, v0=v0, tol=1e-12)
+            assert np.max(np.abs(vals - levels[:k])) <= 1e-12, (start, k)
+            assert np.linalg.norm(h @ vecs[:, 0]) <= 1e-12
+    # coupled: a start on the ground vector or on an excited one still ends on the lowest
+    h = build_hamiltonian(ModelParams(g1=0.9, g2=0.8), ParitySector(truncated_space(3, 8, 8), 1, 1))
+    dense_vals, dense_vecs = np.linalg.eigh(h.toarray())
+    tol = 1e-10 * max(1.0, exactdiag._h_scale(h))
+    for start, k in ((0, 1), (0, 2), (2, 1), (2, 2)):
+        vals, _ = exactdiag.eigsh(h, k=k, v0=dense_vecs[:, start], tol=tol)
+        assert np.max(np.abs(vals - dense_vals[:k])) <= tol, (start, k)
+
+
+def test_ground_state_through_a_linear_operator_wrapper(monkeypatch):
+    # the benchmark's tracer hands eigsh a scipy LinearOperator that counts matvecs
+    from scipy.sparse.linalg import LinearOperator
+
+    h = build_hamiltonian(ModelParams(g1=0.9, g2=0.8),
+                          ParitySector(truncated_space(6, 20, 20), 1, 1))
+    energy, vec = ground_state(h, tol=1e-8)
+    solve, matvecs = exactdiag.eigsh, []
+
+    def wrapped(a, *args, **kwargs):
+        def matvec(x):
+            matvecs.append(1)
+            return a @ x
+
+        return solve(LinearOperator(a.shape, matvec=matvec, dtype=a.dtype), *args, **kwargs)
+
+    monkeypatch.setattr(exactdiag, "eigsh", wrapped)
+    assert ground_state(h, tol=1e-8) == (energy, pytest.approx(vec, abs=0, rel=0))
+    assert len(matvecs) > 20  # more than one Lanczos cycle, all through the wrapper
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +528,7 @@ def test_solve_point_with_gap():
 def _sector_mask(space: TruncatedSpace, left: int, right: int) -> np.ndarray:
     """The sector's states among the whole-space basis, from the parity operators."""
     pl, pr, _ = parity_operators(space)
-    return (pl.diagonal() == left) & (pr.diagonal() == right)
+    return (pl == left) & (pr == right)
 
 
 def _random_params(rng, g_low=0.0, g_high=1.5) -> ModelParams:

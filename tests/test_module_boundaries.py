@@ -81,3 +81,36 @@ def test_every_name_in_all_resolves(filename):
     module = importlib.import_module("vdicke" if stem == "__init__" else f"vdicke.{stem}")
     assert names and len(set(names)) == len(names)
     assert [name for name in names if not hasattr(module, name)] == []
+
+
+def _scipy_imports(filename: str, text: str) -> list[str]:
+    """``file:line module`` for each import of scipy anywhere in the source, functions included."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        found += [f"{filename}:{node.lineno} {name}" for name in names
+                  if name.split(".")[0] == "scipy"]
+    return found
+
+
+def test_the_guard_finds_every_kind_of_scipy_import():
+    probe = ("import numpy, scipy\n"
+             "from scipy import sparse\n"
+             "def solve():\n"
+             "    import scipy.sparse.linalg as sla\n"
+             "    from scipy.sparse.linalg import eigsh\n"
+             "from .scipy_free import x\n")
+    assert _scipy_imports("probe.py", probe) == [
+        "probe.py:1 scipy", "probe.py:2 scipy", "probe.py:4 scipy.sparse.linalg",
+        "probe.py:5 scipy.sparse.linalg"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+def test_no_module_imports_scipy(path):
+    # numpy is the package's one runtime dependency; scipy serves the tests as an oracle
+    assert _scipy_imports(path.name, path.read_text(encoding="utf-8")) == []
