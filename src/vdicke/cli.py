@@ -241,14 +241,14 @@ def _handle_ed(params: ModelParams, opts: dict) -> dict | SweepTable:
     if opts.get("cutoff_a") is not None or opts.get("cutoff_b") is not None:
         if opts.get("cutoff_a") is None or opts.get("cutoff_b") is None:
             raise ConfigError("give both cutoff_a and cutoff_b, or neither")
-        space = exactdiag.truncated_space(n_atoms, opts["cutoff_a"], opts["cutoff_b"])
+        space = exactdiag.TruncatedSpace(n_atoms, opts["cutoff_a"], opts["cutoff_b"])
     else:
         space, trace = exactdiag.converge_cutoffs(
             params, n_atoms, tol=opts["cutoff_tol"], eig_tol=opts["tol"],
             seed=opts["seed"],
         )
-    result = exactdiag.solve_point(params, n_atoms, space=space, tol=opts["tol"],
-                                   seed=opts["seed"], with_gap=True)
+    result = exactdiag.solve_point(params, space, tol=opts["tol"], seed=opts["seed"],
+                                   with_gap=True)
     return {
         "params": asdict(params),
         "n_atoms": n_atoms,
@@ -273,7 +273,7 @@ def _handle_parity_check(params: ModelParams, opts: dict) -> dict:
     n_atoms = opts.get("n_atoms")
     if n_atoms is None:
         raise ConfigError("parity-check requires --N (number of atoms)")
-    space = exactdiag.truncated_space(n_atoms, opts["cutoff_a"], opts["cutoff_b"])
+    space = exactdiag.TruncatedSpace(n_atoms, opts["cutoff_a"], opts["cutoff_b"])
     names = ("commutator_l", "commutator_r", "commutator_g")
     norms = dict(zip(names, exactdiag.parity_commutator_norms(params, space)))
     return {

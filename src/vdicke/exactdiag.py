@@ -11,24 +11,26 @@ collective operators act like bilinears of three Schwinger bosons:
 
 for m != n, and J_mm is diagonal with eigenvalue n_m.
 
-Layout.  Each bosonic mode is truncated at a Fock cutoff, and a basis
-vector is (n2, n3) x (n_a) x (n_b), with n1 = N - n2 - n3 implied and
-the mode-b index fastest.  The atomic states run over n3, then n2, so
-(n2, n3) sits at
+Layout.  A TruncatedSpace is the value (N, cutoff_a, cutoff_b): each
+bosonic mode is truncated at its Fock cutoff, and a basis vector is
+(n2, n3) x (n_a) x (n_b), with n1 = N - n2 - n3 implied and the mode-b
+index fastest.  The atomic states run over n3, then n2, so (n2, n3) sits
+at
 
     n3 (N + 1) - n3 (n3 - 1) / 2 + n2
 
 and the basis index is (atomic index * (cutoff_a + 1) + n_a) *
-(cutoff_b + 1) + n_b.  A TruncatedSpace is every basis index and a
-ParitySector an ascending subset of them; ``_occupations`` reads n2, n3,
-n_a and n_b of any such set back from the index formula, and the
-diagonal of H, the parity operators and the observables all come from
-it.  ``build_hamiltonian`` assembles H on either kind of space the same
-way, by index arithmetic and no Kronecker products: each atomic hop J_1l
-+ J_l1 (amplitude sqrt(n1 (n_l + 1)) for an atom moving from level 1 to
-level l) meets its mode's a + a^dagger, and the destination index is
-looked up in the space's own.  The whole-space matrix is parity-check's
-operator; the solves only ever build sector blocks.
+(cutoff_b + 1) + n_b.  No state is stored: a TruncatedSpace stands for
+every basis index and a ParitySector for an ascending subset of them;
+``_occupations`` reads n2, n3, n_a and n_b of any such set back from the
+index formula, and the diagonal of H, the parity operators and the
+observables all come from it.  ``build_hamiltonian`` assembles H on
+either kind of space the same way, by index arithmetic and no Kronecker
+products: each atomic hop J_1l + J_l1 (amplitude sqrt(n1 (n_l + 1)) for
+an atom moving from level 1 to level l) meets its mode's a + a^dagger,
+and the destination index is looked up in the space's own.  The
+whole-space matrix is parity-check's operator; the solves only ever
+build sector blocks.
 
 Parity sectors.  The left parity (-1)^(n3 + n_a) and the right parity
 (-1)^(n2 + n_b) both commute with H, so H splits exactly into four
@@ -80,9 +82,11 @@ sectors at a time: solve_point on a truncation just certified (or an
 equal one) reuses the certificate's three solves, and it and a sweep's
 first point reuse (+, +)'s when ``_hold_tail`` accepted it ungrown.
 
-Every space is checked against DEFAULT_DIM_LIMIT, read at call time,
-before anything of its size is allocated; the limit applies to the
-whole truncated space, of which a sector is about a quarter.
+A TruncatedSpace checks itself when it is constructed: N and both
+cutoffs must be at least 1 (ValueError), and its dimension at most
+DEFAULT_DIM_LIMIT, read at call time (CapacityError), before any array
+of its size is allocated.  The limit applies to the whole truncated
+space, of which a sector is about a quarter.
 """
 
 from __future__ import annotations
@@ -99,17 +103,13 @@ from .model import ModelParams
 
 __all__ = [
     "PARITY_SECTORS",
-    "SymmetricBasis",
     "TruncatedSpace",
     "ParitySector",
     "GroundStateResult",
     "Hamiltonian",
-    "build_basis",
-    "truncated_space",
     "build_hamiltonian",
     "parity_operators",
     "parity_commutator_norms",
-    "parity_check",
     "ground_state",
     "lowest_two",
     "observables",
@@ -136,36 +136,33 @@ GROWTH = 1.5  # factor one growth step applies to a cutoff
 
 
 @dataclass(frozen=True)
-class SymmetricBasis:
-    """Occupation basis (n1, n2, n3) of the symmetric sector.
+class TruncatedSpace:
+    """The symmetric sector of ``n_atoms`` atoms tensor two Fock-truncated modes.
 
-    States are ordered lexicographically in (n3, n2); n1 is implied.
+    Construction refuses an atom number or a cutoff below 1 (ValueError)
+    and a dimension above DEFAULT_DIM_LIMIT, read at call time
+    (CapacityError); it allocates nothing of the space's size.
     """
 
     n_atoms: int
-    states: tuple[tuple[int, int, int], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.states)
-
-
-@dataclass(frozen=True)
-class TruncatedSpace:
-    """Symmetric sector tensor two Fock-truncated modes."""
-
-    basis: SymmetricBasis
     cutoff_a: int
     cutoff_b: int
 
     def __post_init__(self):
-        if self.cutoff_a < 1 or self.cutoff_b < 1:
-            raise ValueError("boson cutoffs must be >= 1")
+        if min(self.n_atoms, self.cutoff_a, self.cutoff_b) < 1:
+            raise ValueError(f"n_atoms and both cutoffs must be >= 1, got "
+                             f"{self.n_atoms}, {self.cutoff_a}, {self.cutoff_b}")
+        if self.dimension > DEFAULT_DIM_LIMIT:
+            raise CapacityError(
+                f"space dimension {self.dimension} (N = {self.n_atoms}, cutoffs "
+                f"{self.cutoff_a} and {self.cutoff_b}) exceeds the dimension limit "
+                f"{DEFAULT_DIM_LIMIT}",
+            )
 
     @property
     def shape(self) -> tuple[int, int, int]:
         """(atomic states, mode-a levels, mode-b levels); the basis index runs over it in C order."""
-        return self.basis.size, self.cutoff_a + 1, self.cutoff_b + 1
+        return (self.n_atoms + 1) * (self.n_atoms + 2) // 2, self.cutoff_a + 1, self.cutoff_b + 1
 
     @property
     def dimension(self) -> int:
@@ -220,48 +217,13 @@ class GroundStateResult:
     cutoff_b: int
 
 
-def build_basis(n_atoms: int) -> SymmetricBasis:
-    """Enumerate the symmetric sector for n_atoms three-level atoms."""
-    if n_atoms < 1:
-        raise ValueError(f"n_atoms must be >= 1, got {n_atoms}")
-    states = tuple(
-        (n_atoms - n2 - n3, n2, n3)
-        for n3 in range(n_atoms + 1)
-        for n2 in range(n_atoms - n3 + 1)
-    )
-    return SymmetricBasis(n_atoms=n_atoms, states=states)
-
-
-def _check_dimension(n_atoms: int, cutoff_a: int, cutoff_b: int) -> None:
-    dimension = (n_atoms + 1) * (n_atoms + 2) // 2 * (cutoff_a + 1) * (cutoff_b + 1)
-    if dimension > DEFAULT_DIM_LIMIT:
-        raise CapacityError(
-            f"space dimension {dimension} (N = {n_atoms}, cutoffs {cutoff_a} and "
-            f"{cutoff_b}) exceeds the dimension limit {DEFAULT_DIM_LIMIT}",
-        )
-
-
-def truncated_space(n_atoms: int, cutoff_a: int, cutoff_b: int) -> TruncatedSpace:
-    """Symmetric sector tensor two truncated modes, bounded before enumeration.
-
-    The dimension (N+1)(N+2)/2 * (cutoff_a+1) * (cutoff_b+1) is checked
-    against DEFAULT_DIM_LIMIT before the basis is built, so an oversized
-    request raises CapacityError without allocating.
-    """
-    if n_atoms < 1 or cutoff_a < 1 or cutoff_b < 1:
-        raise ValueError(f"n_atoms and both cutoffs must be >= 1, got "
-                         f"{n_atoms}, {cutoff_a}, {cutoff_b}")
-    _check_dimension(n_atoms, cutoff_a, cutoff_b)
-    return TruncatedSpace(basis=build_basis(n_atoms), cutoff_a=cutoff_a, cutoff_b=cutoff_b)
-
-
 def _atom_index(n_atoms: int, n2, n3):
-    """Position of the atomic state (n2, n3) in SymmetricBasis order."""
+    """Position of the atomic state (n2, n3) when the states run over n3, then n2."""
     return n3 * (n_atoms + 1) - n3 * (n3 - 1) // 2 + n2
 
 
 def _atomic_states(n_atoms: int):
-    """n2 and n3 of every atomic state, in SymmetricBasis order."""
+    """n2 and n3 of every atomic state, in the order of _atom_index."""
     n3 = np.repeat(np.arange(n_atoms + 1), np.arange(n_atoms + 1, 0, -1))
     return np.arange(n3.size) - _atom_index(n_atoms, 0, n3), n3
 
@@ -277,7 +239,7 @@ def _indexed(space) -> tuple[TruncatedSpace, np.ndarray]:
 def _occupations(truncation: TruncatedSpace, index: np.ndarray):
     """n2, n3, n_a and n_b of the basis states ``index`` of ``truncation``, in that order."""
     atom, n_a, n_b = np.unravel_index(index, truncation.shape)
-    n2, n3 = _atomic_states(truncation.basis.n_atoms)
+    n2, n3 = _atomic_states(truncation.n_atoms)
     return n2[atom], n3[atom], n_a, n_b
 
 
@@ -328,8 +290,7 @@ def build_hamiltonian(params: ModelParams, space) -> Hamiltonian:
     direction.
     """
     truncation, index = _indexed(space)
-    n_atoms = truncation.basis.n_atoms
-    _check_dimension(n_atoms, truncation.cutoff_a, truncation.cutoff_b)
+    n_atoms = truncation.n_atoms
     n2, n3, n_a, n_b = _occupations(truncation, index)
     n1 = n_atoms - n2 - n3
     diagonal = (params.omega21 * n2 + params.omega31 * n3
@@ -386,11 +347,6 @@ def parity_commutator_norms(params: ModelParams,
                  for p in parity_operators(space))
 
 
-def parity_check(params: ModelParams, space: TruncatedSpace) -> float:
-    """Largest entry of [H, P] over the three parity operators."""
-    return max(parity_commutator_norms(params, space))
-
-
 def _seed_vector(dimension: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(dimension)
@@ -406,8 +362,7 @@ def _h_scale(h: Hamiltonian) -> float:
     return scale
 
 
-def eigsh(a, k: int = 1, which: str = "SA", v0: np.ndarray | None = None, tol: float = 0.0,
-          maxiter: int = LANCZOS_MAXITER):
+def eigsh(a, k: int, v0: np.ndarray, tol: float):
     """The k lowest eigenpairs of a real symmetric ``a``: thick-restart Lanczos.
 
     Only ``a.shape`` and ``a @ x`` are used.  The basis holds LANCZOS_BASIS
@@ -421,22 +376,20 @@ def eigsh(a, k: int = 1, which: str = "SA", v0: np.ndarray | None = None, tol: f
     run goes on from a random vector orthogonal to it and checks again only
     at the end of the cycle, so a start on an excited eigenvector is not
     taken for the lowest.  Returns ``(values, vectors)``, ascending, one
-    vector per column; ConvergenceError after ``maxiter`` restarts.
+    vector per column; ConvergenceError after LANCZOS_MAXITER restarts,
+    read at call time.
     """
-    if which != "SA":
-        raise ValueError(f"only the smallest algebraic eigenvalues are computed, not {which!r}")
     dim = a.shape[0]
     size = min(LANCZOS_BASIS, dim)
     keep = min(LANCZOS_KEEP, size - 1)
     if not 1 <= k <= keep:
         raise ValueError(f"k must lie in 1..{keep} at dimension {dim}, got {k}")
     basis = np.empty((size + 1, dim))
-    start = _seed_vector(dim, 0) if v0 is None else np.asarray(v0, dtype=float)
-    basis[0] = start / np.linalg.norm(start)
+    basis[0] = v0 / np.linalg.norm(v0)
     projected = np.zeros((size, size))
     rng = np.random.default_rng(0)
     first, residual = 0, math.inf
-    for _restart in range(maxiter + 1):
+    for _restart in range(LANCZOS_MAXITER + 1):
         next_check = first + LANCZOS_CHECK - 1
         for j in range(first, size):
             v, known = basis[j], basis[:j + 1]
@@ -477,8 +430,8 @@ def eigsh(a, k: int = 1, which: str = "SA", v0: np.ndarray | None = None, tol: f
         projected[np.arange(keep), np.arange(keep)] = ritz[:keep]
         projected[keep, :keep] = projected[:keep, keep] = beta * vectors[-1, :keep]
         first = keep
-    raise ConvergenceError(f"Lanczos residual {residual:.3g} above {tol:.3g} after "
-                           f"{maxiter} restarts", residual=residual)
+    raise ConvergenceError(f"Lanczos iteration did not converge within LANCZOS_MAXITER = "
+                           f"{LANCZOS_MAXITER} restarts at dimension {dim}", residual=residual)
 
 
 def _eigsh_lowest(h: Hamiltonian, k: int, tol: float, seed: int,
@@ -493,14 +446,7 @@ def _eigsh_lowest(h: Hamiltonian, k: int, tol: float, seed: int,
     lanczos_tol = bound * LANCZOS_STOP
     best_residual = math.inf
     for _ in range(3):
-        try:
-            vals, vecs = eigsh(h, k=k, which="SA", v0=v0, tol=lanczos_tol,
-                               maxiter=LANCZOS_MAXITER)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"Lanczos iteration did not converge within LANCZOS_MAXITER = "
-                f"{LANCZOS_MAXITER} restarts at dimension {dim}", residual=exc.residual,
-            ) from exc
+        vals, vecs = eigsh(h, k, v0, lanczos_tol)
         residual = max(
             float(np.linalg.norm(h @ vecs[:, i] - vals[i] * vecs[:, i]))
             for i in range(k)
@@ -538,7 +484,7 @@ def observables(space, state: np.ndarray, energy: float,
                 gap: float | None = None) -> GroundStateResult:
     """Scaled observables of a normalized state on a TruncatedSpace or one ParitySector."""
     truncation, index = _indexed(space)
-    n_atoms = truncation.basis.n_atoms
+    n_atoms = truncation.n_atoms
     n2, n3, n_a, n_b = _occupations(truncation, index)
     weights = np.abs(np.asarray(state)) ** 2
 
@@ -588,7 +534,7 @@ def _shrunk(marginal: np.ndarray, bound: float) -> int:
 
 def _even_sector(n_atoms: int, cutoffs) -> ParitySector:
     """(+, +) at ``cutoffs``; CapacityError past the dimension limit."""
-    return ParitySector(truncated_space(n_atoms, *cutoffs), 1, 1)
+    return ParitySector(TruncatedSpace(n_atoms, *cutoffs), 1, 1)
 
 
 def _hold_tail(params: ModelParams, sector: ParitySector, start: np.ndarray | None,
@@ -611,7 +557,7 @@ def _hold_tail(params: ModelParams, sector: ParitySector, start: np.ndarray | No
         marginals = _marginals(sector, state)
         weights = [float(m[-TAIL_LEVELS:].sum()) for m in marginals]
         if trace is not None:  # photon numbers per atom, from the marginals
-            photons = [float(m @ np.arange(m.size)) / sector.space.basis.n_atoms
+            photons = [float(m @ np.arange(m.size)) / sector.space.n_atoms
                        for m in marginals]
             trace.append({"cutoff_a": sector.space.cutoff_a, "cutoff_b": sector.space.cutoff_b,
                           "dimension": sector.space.dimension, "energy": energy,
@@ -619,7 +565,7 @@ def _hold_tail(params: ModelParams, sector: ParitySector, start: np.ndarray | No
                           "weight_a": weights[0], "weight_b": weights[1]})
         if max(weights) < bound:
             return sector, energy, state
-        grown = _even_sector(sector.space.basis.n_atoms,
+        grown = _even_sector(sector.space.n_atoms,
                              [math.ceil(GROWTH * (m.size - 1)) if w >= bound else m.size - 1
                               for m, w in zip(marginals, weights)])
         sector, start = grown, _transfer(sector, state, grown)
@@ -672,8 +618,8 @@ def _hold_sector_order(params: ModelParams, space: TruncatedSpace, even_energy: 
                   for left, right in PARITY_SECTORS[1:]]
         if not any(g.energy < even_energy - g.error for g in others):
             return space
-        grown = _even_sector(space.basis.n_atoms, [math.ceil(GROWTH * c) for c in
-                                                   (space.cutoff_a, space.cutoff_b)])
+        grown = _even_sector(space.n_atoms, [math.ceil(GROWTH * c) for c in
+                                             (space.cutoff_a, space.cutoff_b)])
         sector, even_energy, _ = _hold_tail(params, grown, None, tol, eig_tol, seed, trace)
         space = sector.space
 
@@ -713,8 +659,12 @@ def solve_sweep(points: list[ModelParams], n_atoms: int, tol: float = 1e-4,
     on one truncation grown and certified as the module docstring says; each
     result carries its cutoffs.  Raises as converge_cutoffs does; a
     CapacityError from a later point names that point's couplings and carries
-    the truncations it solved.
+    the truncations it solved.  No points give no results, once n_atoms
+    passes the check at (CUTOFF_FLOOR, CUTOFF_FLOOR).
     """
+    if not points:
+        TruncatedSpace(n_atoms, CUTOFF_FLOOR, CUTOFF_FLOOR)
+        return []
     space, _ = converge_cutoffs(points[0], n_atoms, tol, eig_tol, seed)
     try:
         while True:
@@ -738,9 +688,9 @@ def solve_sweep(points: list[ModelParams], n_atoms: int, tol: float = 1e-4,
                             f"g2 = {points[row].g2:.6g}", trace) from exc
 
 
-def solve_point(params: ModelParams, n_atoms: int, space: TruncatedSpace,
-                tol: float = 1e-8, seed: int = 0, with_gap: bool = False) -> GroundStateResult:
-    """Ground-state observables of n_atoms atoms at one parameter point on ``space``.
+def solve_point(params: ModelParams, space: TruncatedSpace, tol: float = 1e-8, seed: int = 0,
+                with_gap: bool = False) -> GroundStateResult:
+    """Ground-state observables at one parameter point on ``space``.
 
     Exact on any truncation: every parity sector is solved from the
     ``seed`` vector, E0 is the lowest sector ground energy and the
@@ -750,8 +700,6 @@ def solve_point(params: ModelParams, n_atoms: int, space: TruncatedSpace,
     a negative seed.
     """
     _check_solver_settings(seed, {"eigensolver tolerance tol": tol})
-    if space.basis.n_atoms != n_atoms:
-        raise ValueError(f"space holds {space.basis.n_atoms} atoms, not {n_atoms}")
     grounds = _sector_grounds(params, space, tol, seed)
     lowest = min(grounds, key=lambda g: g.energy)
     e0, vec, gap = lowest.energy, lowest.vector, None

@@ -207,7 +207,7 @@ def ed_sweep(base: ModelParams, g1, g2, n_atoms: int, cutoff_tol: float = 1e-4,
     """
     # No truncation below is smaller: an atom number too large for the
     # dimension limit is refused here, before any per-point work.
-    exactdiag.truncated_space(n_atoms, exactdiag.CUTOFF_FLOOR, exactdiag.CUTOFF_FLOOR)
+    exactdiag.TruncatedSpace(n_atoms, exactdiag.CUTOFF_FLOOR, exactdiag.CUTOFF_FLOOR)
     table = _classified(base, g1, g2)
     sweep = [replace(base, g1=a, g2=b) for a, b in zip(table.g1.tolist(), table.g2.tolist())]
     results = exactdiag.solve_sweep(sweep, n_atoms, cutoff_tol, eig_tol, seed)

@@ -1,8 +1,9 @@
 """The benchmark's traced pass patches package functions by name.
 
 bench/tracing.py lists them in TARGETS and replaces exactdiag's eigsh,
-and the bench scripts import and call further package names.  A rename
-that breaks one of them should fail here, not in a benchmark run.
+its hooks read the wrapped calls' arguments and results, and the bench
+scripts import and call further package names.  A rename or signature
+change that breaks one of them should fail here, not in a benchmark run.
 """
 
 import ast
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from vdicke import exactdiag
+from vdicke import cli, exactdiag
 from vdicke.errors import ConvergenceError
 from vdicke.model import ModelParams
 
@@ -20,15 +21,15 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACING = BENCH / "tracing.py"
 
 
-def _targets():
+def _tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tracing.TARGETS
+    return tracing
 
 
 def test_every_traced_name_resolves():
-    targets = _targets()
+    targets = _tracing().TARGETS
     assert targets
     for module_name, func_name, _ in targets:
         assert callable(getattr(importlib.import_module(module_name), func_name, None)), (
@@ -95,7 +96,7 @@ def test_every_arpack_run_goes_through_the_patched_eigsh(monkeypatch):
         return _eigsh(*args, **kwargs)
 
     monkeypatch.setattr(exactdiag, "eigsh", counting)
-    sector = exactdiag.ParitySector(exactdiag.truncated_space(6, 30, 30), 1, 1)
+    sector = exactdiag.ParitySector(exactdiag.TruncatedSpace(6, 30, 30), 1, 1)
     h = exactdiag.build_hamiltonian(ModelParams(g1=0.9, g2=0.8), sector)
     assert h.shape[0] > exactdiag._DENSE_THRESHOLD
     exactdiag.ground_state(h, tol=1e-8)
@@ -105,3 +106,34 @@ def test_every_arpack_run_goes_through_the_patched_eigsh(monkeypatch):
     with pytest.raises(ConvergenceError, match="LANCZOS_MAXITER = 1"):
         exactdiag.ground_state(h, tol=1e-8)
     assert len(calls) > before
+
+
+ED_RUNS = {"point": ["ed", "--N", "3", "--g1", "0.9", "--g2", "0.6"],
+           "sweep": ["ed", "--N", "3", "--g2", "0.75", "--g1-min", "0.5", "--g1-max", "1.0",
+                     "--steps", "3"]}
+
+
+@pytest.mark.parametrize("mode", sorted(ED_RUNS))
+def test_the_traced_pass_keeps_the_bytes_and_counts_every_ed_layer(mode, tmp_path):
+    # the traced pass reads the arguments and results of the functions it
+    # wraps; a signature change that breaks a hook fails here
+    pytest.importorskip("scipy")  # the tracer counts matvecs through a LinearOperator
+    tracing = _tracing()
+    outputs = []
+    for traced in (False, True):
+        out = tmp_path / f"{mode}-{traced}.out"
+        exactdiag._sector_ground.cache_clear()  # solve, do not recall the other run's solves
+        tracer = tracing.Tracer()
+        try:
+            if traced:
+                tracer.install()
+            assert cli.run([*ED_RUNS[mode], "--output", str(out)]) == 0
+        finally:
+            tracer.uninstall()
+        outputs.append(out.read_bytes())
+    assert outputs[0] and outputs[1] == outputs[0]
+    metrics = tracing.layer_metrics(tracer, 0.0)
+    for name in ("exactdiag.build_hamiltonian.calls", "exactdiag.build_hamiltonian.dim_max",
+                 "exactdiag.build_hamiltonian.nnz_max", "exactdiag.eigensolve.matvecs",
+                 "exactdiag.converge_cutoffs.solves"):
+        assert metrics[name][0] > 0, name

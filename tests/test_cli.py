@@ -236,11 +236,11 @@ def test_ed_partial_sweep_flags_exit_2(capsys):
 
 
 def test_ed_capacity_exhaustion_exits_3(tmp_path, capsys, monkeypatch):
-    # every size here is refused before the basis is enumerated
-    def refuse(n_atoms):
-        raise AssertionError(f"build_basis({n_atoms}) called for a rejected size")
+    # every size here is refused before any array of its size is allocated
+    def refuse(space):
+        raise AssertionError(f"_indexed({space}) called for a rejected size")
 
-    monkeypatch.setattr(exactdiag, "build_basis", refuse)
+    monkeypatch.setattr(exactdiag, "_indexed", refuse)
     code = run(["ed", "--N", "40", "--g1", "0.7", "--cutoff-a", "400",
                 "--cutoff-b", "400"])
     assert code == 3

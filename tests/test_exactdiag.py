@@ -13,18 +13,15 @@ from vdicke.errors import CapacityError, ConvergenceError
 from vdicke.exactdiag import (
     PARITY_SECTORS,
     ParitySector,
-    SymmetricBasis,
     TruncatedSpace,
-    build_basis,
     build_hamiltonian,
     converge_cutoffs,
     ground_state,
     lowest_two,
     observables,
-    parity_check,
+    parity_commutator_norms,
     parity_operators,
     solve_point,
-    truncated_space,
 )
 from vdicke.meanfield import classify_arrays, stationary_branches
 from vdicke.model import ModelParams
@@ -48,19 +45,16 @@ def test_mirrored_is_the_branch_swap_and_an_involution():
 # ---------------------------------------------------------------------------
 # basis bookkeeping
 
-def test_basis_size_is_triangular():
-    for n in (1, 2, 3, 7, 12):
-        basis = build_basis(n)
-        assert basis.size == (n + 1) * (n + 2) // 2
-        assert len(basis.states) == basis.size
-        for n1, n2, n3 in basis.states:
-            assert n1 + n2 + n3 == n
-            assert min(n1, n2, n3) >= 0
+def _enumerated_states(n_atoms: int) -> list[tuple[int, int, int]]:
+    """Every occupation (n1, n2, n3) of n_atoms atoms, lexicographic in (n3, n2)."""
+    return sorted((s for s in itertools.product(range(n_atoms + 1), repeat=3)
+                   if sum(s) == n_atoms), key=lambda s: (s[2], s[1]))
 
 
 def test_atomic_layout_is_the_basis_order():
     for n in range(1, 13):
-        states = build_basis(n).states
+        states = _enumerated_states(n)
+        assert len(states) == (n + 1) * (n + 2) // 2 == TruncatedSpace(n, 1, 1).shape[0]
         n2, n3 = exactdiag._atomic_states(n)
         assert list(zip(n2.tolist(), n3.tolist())) == [(s[1], s[2]) for s in states]
         assert np.array_equal(exactdiag._atom_index(n, n2, n3), np.arange(len(states)))
@@ -73,14 +67,13 @@ def test_atomic_layout_is_the_basis_order():
 
 
 def test_basis_enumeration_order():
-    basis = build_basis(2)
-    assert basis.states == (
+    assert _enumerated_states(2) == [
         (2, 0, 0), (1, 1, 0), (0, 2, 0),
         (1, 0, 1), (0, 1, 1),
         (0, 0, 2),
-    )
-    with pytest.raises(ValueError):
-        build_basis(0)
+    ]
+    n2, n3 = exactdiag._atomic_states(2)
+    assert n2.tolist() == [0, 1, 2, 0, 1, 0] and n3.tolist() == [0, 0, 0, 1, 1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +113,11 @@ def _explicit_hamiltonian(p: ModelParams, n_atoms: int, cutoff_a: int, cutoff_b:
                                         position(cutoff_b + 1)))
 
 
-def _symmetric_isometry(basis: SymmetricBasis) -> np.ndarray:
+def _symmetric_isometry(n_atoms: int) -> np.ndarray:
     """Columns: the normalized symmetric product states, in basis order."""
-    index = {state: i for i, state in enumerate(basis.states)}
-    iso = np.zeros((3 ** basis.n_atoms, basis.size))
-    for row, levels in enumerate(itertools.product(range(3), repeat=basis.n_atoms)):
+    index = {state: i for i, state in enumerate(_enumerated_states(n_atoms))}
+    iso = np.zeros((3 ** n_atoms, len(index)))
+    for row, levels in enumerate(itertools.product(range(3), repeat=n_atoms)):
         iso[row, index[tuple(levels.count(level) for level in range(3))]] = 1.0
     return iso / np.linalg.norm(iso, axis=0)
 
@@ -133,8 +126,7 @@ def test_hamiltonian_matches_explicit_tensor_product():
     # project the explicit 3^N-atom Hamiltonian onto the symmetric sector
     rng = np.random.default_rng(41)
     for n in (1, 2, 3):
-        basis = build_basis(n)
-        iso = _symmetric_isometry(basis)
+        iso = _symmetric_isometry(n)
         for trial in range(4):
             p = ModelParams(
                 omega21=rng.uniform(0.4, 2.0), omega31=rng.uniform(0.4, 2.0),
@@ -144,12 +136,12 @@ def test_hamiltonian_matches_explicit_tensor_product():
             ca, cb = (1, 1) if trial == 0 else (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
             full_iso = np.kron(np.kron(iso, np.eye(ca + 1)), np.eye(cb + 1))
             projected = full_iso.T @ _explicit_hamiltonian(p, n, ca, cb) @ full_iso
-            space = TruncatedSpace(basis, ca, cb)
+            space = TruncatedSpace(n, ca, cb)
             got = build_hamiltonian(p, space).toarray()
             assert np.max(np.abs(got - projected)) <= 1e-13, (n, trial, ca, cb)
             # each parity block is the projected H restricted to its states,
             # with the parities read off the basis enumeration itself
-            occupations = np.array([(n2, n3, na, nb) for _, n2, n3 in basis.states
+            occupations = np.array([(n2, n3, na, nb) for _, n2, n3 in _enumerated_states(n)
                                     for na in range(ca + 1) for nb in range(cb + 1)])
             n2, n3, na, nb = occupations.T
             for left, right in PARITY_SECTORS:
@@ -163,7 +155,7 @@ def test_hamiltonian_matches_explicit_tensor_product():
 def test_hamiltonian_is_real_symmetric():
     p = ModelParams(omega21=0.9, omega31=1.4, omega_a=1.1, omega_b=0.7,
                     g1=0.8, g2=0.5)
-    space = TruncatedSpace(build_basis(3), 4, 5)
+    space = TruncatedSpace(3, 4, 5)
     h = build_hamiltonian(p, space)
     assert h.shape == (space.dimension, space.dimension)
     assert h.dtype == np.float64
@@ -173,12 +165,12 @@ def test_hamiltonian_is_real_symmetric():
 
 def test_decoupled_hamiltonian_is_diagonal_with_known_spectrum():
     p = ModelParams(omega21=0.9, omega31=1.4, omega_a=1.1, omega_b=0.7)
-    space = TruncatedSpace(build_basis(2), 2, 2)
+    space = TruncatedSpace(2, 2, 2)
     h = build_hamiltonian(p, space).toarray()
     assert np.count_nonzero(h - np.diag(np.diagonal(h))) == 0
     # diagonal entry = omega21*n2 + omega31*n3 + omega_a*ia + omega_b*ib
     expected = []
-    for n1, n2, n3 in space.basis.states:
+    for n1, n2, n3 in _enumerated_states(2):
         for ia in range(3):
             for ib in range(3):
                 expected.append(0.9 * n2 + 1.4 * n3 + 1.1 * ia + 0.7 * ib)
@@ -186,37 +178,33 @@ def test_decoupled_hamiltonian_is_diagonal_with_known_spectrum():
 
 
 def test_capacity_limit_raises_before_allocation(monkeypatch):
-    space = TruncatedSpace(build_basis(10), 40, 40)
-    # the dimension is checked before the basis is enumerated: a basis of
-    # 5e11 states is never built
+    # the dimension is checked when the space is constructed: the 5e11
+    # atomic states of N = 10^6 are never enumerated
     with pytest.raises(CapacityError, match="dimension limit 2000000"):
-        truncated_space(10 ** 6, 8, 8)
+        TruncatedSpace(10 ** 6, 8, 8)
     for bad in ((0, 8, 8), (-(10 ** 6), 8, 8), (3, 0, 8)):
         with pytest.raises(ValueError):
-            truncated_space(*bad)
-    small = truncated_space(10, 40, 40)
-    assert small.dimension == space.dimension == 66 * 41 * 41
+            TruncatedSpace(*bad)
+    assert TruncatedSpace(10, 40, 40).dimension == 66 * 41 * 41
     # the limit is read at call time
     monkeypatch.setattr(exactdiag, "DEFAULT_DIM_LIMIT", 1000)
     with pytest.raises(CapacityError, match="dimension limit 1000"):
-        build_hamiltonian(ModelParams(g1=0.7), space)
-    with pytest.raises(CapacityError, match="dimension limit 1000"):
-        truncated_space(10, 40, 40)
+        TruncatedSpace(10, 40, 40)
 
 
 def test_exchange_relabeling_is_a_permutation_conjugation():
     p = ModelParams(omega21=0.9, omega31=1.4, omega_a=1.1, omega_b=0.7,
                     g1=0.8, g2=0.5)
-    basis = build_basis(3)
-    index = {s: i for i, s in enumerate(basis.states)}
-    p_atom = np.array([index[(s[0], s[2], s[1])] for s in basis.states])
+    states = _enumerated_states(3)
+    index = {s: i for i, s in enumerate(states)}
+    p_atom = np.array([index[(s[0], s[2], s[1])] for s in states])
     ca, cb = 3, 4
-    h1 = build_hamiltonian(p, TruncatedSpace(basis, ca, cb)).toarray()
-    h2 = build_hamiltonian(_swap_params(p), TruncatedSpace(basis, cb, ca)).toarray()
+    h1 = build_hamiltonian(p, TruncatedSpace(3, ca, cb)).toarray()
+    h2 = build_hamiltonian(_swap_params(p), TruncatedSpace(3, cb, ca)).toarray()
     # composite index (atom, ia, ib) -> (swapped atom, ib, ia)
-    old = np.arange(h1.shape[0]).reshape(basis.size, ca + 1, cb + 1)
-    perm = np.empty((basis.size, cb + 1, ca + 1), dtype=int)
-    for i in range(basis.size):
+    old = np.arange(h1.shape[0]).reshape(len(states), ca + 1, cb + 1)
+    perm = np.empty((len(states), cb + 1, ca + 1), dtype=int)
+    for i in range(len(states)):
         perm[p_atom[i]] = old[i].T
     perm = perm.reshape(-1)
     assert np.max(np.abs(h2 - h1[np.ix_(perm, perm)])) <= 1e-13
@@ -225,9 +213,9 @@ def test_exchange_relabeling_is_a_permutation_conjugation():
 def test_exchange_relabeling_swaps_observables():
     p = ModelParams(omega21=1.0, omega31=1.3, omega_a=0.8, omega_b=1.1,
                     g1=0.9, g2=0.55)
-    space = TruncatedSpace(build_basis(3), 8, 8)
-    res = solve_point(p, 3, space=space)
-    res_swapped = solve_point(_swap_params(p), 3, space=space)
+    space = TruncatedSpace(3, 8, 8)
+    res = solve_point(p, space)
+    res_swapped = solve_point(_swap_params(p), space)
     assert abs(res.energy - res_swapped.energy) < 1e-10
     assert abs(res.photon_a - res_swapped.photon_b) < 1e-10
     assert abs(res.photon_b - res_swapped.photon_a) < 1e-10
@@ -239,7 +227,7 @@ def test_exchange_relabeling_swaps_observables():
 # parity structure
 
 def test_parity_operators_square_to_identity_and_factorize():
-    space = TruncatedSpace(build_basis(2), 3, 4)
+    space = TruncatedSpace(2, 3, 4)
     pl, pr, pg = parity_operators(space)
     for op in (pl, pr, pg):
         assert op.shape == (space.dimension,)
@@ -255,9 +243,9 @@ def test_parity_commutes_with_hamiltonian():
             omega21=rng.uniform(0.4, 2.0), omega31=rng.uniform(0.4, 2.0),
             omega_a=rng.uniform(0.4, 2.0), omega_b=rng.uniform(0.4, 2.0),
             g1=rng.uniform(0.0, 1.5), g2=rng.uniform(0.0, 1.5))
-        space = TruncatedSpace(build_basis(n), int(rng.integers(2, 7)),
+        space = TruncatedSpace(n, int(rng.integers(2, 7)),
                                int(rng.integers(2, 7)))
-        assert parity_check(p, space) <= 1e-10
+        assert max(parity_commutator_norms(p, space)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +253,7 @@ def test_parity_commutes_with_hamiltonian():
 
 def test_decoupled_ground_state_is_the_vacuum():
     p = ModelParams()
-    space = TruncatedSpace(build_basis(4), 3, 3)
+    space = TruncatedSpace(4, 3, 3)
     h = build_hamiltonian(p, space)
     e0, vec = ground_state(h)
     # the vacuum sits at exactly zero; the Lanczos path must not skip
@@ -290,7 +278,7 @@ def test_sparse_ground_state_matches_dense_on_random_points():
             omega21=rng.uniform(0.4, 2.0), omega31=rng.uniform(0.4, 2.0),
             omega_a=rng.uniform(0.4, 2.0), omega_b=rng.uniform(0.4, 2.0),
             g1=rng.uniform(0.0, 1.5), g2=rng.uniform(0.0, 1.5))
-        space = TruncatedSpace(build_basis(n), int(rng.integers(3, 7)),
+        space = TruncatedSpace(n, int(rng.integers(3, 7)),
                                int(rng.integers(3, 7)))
         h = build_hamiltonian(p, space)
         e0, _ = ground_state(h)
@@ -300,7 +288,7 @@ def test_sparse_ground_state_matches_dense_on_random_points():
 
 def test_ground_state_is_seed_deterministic():
     p = ModelParams(omega31=1.7, g1=0.9, g2=0.6)
-    space = TruncatedSpace(build_basis(3), 8, 8)
+    space = TruncatedSpace(3, 8, 8)
     h = build_hamiltonian(p, space)
     e_a, v_a = ground_state(h, seed=123)
     e_b, v_b = ground_state(h, seed=123)
@@ -314,7 +302,7 @@ def test_lowest_two_orders_the_doublet():
     # deep in the condensed regime the two parity sectors are nearly
     # degenerate; the solver must still resolve and order them
     p = ModelParams(g1=1.2)
-    space = TruncatedSpace(build_basis(4), 14, 4)
+    space = TruncatedSpace(4, 14, 4)
     h = build_hamiltonian(p, space)
     e0, e1, vec = lowest_two(h)
     dense = np.linalg.eigvalsh(h.toarray())
@@ -326,7 +314,7 @@ def test_lowest_two_orders_the_doublet():
 
 def test_operator_counts_and_applies_its_stored_entries():
     rng = np.random.default_rng(5)
-    sector = ParitySector(TruncatedSpace(build_basis(3), 4, 5), 1, -1)
+    sector = ParitySector(TruncatedSpace(3, 4, 5), 1, -1)
     h = build_hamiltonian(ModelParams(omega31=1.4, g1=0.8, g2=0.5), sector)
     dense = h.toarray()
     # every hop is stored, and so is every diagonal entry, the zero ones too
@@ -344,7 +332,7 @@ def test_lanczos_matches_dense_eigh_on_random_sectors():
         p = _random_params(rng, *((0.0, 1.5), (1.5, 3.0))[trial % 2])
         if trial % 10 == 0:  # decoupled, with degenerate levels
             p = ModelParams(g1=0.0, g2=0.0)
-        space = TruncatedSpace(build_basis(int(rng.integers(2, 6))), int(rng.integers(3, 12)),
+        space = TruncatedSpace(int(rng.integers(2, 6)), int(rng.integers(3, 12)),
                                int(rng.integers(3, 12)))
         h = build_hamiltonian(p, ParitySector(space, *PARITY_SECTORS[trial % 4]))
         if h.shape[0] <= exactdiag._DENSE_THRESHOLD:
@@ -383,7 +371,7 @@ def _arpack_lowest(h, k: int) -> np.ndarray:
     (10, (16, 10), ModelParams(omega31=1.7, g1=0.94, g2=0.8)),
 ])
 def test_lanczos_matches_arpack_on_sectors(n_atoms, cutoffs, params):
-    space = truncated_space(n_atoms, *cutoffs)
+    space = TruncatedSpace(n_atoms, *cutoffs)
     for left, right in ((1, 1), (1, -1)):
         h = build_hamiltonian(params, ParitySector(space, left, right))
         bound = 1e-8 * max(1.0, exactdiag._h_scale(h))
@@ -398,7 +386,7 @@ def test_lanczos_matches_arpack_on_sectors(n_atoms, cutoffs, params):
 
 def test_lanczos_started_on_an_eigenvector():
     # decoupled, every basis vector is an eigenvector: the first step breaks down
-    h = build_hamiltonian(ModelParams(), ParitySector(truncated_space(4, 3, 3), 1, 1))
+    h = build_hamiltonian(ModelParams(), ParitySector(TruncatedSpace(4, 3, 3), 1, 1))
     levels = np.sort(h.diagonal)
     for start in (np.argmin(h.diagonal), np.argmax(h.diagonal)):
         v0 = np.zeros(h.shape[0])
@@ -408,7 +396,7 @@ def test_lanczos_started_on_an_eigenvector():
             assert np.max(np.abs(vals - levels[:k])) <= 1e-12, (start, k)
             assert np.linalg.norm(h @ vecs[:, 0]) <= 1e-12
     # coupled: a start on the ground vector or on an excited one still ends on the lowest
-    h = build_hamiltonian(ModelParams(g1=0.9, g2=0.8), ParitySector(truncated_space(3, 8, 8), 1, 1))
+    h = build_hamiltonian(ModelParams(g1=0.9, g2=0.8), ParitySector(TruncatedSpace(3, 8, 8), 1, 1))
     dense_vals, dense_vecs = np.linalg.eigh(h.toarray())
     tol = 1e-10 * max(1.0, exactdiag._h_scale(h))
     for start, k in ((0, 1), (0, 2), (2, 1), (2, 2)):
@@ -421,7 +409,7 @@ def test_ground_state_through_a_linear_operator_wrapper(monkeypatch):
     from scipy.sparse.linalg import LinearOperator
 
     h = build_hamiltonian(ModelParams(g1=0.9, g2=0.8),
-                          ParitySector(truncated_space(6, 20, 20), 1, 1))
+                          ParitySector(TruncatedSpace(6, 20, 20), 1, 1))
     energy, vec = ground_state(h, tol=1e-8)
     solve, matvecs = exactdiag.eigsh, []
 
@@ -442,7 +430,7 @@ def test_ground_state_through_a_linear_operator_wrapper(monkeypatch):
 
 def test_observables_against_dense_expectation_values():
     p = ModelParams(omega31=1.3, g1=0.85, g2=0.4)
-    space = TruncatedSpace(build_basis(2), 6, 5)
+    space = TruncatedSpace(2, 6, 5)
     h = build_hamiltonian(p, space)
     vals, vecs = np.linalg.eigh(h.toarray())
     # every observable is diagonal: its value on each basis vector, in
@@ -451,7 +439,7 @@ def test_observables_against_dense_expectation_values():
     table = np.array([
         (ia / 2, ib / 2, n2 / 2, n3 / 2,
          (-1) ** (n3 + ia), (-1) ** (n2 + ib), (-1) ** (n2 + n3 + ia + ib))
-        for _, n2, n3 in space.basis.states for ia in range(7) for ib in range(6)
+        for _, n2, n3 in _enumerated_states(2) for ia in range(7) for ib in range(6)
     ], dtype=float)
     random = np.random.default_rng(3).standard_normal(space.dimension)
     for vec, energy in ((vecs[:, 0], float(vals[0])), (random / np.linalg.norm(random), 0.5)):
@@ -511,15 +499,13 @@ def test_converge_cutoffs_capacity_error_carries_trace(monkeypatch):
 
 def test_solve_point_with_gap():
     p = ModelParams(omega31=1.7, g1=0.8, g2=0.3)
-    space = truncated_space(2, 15, 10)
-    res = solve_point(p, 2, space, with_gap=True)
+    space = TruncatedSpace(2, 15, 10)
+    res = solve_point(p, space, with_gap=True)
     assert res.gap is not None and res.gap > 0.0
     assert res.cutoff_a >= 8 and res.cutoff_b >= 8
-    no_gap = solve_point(p, 2, space)
+    no_gap = solve_point(p, space)
     assert no_gap.gap is None
     assert abs(no_gap.energy - res.energy) < 1e-9
-    with pytest.raises(ValueError, match="holds 2 atoms"):
-        solve_point(p, 3, space)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +528,7 @@ def test_sector_hamiltonian_is_the_whole_space_h_restricted():
         if trial % 4 == 0:
             p = ModelParams(p.omega21, p.omega31, p.omega_a, p.omega_b,
                             g1=0.0 if trial % 8 else p.g1, g2=0.0)
-        space = TruncatedSpace(build_basis(int(rng.integers(1, 6))),
+        space = TruncatedSpace(int(rng.integers(1, 6)),
                                int(rng.integers(1, 9)), int(rng.integers(1, 9)))
         whole = build_hamiltonian(p, space).toarray()
         dimensions = 0
@@ -566,7 +552,7 @@ def _seeded_points(count: int, seed: int):
         if i % 3 == 2:
             g1, g2 = ((0.0, p.g2), (p.g1, 0.0), (0.0, 0.0))[i % 9 // 3]
             p = ModelParams(p.omega21, p.omega31, p.omega_a, p.omega_b, g1=g1, g2=g2)
-        space = TruncatedSpace(build_basis(int(rng.integers(1, 5))),
+        space = TruncatedSpace(int(rng.integers(1, 5)),
                                int(rng.integers(2, 9)), int(rng.integers(2, 9)))
         yield p, space
 
@@ -574,17 +560,17 @@ def _seeded_points(count: int, seed: int):
 def test_solve_point_matches_the_dense_whole_space_spectrum():
     outside_even = 0
     for k, (p, space) in enumerate(_seeded_points(210, 8)):
-        n = space.basis.n_atoms
+        n = space.n_atoms
         dense = np.linalg.eigvalsh(build_hamiltonian(p, space).toarray())
         even = np.linalg.eigvalsh(build_hamiltonian(p, ParitySector(space, 1, 1)).toarray())
         outside_even += bool(even[0] > dense[0] + 1e-9)
-        res = solve_point(p, n, space, with_gap=True)
+        res = solve_point(p, space, with_gap=True)
         assert abs(res.energy - dense[0]) <= 1e-9 * max(1.0, abs(dense[0])), (k, p, space)
         assert abs(res.gap - (dense[1] - dense[0])) <= 1e-9 * max(1.0, abs(dense[1])), (k, p)
         # the observables belong to the lowest sector's ground state
         assert abs(abs(res.parity_l) - 1.0) <= 1e-12 and abs(abs(res.parity_r) - 1.0) <= 1e-12
         if k % 4 == 0:
-            no_gap = solve_point(p, n, space)
+            no_gap = solve_point(p, space)
             assert no_gap.gap is None
             assert abs(no_gap.energy - dense[0]) <= 1e-9 * max(1.0, abs(dense[0]))
     # the set holds truncations whose ground state lies outside (+, +)
@@ -604,7 +590,7 @@ def test_fixture_sweeps_match_whole_space_solves(fixture, n_atoms):
     table = ed_sweep(ModelParams(), g1, g2, n_atoms)
     for i, (a, b) in enumerate(zip(table.g1, table.g2)):
         # each row against a cold solve on the whole truncation it reports
-        space = truncated_space(n_atoms, int(table.cutoff_a[i]), int(table.cutoff_b[i]))
+        space = TruncatedSpace(n_atoms, int(table.cutoff_a[i]), int(table.cutoff_b[i]))
         h = build_hamiltonian(ModelParams(g1=float(a), g2=float(b)), space)
         energy, vec = ground_state(h, tol=1e-8)
         whole = observables(space, vec, energy)
@@ -616,7 +602,7 @@ def test_warm_started_sweep_agrees_with_cold_solves():
     g1 = np.linspace(0.5, 1.0, 9)
     table = ed_sweep(ModelParams(), g1, 0.75, 4)
     for i, g in enumerate(g1):
-        sector = ParitySector(truncated_space(4, int(table.cutoff_a[i]), int(table.cutoff_b[i])),
+        sector = ParitySector(TruncatedSpace(4, int(table.cutoff_a[i]), int(table.cutoff_b[i])),
                               1, 1)
         energy, vec = ground_state(build_hamiltonian(ModelParams(g1=g, g2=0.75), sector), tol=1e-8)
         cold = observables(sector, vec, energy)
@@ -626,8 +612,8 @@ def test_warm_started_sweep_agrees_with_cold_solves():
     # a grown truncation starts from the smaller one's vector, zero-padded:
     # the padded vector is the same state
     p = ModelParams(g1=0.9, g2=0.75)
-    small = ParitySector(truncated_space(4, 10, 9), 1, 1)
-    large = ParitySector(truncated_space(4, 20, 18), 1, 1)
+    small = ParitySector(TruncatedSpace(4, 10, 9), 1, 1)
+    large = ParitySector(TruncatedSpace(4, 20, 18), 1, 1)
     energy, vec = ground_state(build_hamiltonian(p, small), tol=1e-8)
     padded = exactdiag._transfer(small, vec, large)
     assert np.linalg.norm(padded) == pytest.approx(1.0, abs=1e-14)
@@ -649,7 +635,7 @@ def test_converge_cutoffs_refuses_a_truncation_with_its_ground_state_outside_eve
     # truncation out
     p, start = ModelParams(g1=2.5, g2=2.5), (6, 6)
     monkeypatch.setattr(exactdiag, "CUTOFF_FLOOR", 6)
-    first = TruncatedSpace(build_basis(3), *start)
+    first = TruncatedSpace(3, *start)
     lowest = [np.linalg.eigvalsh(build_hamiltonian(p, ParitySector(first, *s)).toarray())[0]
               for s in PARITY_SECTORS]
     assert min(lowest[1:]) < lowest[0] - 1e-4
@@ -690,7 +676,7 @@ def _doubling_oracle(params: ModelParams, n_atoms: int, cutoffs: tuple[int, int]
     """
     previous, weights = None, None
     while True:
-        sector = ParitySector(truncated_space(n_atoms, *cutoffs), 1, 1)
+        sector = ParitySector(TruncatedSpace(n_atoms, *cutoffs), 1, 1)
         energy, vec = ground_state(build_hamiltonian(params, sector), tol=1e-10)
         result = observables(sector, vec, energy)
         photons = np.array([result.photon_a, result.photon_b])
@@ -728,7 +714,7 @@ QUERY_POINTS = [(5, ModelParams(g1=a, g2=b))
                          + [f"query-{p.g1}-{p.g2}" for _, p in QUERY_POINTS])
 def test_converged_cutoffs_meet_the_doubling_loop(n_atoms, params):
     space, trace = converge_cutoffs(params, n_atoms, tol=CUTOFF_TOL)
-    result = solve_point(params, n_atoms, space)
+    result = solve_point(params, space)
     photons, _, weights = _doubling_oracle(params, n_atoms, (space.cutoff_a, space.cutoff_b),
                                            CUTOFF_TOL / 10)
     assert max(weights) < CUTOFF_TOL / exactdiag.TAIL_RATIO
@@ -766,13 +752,13 @@ def test_floor_start_holds_the_competing_condensates(n_atoms, monkeypatch):
     assert len(points) == 3
     for p in points:
         space, _ = converge_cutoffs(p, n_atoms)
-        result = solve_point(p, n_atoms, space)
+        result = solve_point(p, space)
         with monkeypatch.context() as patch:
             start = _branch_covering_floor(p, n_atoms)
             patch.setattr(exactdiag, "CUTOFF_FLOOR", start)
             wide_space, trace = converge_cutoffs(p, n_atoms)
         assert (trace[0]["cutoff_a"], trace[0]["cutoff_b"]) == (start, start)
-        wide = solve_point(p, n_atoms, wide_space)
+        wide = solve_point(p, wide_space)
         photons, energy, _ = _doubling_oracle(p, n_atoms, (space.cutoff_a, space.cutoff_b),
                                               CUTOFF_TOL / 10)
         for reference in ((wide.photon_a, wide.photon_b, wide.energy), (*photons, energy)):
@@ -808,11 +794,11 @@ def test_sweep_resolves_every_row_when_its_last_growth_is_refused(monkeypatch):
     # (+, +), twice the solver's error bound; the certificate grows it to
     # (18, 9), and every row is solved again there
     g1, p_last = np.linspace(0.3, 2.5, 6), ModelParams(g1=2.5, g2=0.75)
-    refused = TruncatedSpace(build_basis(3), 12, 6)
+    refused = TruncatedSpace(3, 12, 6)
     blocks = [build_hamiltonian(p_last, ParitySector(refused, *s)) for s in PARITY_SECTORS]
     lowest = [np.linalg.eigvalsh(h.toarray())[0] for h in blocks]
     assert lowest[2] < lowest[0] - 1e-8 * exactdiag._h_scale(blocks[2])
-    space = truncated_space(3, 18, 9)
+    space = TruncatedSpace(3, 18, 9)
     # the certificate alone, given (+, +)'s exact energy, grows (12, 6) to (18, 9)
     assert exactdiag._hold_sector_order(p_last, refused, lowest[0], 20.0, 1e-8, 0) == space
     asked = []
@@ -882,7 +868,7 @@ def test_sweep_certificate_reuses_the_rows_even_solve(monkeypatch):
 
 def test_lanczos_restarts_are_bounded(monkeypatch, capsys):
     h = build_hamiltonian(ModelParams(g1=0.9, g2=0.8),
-                          ParitySector(truncated_space(6, 30, 30), 1, 1))
+                          ParitySector(TruncatedSpace(6, 30, 30), 1, 1))
     ground_state(h, tol=1e-8)
     monkeypatch.setattr(exactdiag, "LANCZOS_MAXITER", 1)
     exactdiag._sector_ground.cache_clear()  # the CLI run below must solve, not recall
@@ -901,23 +887,23 @@ def test_solve_point_reuses_the_certificate_solves(monkeypatch):
         solve = getattr(exactdiag, name)
         monkeypatch.setattr(exactdiag, name,
                             lambda *a, _solve=solve, **k: solves.append(1) or _solve(*a, **k))
-    reused = solve_point(p, 3, space, with_gap=True)
+    reused = solve_point(p, space, with_gap=True)
     assert len(solves) == 1  # the gap's lowest_two; the four sector grounds are reused
     # an equal truncation built afresh is the same key, so it reuses them too
-    fresh = solve_point(p, 3, truncated_space(3, space.cutoff_a, space.cutoff_b), with_gap=True)
+    fresh = solve_point(p, TruncatedSpace(3, space.cutoff_a, space.cutoff_b), with_gap=True)
     assert len(solves) == 2
     assert reused == fresh
     # the memo holds one truncation's four sectors: converging a second
     # point evicts the first point's solves
     converge_cutoffs(replace(p, g1=0.3), 3)
     before = len(solves)
-    assert solve_point(p, 3, space, with_gap=True) == reused
+    assert solve_point(p, space, with_gap=True) == reused
     assert len(solves) - before == 5
     # another seed or other params on the same space are solved afresh
     for params, seed in ((p, 1), (replace(p, g2=0.61), 0)):
-        solve_point(p, 3, space)  # back in the memo
+        solve_point(p, space)  # back in the memo
         before = len(solves)
-        solve_point(params, 3, space, seed=seed)
+        solve_point(params, space, seed=seed)
         assert len(solves) - before == 4, (params, seed)
     # every caller shares the memoized vectors, so none may write to them
     grounds = exactdiag._sector_grounds(p, space, 1e-8, 1)
@@ -931,17 +917,17 @@ def test_solver_settings_are_refused_before_solving(monkeypatch):
     monkeypatch.setattr(exactdiag, "ground_state", no_solve)
     monkeypatch.setattr(exactdiag, "lowest_two", no_solve)
     p = ModelParams(g1=0.6, g2=0.3)
-    space = truncated_space(2, 4, 4)
+    space = TruncatedSpace(2, 4, 4)
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="photon-number tolerance tol must be finite"):
             converge_cutoffs(p, 2, tol=bad)
         with pytest.raises(ValueError, match="eigensolver tolerance eig_tol must be finite"):
             converge_cutoffs(p, 2, eig_tol=bad)
         with pytest.raises(ValueError, match="eigensolver tolerance tol must be finite"):
-            solve_point(p, 2, space, tol=bad)
+            solve_point(p, space, tol=bad)
         with pytest.raises(ValueError, match="photon-number tolerance tol must be finite"):
             ed_sweep(p, np.linspace(0.5, 1.0, 3), 0.3, 2, cutoff_tol=bad)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         converge_cutoffs(p, 2, seed=-1)
     with pytest.raises(ValueError, match="seed must be >= 0"):
-        solve_point(p, 2, space, seed=-1)
+        solve_point(p, space, seed=-1)

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vdicke import scan
-from vdicke.errors import DomainError
+from vdicke import exactdiag, scan
+from vdicke.errors import CapacityError, DomainError
 from vdicke.fluctuations import (
     critical_coupling_by_zero_mode,
     left_branch_form,
@@ -208,6 +208,22 @@ def test_ed_sweep_reuses_one_truncation():
     # the mean-field columns are the kernel's at the same points
     for got, want in zip(table.phases, classify_arrays(1.0, 1.0, 1.0, 1.0, table.g1, 0.2)):
         np.testing.assert_array_equal(got, want)
+
+
+def test_empty_sweeps_give_empty_results():
+    # as line_cut does: no points, no rows, and the CSV is the header alone
+    assert exactdiag.solve_sweep([], 4) == []
+    table = ed_sweep(ModelParams(), [], 0.5, 4)
+    assert len(table) == 0 and len(line_cut(ModelParams(), [], 0.5)) == 0
+    buffer = io.StringIO()
+    write_sweep_csv(table, buffer)
+    assert buffer.getvalue() == ",".join(CSV_COLUMNS + ED_COLUMNS) + "\n"
+    assert len(CSV_COLUMNS + ED_COLUMNS) == 14
+    # an atom number too large for the dimension limit is still refused
+    with pytest.raises(CapacityError, match="dimension limit"):
+        exactdiag.solve_sweep([], 10 ** 6)
+    with pytest.raises(CapacityError, match="dimension limit"):
+        ed_sweep(ModelParams(), [], 0.5, 10 ** 6)
 
 
 # ---------------------------------------------------------------------------
