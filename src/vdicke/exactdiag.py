@@ -11,34 +11,26 @@ collective operators act like bilinears of three Schwinger bosons:
 
 for m != n, and J_mm is diagonal with eigenvalue n_m.
 
-Layout.  A TruncatedSpace is the value (N, cutoff_a, cutoff_b): each
-bosonic mode is truncated at its Fock cutoff, and a basis vector is
-(n2, n3) x (n_a) x (n_b), with n1 = N - n2 - n3 implied and the mode-b
-index fastest.  The atomic states run over n3, then n2, so (n2, n3) sits
-at
+Layout.  A TruncatedSpace is the value (N, cutoff_a, cutoff_b), each
+mode truncated at its Fock cutoff.  A basis state is (n2, n3, n_a, n_b),
+n1 = N - n2 - n3 implied; the atomic states run over n3, then n2, so
+(n2, n3) sits at n3 (N + 1) - n3 (n3 - 1) / 2 + n2, and the basis index
+runs over (atomic state, n_a, n_b) in C order.  No state is stored:
+``_occupations`` maps the ascending basis indices of a TruncatedSpace (all
+of them) or a ParitySector to their occupations, and ``_basis_index``
+maps occupations back.  ``_HOPS`` is the one hop table: g1 takes an atom
+from level 1 to 3 with mode a, g2 from 1 to 2 with mode b, each with a
+photon down or up.  ``build_hamiltonian`` walks it in one loop on a space
+or a sector; the whole-space H is parity-check's operator, and the solves
+only ever build sector blocks.
 
-    n3 (N + 1) - n3 (n3 - 1) / 2 + n2
-
-and the basis index is (atomic index * (cutoff_a + 1) + n_a) *
-(cutoff_b + 1) + n_b.  No state is stored: a TruncatedSpace stands for
-every basis index and a ParitySector for an ascending subset of them;
-``_occupations`` reads n2, n3, n_a and n_b of any such set back from the
-index formula, and the diagonal of H, the parity operators and the
-observables all come from it.  ``build_hamiltonian`` assembles H on
-either kind of space the same way, by index arithmetic and no Kronecker
-products: each atomic hop J_1l + J_l1 (amplitude sqrt(n1 (n_l + 1)) for
-an atom moving from level 1 to level l) meets its mode's a + a^dagger,
-and the destination index is looked up in the space's own.  The
-whole-space matrix is parity-check's operator; the solves only ever
-build sector blocks.
-
-Parity sectors.  The left parity (-1)^(n3 + n_a) and the right parity
-(-1)^(n2 + n_b) both commute with H, so H splits exactly into four
-blocks, one per ParitySector (left, right) in {+1, -1}^2.  A sector is
-the ascending array of the whole-space basis indices of its states,
-``ParitySector.index``, so it keeps the whole-space order; its
-occupations are read back from the index formula, and a whole-space
-index maps into the sector by a binary search in ``index``.
+Parity sectors.  A hop keeps the parity of its level's and its mode's
+quanta, so the table's two (level, mode) pairs give the left parity
+(-1)^(n3 + n_a) and the right one (-1)^(n2 + n_b), and H splits into four
+blocks, one per ParitySector (left, right) in {+1, -1}^2.  Its ascending
+whole-space basis indices, ``ParitySector.index``, are enumerated from
+those pairs without reading a state outside it; a whole-space index maps
+into a sector by a binary search.
 
 Solves.  H is a ``Hamiltonian``: its diagonal and, per row, one partner
 column for each hop term and direction (ELL layout), applied by a
@@ -184,8 +176,7 @@ class ParitySector:
     @cached_property
     def index(self) -> np.ndarray:
         """Whole-space basis indices of the sector's states, ascending and read-only."""
-        left, right, _ = _parities(*_occupations(*_indexed(self.space)))
-        index = np.flatnonzero((left == self.left) & (right == self.right))
+        index = _enumerate(self.space, (self.left, self.right))
         index.flags.writeable = False
         return index
 
@@ -228,23 +219,52 @@ def _atomic_states(n_atoms: int):
     return np.arange(n3.size) - _atom_index(n_atoms, 0, n3), n3
 
 
-def _indexed(space) -> tuple[TruncatedSpace, np.ndarray]:
-    """The truncation a TruncatedSpace or ParitySector lives in, and its
-    ascending whole-space basis indices (all of them for a TruncatedSpace)."""
-    if isinstance(space, ParitySector):
-        return space.space, space.index
-    return space, np.arange(space.dimension)
+# The hop terms (coupling, level, mode, step): an atom moves from level 1 to ``level``
+# and ``mode`` by ``step`` quanta.  Level and mode are positions in (n2, n3, n_a, n_b),
+# and the mode's levels run along axis mode - 1 of TruncatedSpace.shape; the two
+# (level, mode) pairs count the quanta of the left, then the right parity.
+_HOPS = (("g1", 1, 2, -1), ("g1", 1, 2, 1), ("g2", 0, 3, -1), ("g2", 0, 3, 1))
+_PARITY_PAIRS = tuple(dict.fromkeys((level, mode) for _, level, mode, _ in _HOPS))
+HOP_COLUMNS = 2 * len(_HOPS)  # each term fills one partner column per direction
+_ROW_SUM = np.ones(HOP_COLUMNS)
 
 
-def _occupations(truncation: TruncatedSpace, index: np.ndarray):
-    """n2, n3, n_a and n_b of the basis states ``index`` of ``truncation``, in that order."""
+def _enumerate(truncation: TruncatedSpace, parities=None) -> np.ndarray:
+    """Ascending whole-space basis indices of ``truncation``, all of them or those of
+    its sector of (left, right) ``parities``: the one maker of a space's index set.  A
+    sector reads no state outside it: each prefix, an atomic state and then an (atomic
+    state, n_a) pair, takes every second level of the next mode in _PARITY_PAIRS (which
+    lists mode a, then b, as the layout does) from the first level that matches.
+    """
+    if parities is None:
+        return np.arange(truncation.dimension)
+    atomic = _atomic_states(truncation.n_atoms)
+    index = owner = np.arange(truncation.shape[0])  # owner: each prefix's atomic state
+    for (level, mode), parity in zip(_PARITY_PAIRS, parities):
+        levels = truncation.shape[mode - 1]
+        first = (atomic[level][owner] + (parity < 0)) % 2
+        counts = (levels - first + 1) // 2
+        starts = np.cumsum(counts) - counts
+        owner = np.repeat(owner, counts)
+        index = np.repeat(index * levels + first - 2 * starts, counts) + 2 * np.arange(owner.size)
+    return index
+
+
+def _occupations(space):
+    """The truncation a TruncatedSpace or ParitySector lives in, its ascending
+    whole-space basis indices, and n2, n3, n_a and n_b of each of those states."""
+    truncation, index = ((space.space, space.index) if isinstance(space, ParitySector)
+                         else (space, _enumerate(space)))
     atom, n_a, n_b = np.unravel_index(index, truncation.shape)
     n2, n3 = _atomic_states(truncation.n_atoms)
-    return n2[atom], n3[atom], n_a, n_b
+    return truncation, index, (n2[atom], n3[atom], n_a, n_b)
 
 
-HOP_COLUMNS = 8  # (coupling, photon step, direction): each fills one partner column
-_ROW_SUM = np.ones(HOP_COLUMNS)
+def _basis_index(truncation: TruncatedSpace, n2, n3, n_a, n_b):
+    """Whole-space basis index of the occupations, the inverse of _occupations;
+    ValueError for a mode level outside the truncation."""
+    return np.ravel_multi_index((_atom_index(truncation.n_atoms, n2, n3), n_a, n_b),
+                                truncation.shape)
 
 
 class Hamiltonian:
@@ -280,60 +300,48 @@ class Hamiltonian:
 def build_hamiltonian(params: ModelParams, space) -> Hamiltonian:
     """Assemble the collective Hamiltonian on a TruncatedSpace or one ParitySector.
 
-    Both are a set of whole-space basis indices, and H is assembled on
-    them alone, in their order: a ParitySector's block is, entry for
-    entry, the whole-space H restricted to it.  Every hop moves an atom
-    from level 1 to level l (3 with mode a, 2 with mode b) and the mode by
-    one quantum, which keeps both parities; it is listed once from its
-    source state and mirrored.  Each (coupling, photon step) maps sources
-    to destinations one to one, so it fills one partner column in each
-    direction.
+    H is assembled on the space's basis indices alone, in their order, so a
+    sector's block is the whole-space H restricted to it.  Each _HOPS term
+    maps its sources, the states with an atom in level 1, one to one onto
+    their destinations: one partner column for it, one for its mirror.
     """
-    truncation, index = _indexed(space)
-    n_atoms = truncation.n_atoms
-    n2, n3, n_a, n_b = _occupations(truncation, index)
-    n1 = n_atoms - n2 - n3
+    truncation, index, occupations = _occupations(space)
+    n2, n3, n_a, n_b = occupations
+    n1 = truncation.n_atoms - n2 - n3
     diagonal = (params.omega21 * n2 + params.omega31 * n3
                 + params.omega_a * n_a + params.omega_b * n_b)
     partners = np.repeat(np.arange(index.size)[:, None], HOP_COLUMNS, axis=1)
     values = np.zeros((index.size, HOP_COLUMNS))
-    hops, column = 0, 0
-    scale = 1.0 / math.sqrt(n_atoms)
+    hops, scale = 0, 1.0 / math.sqrt(truncation.n_atoms)
     src = np.flatnonzero(n1 > 0)
-    for coupling, level, mode, cutoff in ((params.g1, 3, n_a, truncation.cutoff_a),
-                                          (params.g2, 2, n_b, truncation.cutoff_b)):
-        n_l = (n2 if level == 2 else n3)[src]
-        dst_atom = _atom_index(n_atoms, n2[src] + (level == 2), n3[src] + (level == 3))
-        atomic = np.sqrt(n1[src] * (n_l + 1))
-        for step in (-1, 1):
-            moved = mode[src] + step
-            keep = (moved >= 0) & (moved <= cutoff)
-            from_state, moved = src[keep], moved[keep]
-            dst_a, dst_b = (moved, n_b[from_state]) if level == 3 else (n_a[from_state], moved)
-            dst = np.searchsorted(index, np.ravel_multi_index(
-                (dst_atom[keep], dst_a, dst_b), truncation.shape))
-            value = coupling * scale * (atomic[keep] * np.sqrt(np.maximum(mode[from_state],
-                                                                           moved)))
-            partners[from_state, column], values[from_state, column] = dst, value
-            partners[dst, column + 1], values[dst, column + 1] = from_state, value
-            hops, column = hops + 2 * from_state.size, column + 2
+    source, n1 = [n[src] for n in occupations], n1[src]
+    for column, (coupling, level, mode, step) in zip(range(0, HOP_COLUMNS, 2), _HOPS):
+        moved = source[mode] + step
+        destination = list(source)
+        destination[level] = source[level] + 1
+        destination[mode] = moved.clip(0, truncation.shape[mode - 1] - 1)
+        keep = destination[mode] == moved  # a hop off the truncation is dropped
+        from_state = src[keep]
+        dst = np.searchsorted(index, _basis_index(truncation, *destination)[keep])
+        value = getattr(params, coupling) * scale * (
+            np.sqrt(n1 * destination[level]) * np.sqrt(np.maximum(source[mode], moved)))[keep]
+        partners[from_state, column], values[from_state, column] = dst, value
+        partners[dst, column + 1], values[dst, column + 1] = from_state, value
+        hops += 2 * from_state.size
     return Hamiltonian(diagonal, partners, values, hops)
 
 
-def _parities(n2, n3, n_a, n_b):
-    """Left, right and global parity of the occupations from _occupations.
-
-    Left parity counts quanta in mode a plus level 3, right parity mode
-    b plus level 2; the global parity is their product.
-    """
-    left = (-1.0) ** (n3 + n_a)
-    right = (-1.0) ** (n2 + n_b)
+def _parities(occupations):
+    """Left, right and global parity of the occupations from _occupations, integer
+    arrays of +-1: the quanta of each _PARITY_PAIRS level and mode, then their product."""
+    left, right = (1 - 2 * ((occupations[level] + occupations[mode]) % 2)
+                   for level, mode in _PARITY_PAIRS)
     return left, right, left * right
 
 
 def parity_operators(space: TruncatedSpace):
     """The diagonals of the parity operators (left, right, global): arrays of +-1."""
-    return _parities(*_occupations(*_indexed(space)))
+    return _parities(_occupations(space)[2])
 
 
 def parity_commutator_norms(params: ModelParams,
@@ -483,42 +491,27 @@ def lowest_two(h: Hamiltonian, tol: float = 1e-10, seed: int = 0):
 def observables(space, state: np.ndarray, energy: float,
                 gap: float | None = None) -> GroundStateResult:
     """Scaled observables of a normalized state on a TruncatedSpace or one ParitySector."""
-    truncation, index = _indexed(space)
-    n_atoms = truncation.n_atoms
-    n2, n3, n_a, n_b = _occupations(truncation, index)
+    truncation, _, occupations = _occupations(space)
     weights = np.abs(np.asarray(state)) ** 2
-
-    def mean(values) -> float:
-        return float(np.sum(weights * values))
-
-    parity_l, parity_r, parity_g = (mean(p) for p in _parities(n2, n3, n_a, n_b))
-    return GroundStateResult(
-        energy=energy,
-        photon_a=mean(n_a) / n_atoms,
-        photon_b=mean(n_b) / n_atoms,
-        pop2=mean(n2) / n_atoms,
-        pop3=mean(n3) / n_atoms,
-        parity_l=parity_l,
-        parity_r=parity_r,
-        parity_g=parity_g,
-        gap=gap,
-        cutoff_a=truncation.cutoff_a,
-        cutoff_b=truncation.cutoff_b,
-    )
+    pop2, pop3, photon_a, photon_b = (float(np.sum(weights * n)) / truncation.n_atoms
+                                      for n in occupations)
+    parities = (float(np.sum(weights * p)) for p in _parities(occupations))
+    return GroundStateResult(energy, photon_a, photon_b, pop2, pop3, *parities, gap,
+                             truncation.cutoff_a, truncation.cutoff_b)
 
 
 def _transfer(sector: ParitySector, state: np.ndarray, target: ParitySector) -> np.ndarray:
     """``state`` on ``sector`` zero-padded to ``target``: the same atoms and
     parities, and no cutoff lower (a lower one raises ValueError)."""
     moved = np.zeros(target.dimension)
-    moved[np.searchsorted(target.index, np.ravel_multi_index(
-        np.unravel_index(sector.index, sector.space.shape), target.space.shape))] = state
+    moved[np.searchsorted(target.index,
+                          _basis_index(target.space, *_occupations(sector)[2]))] = state
     return moved
 
 
 def _marginals(sector: ParitySector, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each mode's Fock distribution in ``state``: weights of levels 0..cutoff, for a and for b."""
-    _, n_a, n_b = np.unravel_index(sector.index, sector.space.shape)
+    _, _, (_, _, n_a, n_b) = _occupations(sector)
     weights = np.square(state)
     return (np.bincount(n_a, weights, sector.space.cutoff_a + 1),
             np.bincount(n_b, weights, sector.space.cutoff_b + 1))
@@ -659,10 +652,12 @@ def solve_sweep(points: list[ModelParams], n_atoms: int, tol: float = 1e-4,
     on one truncation grown and certified as the module docstring says; each
     result carries its cutoffs.  Raises as converge_cutoffs does; a
     CapacityError from a later point names that point's couplings and carries
-    the truncations it solved.  No points give no results, once n_atoms
-    passes the check at (CUTOFF_FLOOR, CUTOFF_FLOOR).
+    the truncations it solved.  No points give no results, once the solver
+    settings pass and n_atoms passes the check at (CUTOFF_FLOOR, CUTOFF_FLOOR).
     """
     if not points:
+        _check_solver_settings(seed, {"photon-number tolerance tol": tol,
+                                      "eigensolver tolerance eig_tol": eig_tol})
         TruncatedSpace(n_atoms, CUTOFF_FLOOR, CUTOFF_FLOOR)
         return []
     space, _ = converge_cutoffs(points[0], n_atoms, tol, eig_tol, seed)

@@ -237,10 +237,10 @@ def test_ed_partial_sweep_flags_exit_2(capsys):
 
 def test_ed_capacity_exhaustion_exits_3(tmp_path, capsys, monkeypatch):
     # every size here is refused before any array of its size is allocated
-    def refuse(space):
-        raise AssertionError(f"_indexed({space}) called for a rejected size")
+    def refuse(space, parities=None):
+        raise AssertionError(f"_enumerate({space}, {parities}) called for a rejected size")
 
-    monkeypatch.setattr(exactdiag, "_indexed", refuse)
+    monkeypatch.setattr(exactdiag, "_enumerate", refuse)
     code = run(["ed", "--N", "40", "--g1", "0.7", "--cutoff-a", "400",
                 "--cutoff-b", "400"])
     assert code == 3

@@ -517,6 +517,22 @@ def _sector_mask(space: TruncatedSpace, left: int, right: int) -> np.ndarray:
     return (pl == left) & (pr == right)
 
 
+def test_sector_index_matches_an_enumeration_of_the_occupations():
+    # independent of the module's hop table and parities: the basis runs over
+    # the atomic states, then mode a's levels, then mode b's, so a state's
+    # whole-space index is its position in that product; its parities are
+    # computed here
+    for n in range(1, 7):
+        atomic = [(s[1], s[2]) for s in _enumerated_states(n)]
+        for ca, cb in itertools.product(range(1, 9), repeat=2):
+            states = [((-1) ** (n3 + n_a), (-1) ** (n2 + n_b)) for (n2, n3), n_a, n_b
+                      in itertools.product(atomic, range(ca + 1), range(cb + 1))]
+            for left, right in PARITY_SECTORS:
+                expected = [i for i, parities in enumerate(states) if parities == (left, right)]
+                assert ParitySector(TruncatedSpace(n, ca, cb), left, right).index.tolist() \
+                    == expected, (n, ca, cb, left, right)
+
+
 def _random_params(rng, g_low=0.0, g_high=1.5) -> ModelParams:
     return ModelParams(*rng.uniform(0.4, 2.0, 4), *rng.uniform(g_low, g_high, 2))
 
@@ -878,6 +894,52 @@ def test_lanczos_restarts_are_bounded(monkeypatch, capsys):
     assert "LANCZOS_MAXITER = 1" in capsys.readouterr().err
 
 
+def _degrading_eigsh(monkeypatch, misses):
+    """Patch exactdiag.eigsh so that its first ``misses`` calls return every Ritz
+    value raised by 1e-3, a residual far above any acceptance bound here.
+    Returns the Lanczos tolerance of each call, in order."""
+    tolerances, eigsh = [], exactdiag.eigsh
+
+    def degraded(a, k, v0, tol):
+        tolerances.append(tol)
+        values, vectors = eigsh(a, k, v0, tol)
+        return (values + 1e-3 if len(tolerances) <= misses else values), vectors
+
+    monkeypatch.setattr(exactdiag, "eigsh", degraded)
+    return tolerances
+
+
+def _retry_case():
+    h = build_hamiltonian(ModelParams(g1=0.9, g2=0.6),
+                          ParitySector(TruncatedSpace(3, 8, 8), 1, 1))
+    bound = 1e-8 * max(1.0, exactdiag._h_scale(h))  # the acceptance bound at tol = 1e-8
+    return h, bound, bound * exactdiag.LANCZOS_STOP
+
+
+def test_a_missed_residual_is_retried_at_a_tighter_lanczos_tolerance(monkeypatch):
+    h, bound, first = _retry_case()
+    exact = np.linalg.eigvalsh(h.toarray())[0]
+    tolerances = _degrading_eigsh(monkeypatch, misses=1)
+    energy, vec = ground_state(h, tol=1e-8)
+    assert tolerances == [first, first * 1e-3]
+    assert np.linalg.norm(h @ vec - energy * vec) <= bound
+    assert abs(energy - exact) <= bound
+
+
+def test_a_residual_missed_on_every_retry_is_a_convergence_error(monkeypatch, capsys):
+    h, bound, first = _retry_case()
+    tolerances = _degrading_eigsh(monkeypatch, misses=math.inf)
+    with pytest.raises(ConvergenceError, match=f"above {bound} after retries") as refused:
+        ground_state(h, tol=1e-8)
+    assert tolerances == [first, first * 1e-3, first * 1e-3 * 1e-3]
+    assert refused.value.residual == pytest.approx(1e-3, rel=1e-3)
+    exactdiag._sector_ground.cache_clear()  # the CLI run below must solve, not recall
+    assert cli_run(["ed", "--N", "3", "--g1", "0.9", "--g2", "0.6", "--cutoff-a", "8",
+                    "--cutoff-b", "8"]) == 3
+    err = capsys.readouterr().err
+    assert "did not converge" in err and "after retries" in err
+
+
 def test_solve_point_reuses_the_certificate_solves(monkeypatch):
     exactdiag._sector_ground.cache_clear()
     p = ModelParams(g1=0.9, g2=0.6)
@@ -927,7 +989,20 @@ def test_solver_settings_are_refused_before_solving(monkeypatch):
             solve_point(p, space, tol=bad)
         with pytest.raises(ValueError, match="photon-number tolerance tol must be finite"):
             ed_sweep(p, np.linspace(0.5, 1.0, 3), 0.3, 2, cutoff_tol=bad)
+        # an empty sweep solves nothing, but refuses what a full one would
+        with pytest.raises(ValueError, match="photon-number tolerance tol must be finite"):
+            exactdiag.solve_sweep([], 3, tol=bad)
+        with pytest.raises(ValueError, match="eigensolver tolerance eig_tol must be finite"):
+            exactdiag.solve_sweep([], 3, eig_tol=bad)
+        with pytest.raises(ValueError, match="photon-number tolerance tol must be finite"):
+            ed_sweep(p, [], 0.5, 3, cutoff_tol=bad)
+        with pytest.raises(ValueError, match="eigensolver tolerance eig_tol must be finite"):
+            ed_sweep(p, [], 0.5, 3, eig_tol=bad)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         converge_cutoffs(p, 2, seed=-1)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         solve_point(p, space, seed=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        exactdiag.solve_sweep([], 3, seed=-5)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        ed_sweep(ModelParams(), [], 0.5, 3, seed=-2)
