@@ -247,8 +247,7 @@ def _handle_ed(params: ModelParams, opts: dict) -> dict | SweepTable:
             params, n_atoms, tol=opts["cutoff_tol"], eig_tol=opts["tol"],
             seed=opts["seed"],
         )
-    result = exactdiag.solve_point(params, space, tol=opts["tol"], seed=opts["seed"],
-                                   with_gap=True)
+    result = exactdiag.solve_point(params, space, tol=opts["tol"], seed=opts["seed"])
     return {
         "params": asdict(params),
         "n_atoms": n_atoms,

@@ -34,10 +34,12 @@ into a sector by a binary search.
 
 Solves.  H is a ``Hamiltonian``: its diagonal and, per row, one partner
 column for each hop term and direction (ELL layout), applied by a
-gather.  The ground state comes from a thick-restart Lanczos iteration
-(``eigsh``) that stops once its Ritz residual is LANCZOS_STOP of the
-acceptance bound, and an explicit residual acceptance test, falling back
-to dense diagonalization for tiny spaces.  A solve starts from a given
+gather.  The ground state comes from one thick-restart Lanczos run
+(``eigsh``), which reads its Ritz residuals once per restart cycle and
+stops once they are LANCZOS_STOP of the acceptance bound tol * max(1,
+|H|), |H| the scale of H, read once per H; an explicit residual test
+against the bound then accepts the pairs or raises ConvergenceError.
+Tiny spaces are diagonalized densely.  A solve starts from a given
 vector when one is passed (the previous sweep point, or the previous
 truncation's ground vector moved onto the new cutoffs), and otherwise
 from a vector drawn from ``seed``; a Lanczos run gets at most
@@ -115,7 +117,6 @@ CUTOFF_FLOOR = 8  # every cutoff search starts at (CUTOFF_FLOOR, CUTOFF_FLOOR)
 LANCZOS_MAXITER = 1000  # restarts allowed per eigsh call
 LANCZOS_BASIS = 20  # Lanczos vectors held before a restart
 LANCZOS_KEEP = 10  # Ritz vectors a restart keeps
-LANCZOS_CHECK = 4  # Lanczos steps between two reads of the Ritz residuals
 LANCZOS_STOP = 1e-3  # a Lanczos run stops at this share of the acceptance bound
 _REORTHOGONALISE = 1 / math.sqrt(2)  # beta below this share of |a v|: orthogonalise twice
 _BREAKDOWN = 1e-12  # beta at most this share of |a v|: the basis spans an invariant subspace
@@ -192,7 +193,7 @@ class GroundStateResult:
     photon_a/photon_b are <a'a>/N and <b'b>/N; pop2/pop3 the level
     occupations per atom; the parities are expectation values of the
     left, right, and global parity operators.  ``gap`` is the first
-    excitation gap when requested, else None.
+    excitation gap from solve_point, None from a sweep.
     """
 
     energy: float
@@ -267,6 +268,16 @@ def _basis_index(truncation: TruncatedSpace, n2, n3, n_a, n_b):
                                 truncation.shape)
 
 
+def _h_scale(h: Hamiltonian) -> float:
+    # Infinity norm: cheap, and an upper bound on the spectral radius.  A solve reads
+    # it first, once per H (Hamiltonian.scale caches it); the Lanczos norms square it,
+    # so an overflowing square is refused.
+    scale = float((np.abs(h.diagonal) + np.abs(h.values).sum(axis=1)).max())
+    if scale * scale == math.inf:
+        raise OverflowError(f"the scale of H, {scale:.6g}, squared overflows a float")
+    return scale
+
+
 class Hamiltonian:
     """A real symmetric H: its diagonal plus, per row, HOP_COLUMNS off-diagonal
     entries in ELL layout.
@@ -277,6 +288,7 @@ class Hamiltonian:
     """
 
     dtype = np.dtype(np.float64)
+    scale = cached_property(_h_scale)  # read by the solve and by the memo's error bound
 
     def __init__(self, diagonal: np.ndarray, partners: np.ndarray, values: np.ndarray,
                  hops: int):
@@ -361,31 +373,23 @@ def _seed_vector(dimension: int, seed: int) -> np.ndarray:
     return v0 / np.linalg.norm(v0)
 
 
-def _h_scale(h: Hamiltonian) -> float:
-    # Infinity norm: cheap, and an upper bound on the spectral radius.  Every solve
-    # reads it first; the Lanczos norms square it, so an overflowing square is refused.
-    scale = float((np.abs(h.diagonal) + np.abs(h.values).sum(axis=1)).max())
-    if scale * scale == math.inf:
-        raise OverflowError(f"the scale of H, {scale:.6g}, squared overflows a float")
-    return scale
-
-
 def eigsh(a, k: int, v0: np.ndarray, tol: float):
     """The k lowest eigenpairs of a real symmetric ``a``: thick-restart Lanczos.
 
-    Only ``a.shape`` and ``a @ x`` are used.  The basis holds LANCZOS_BASIS
-    vectors, each orthogonalised against all earlier ones.  Every
-    LANCZOS_CHECK steps and at the end of a cycle the Ritz residuals
-    beta |s_last| of the k lowest Ritz pairs are read; the run stops when all
-    are at most ``tol`` (an absolute bound on |a x - theta x|).  Otherwise a
-    full basis restarts from its LANCZOS_KEEP lowest Ritz vectors and the
-    residual direction (Wu and Simon, SIAM J. Matrix Anal. Appl. 22, 602
-    (2000)).  When beta vanishes the basis spans an invariant subspace: the
-    run goes on from a random vector orthogonal to it and checks again only
-    at the end of the cycle, so a start on an excited eigenvector is not
-    taken for the lowest.  Returns ``(values, vectors)``, ascending, one
-    vector per column; ConvergenceError after LANCZOS_MAXITER restarts,
-    read at call time.
+    Only ``a.shape`` and ``a @ x`` are used.  A cycle fills the basis to
+    LANCZOS_BASIS vectors, each orthogonalised against all earlier ones,
+    and then reads the Ritz residuals beta |s_last| of the k lowest Ritz
+    pairs once; the run stops when all are at most ``tol`` (an absolute
+    bound on |a x - theta x|).  Otherwise the basis restarts from its
+    LANCZOS_KEEP lowest Ritz vectors and the residual direction (Wu and
+    Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)), so a run on a space
+    larger than the basis costs LANCZOS_BASIS + r (LANCZOS_BASIS -
+    LANCZOS_KEEP) matvecs after r restarts.  When beta vanishes the basis
+    spans an invariant subspace: the run goes on from a random vector
+    orthogonal to it, and as the residuals are read only at the end of the
+    cycle, a start on an excited eigenvector is not taken for the lowest.
+    Returns ``(values, vectors)``, ascending, one vector per column;
+    ConvergenceError after LANCZOS_MAXITER restarts, read at call time.
     """
     dim = a.shape[0]
     size = min(LANCZOS_BASIS, dim)
@@ -396,9 +400,8 @@ def eigsh(a, k: int, v0: np.ndarray, tol: float):
     basis[0] = v0 / np.linalg.norm(v0)
     projected = np.zeros((size, size))
     rng = np.random.default_rng(0)
-    first, residual = 0, math.inf
+    first = 0
     for _restart in range(LANCZOS_MAXITER + 1):
-        next_check = first + LANCZOS_CHECK - 1
         for j in range(first, size):
             v, known = basis[j], basis[:j + 1]
             w = a @ v
@@ -413,7 +416,7 @@ def eigsh(a, k: int, v0: np.ndarray, tol: float):
                 if beta >= _REORTHOGONALISE * before:
                     break
             if beta <= _BREAKDOWN * norm:  # the basis spans an invariant subspace
-                beta, next_check = 0.0, size - 1
+                beta = 0.0
                 if j + 1 < dim:
                     w = rng.standard_normal(dim)
                     for _pass in range(2):
@@ -424,13 +427,10 @@ def eigsh(a, k: int, v0: np.ndarray, tol: float):
             basis[j + 1] = w
             if j + 1 < size:
                 projected[j, j + 1] = projected[j + 1, j] = beta
-            if j < next_check and j < size - 1:
-                continue
-            next_check = j + LANCZOS_CHECK
-            ritz, vectors = np.linalg.eigh(projected[:j + 1, :j + 1])
-            residual = float(beta * np.abs(vectors[-1, :k]).max())
-            if residual <= tol:
-                return ritz[:k], (vectors[:, :k].T @ known).T
+        ritz, vectors = np.linalg.eigh(projected)
+        residual = float(beta * np.abs(vectors[-1, :k]).max())
+        if residual <= tol:
+            return ritz[:k], (vectors[:, :k].T @ basis[:size]).T
         # restart from the lowest Ritz vectors and the residual direction
         basis[:keep] = vectors[:, :keep].T @ basis[:size]
         basis[keep] = basis[size]
@@ -442,31 +442,29 @@ def eigsh(a, k: int, v0: np.ndarray, tol: float):
                            f"{LANCZOS_MAXITER} restarts at dimension {dim}", residual=residual)
 
 
+def _acceptance_bound(h: Hamiltonian, tol: float) -> float:
+    """The bound a solve's residual test puts on |h x - theta x| and on theta."""
+    return tol * max(1.0, h.scale)
+
+
 def _eigsh_lowest(h: Hamiltonian, k: int, tol: float, seed: int,
                   start: np.ndarray | None = None):
-    """Lowest k eigenpairs with explicit residual acceptance and retries."""
-    dim, scale = h.shape[0], _h_scale(h)
+    """Lowest k eigenpairs: ``tol`` and ``seed`` are checked before any matvec, then one
+    Lanczos run is accepted by an explicit residual test or refused (ConvergenceError
+    naming the residual and the bound); tiny spaces are diagonalized densely."""
+    _check_solver_settings(seed, {"eigensolver tolerance tol": tol})
+    dim, bound = h.shape[0], _acceptance_bound(h, tol)
     if dim <= max(_DENSE_THRESHOLD, k + 1):
         vals, vecs = np.linalg.eigh(h.toarray())
         return vals[:k], vecs[:, :k]
     v0 = _seed_vector(dim, seed) if start is None else start
-    bound = tol * max(1.0, scale)
-    lanczos_tol = bound * LANCZOS_STOP
-    best_residual = math.inf
-    for _ in range(3):
-        vals, vecs = eigsh(h, k, v0, lanczos_tol)
-        residual = max(
-            float(np.linalg.norm(h @ vecs[:, i] - vals[i] * vecs[:, i]))
-            for i in range(k)
-        )
-        if residual <= bound:
-            return vals, vecs
-        best_residual = min(best_residual, residual)
-        lanczos_tol *= 1e-3
-    raise ConvergenceError(
-        f"residual {best_residual} above {bound} after retries",
-        residual=best_residual,
-    )
+    vals, vecs = eigsh(h, k, v0, bound * LANCZOS_STOP)
+    residual = max(float(np.linalg.norm(h @ vecs[:, i] - vals[i] * vecs[:, i]))
+                   for i in range(k))
+    if residual > bound:
+        raise ConvergenceError(f"Lanczos residual {residual} above the acceptance bound "
+                               f"{bound} at dimension {dim}", residual=residual)
+    return vals, vecs
 
 
 def ground_state(h: Hamiltonian, tol: float = 1e-10, seed: int = 0,
@@ -474,7 +472,9 @@ def ground_state(h: Hamiltonian, tol: float = 1e-10, seed: int = 0,
     """Lowest eigenpair (energy, normalized vector).
 
     The Lanczos run starts from ``start`` when given (it need not be
-    normalized), else from a vector drawn from ``seed``.
+    normalized), else from a vector drawn from ``seed``.  Raises
+    ValueError for a ``tol`` that is not finite and positive or a
+    negative seed.
     """
     vals, vecs = _eigsh_lowest(h, k=1, tol=tol, seed=seed, start=start)
     vec = vecs[:, 0]
@@ -482,7 +482,8 @@ def ground_state(h: Hamiltonian, tol: float = 1e-10, seed: int = 0,
 
 
 def lowest_two(h: Hamiltonian, tol: float = 1e-10, seed: int = 0):
-    """Lowest two eigenvalues and the ground vector: (e0, e1, v0)."""
+    """Lowest two eigenvalues and the ground vector: (e0, e1, v0); refuses ``tol``
+    and ``seed`` as ground_state does."""
     vals, vecs = _eigsh_lowest(h, k=2, tol=tol, seed=seed)
     vec = vecs[:, 0]
     return float(vals[0]), float(vals[1]), vec / np.linalg.norm(vec)
@@ -531,7 +532,7 @@ def _even_sector(n_atoms: int, cutoffs) -> ParitySector:
 
 
 def _hold_tail(params: ModelParams, sector: ParitySector, start: np.ndarray | None,
-               tol: float, eig_tol: float, seed: int, trace: list | None = None):
+               tol: float, eig_tol: float, seed: int, trace: list):
     """Solve a (+, +) sector and grow it until each mode's tail weight is below tol / TAIL_RATIO.
 
     H is solved to ``eig_tol`` from ``start``, or from the ``seed`` vector
@@ -539,7 +540,7 @@ def _hold_tail(params: ModelParams, sector: ParitySector, start: np.ndarray | No
     least the bound grows by GROWTH, and the grown sector is solved from the
     state zero-padded, until both weights pass.  Returns ``(sector, energy,
     state)``, ``sector`` itself if they pass at once.  Each truncation
-    checked is appended to ``trace`` when one is given.
+    checked is appended to ``trace``.
     """
     bound = tol / TAIL_RATIO
     while True:
@@ -549,13 +550,12 @@ def _hold_tail(params: ModelParams, sector: ParitySector, start: np.ndarray | No
             energy, state = ground_state(build_hamiltonian(params, sector), eig_tol, start=start)
         marginals = _marginals(sector, state)
         weights = [float(m[-TAIL_LEVELS:].sum()) for m in marginals]
-        if trace is not None:  # photon numbers per atom, from the marginals
-            photons = [float(m @ np.arange(m.size)) / sector.space.n_atoms
-                       for m in marginals]
-            trace.append({"cutoff_a": sector.space.cutoff_a, "cutoff_b": sector.space.cutoff_b,
-                          "dimension": sector.space.dimension, "energy": energy,
-                          "photon_a": photons[0], "photon_b": photons[1],
-                          "weight_a": weights[0], "weight_b": weights[1]})
+        # photon numbers per atom, from the marginals
+        photons = [float(m @ np.arange(m.size)) / sector.space.n_atoms for m in marginals]
+        trace.append({"cutoff_a": sector.space.cutoff_a, "cutoff_b": sector.space.cutoff_b,
+                      "dimension": sector.space.dimension, "energy": energy,
+                      "photon_a": photons[0], "photon_b": photons[1],
+                      "weight_a": weights[0], "weight_b": weights[1]})
         if max(weights) < bound:
             return sector, energy, state
         grown = _even_sector(sector.space.n_atoms,
@@ -570,17 +570,17 @@ class _SectorGround(NamedTuple):
     sector: ParitySector
     energy: float
     vector: np.ndarray  # read-only: the memo hands it to every caller
-    error: float  # the bound the residual test puts on ``energy``: tol times H's scale
+    error: float  # the bound the residual test puts on ``energy``: _acceptance_bound
 
 
 @lru_cache(maxsize=len(PARITY_SECTORS))
 def _sector_ground(params: ModelParams, sector: ParitySector, tol: float,
                    seed: int) -> _SectorGround:
     h = build_hamiltonian(params, sector)
-    scale = _h_scale(h)  # before the solve: it refuses an H the solve cannot represent
+    error = _acceptance_bound(h, tol)  # before the solve: it refuses an H it cannot represent
     energy, vector = ground_state(h, tol=tol, seed=seed)
     vector.flags.writeable = False
-    return _SectorGround(sector, energy, vector, tol * max(1.0, scale))
+    return _SectorGround(sector, energy, vector, error)
 
 
 def _sector_grounds(params: ModelParams, space: TruncatedSpace, tol: float,
@@ -600,8 +600,7 @@ def _check_solver_settings(seed: int, tolerances: dict[str, float]) -> None:
 
 
 def _hold_sector_order(params: ModelParams, space: TruncatedSpace, even_energy: float,
-                       tol: float, eig_tol: float, seed: int,
-                       trace: list | None = None) -> TruncatedSpace:
+                       tol: float, eig_tol: float, seed: int, trace: list) -> TruncatedSpace:
     """The certificate: grow ``space`` until (+, +), whose ground energy there
     is ``even_energy``, holds the lowest.  The other sectors are solved from
     the ``seed`` vector (memoized); ``trace`` as in _hold_tail.
@@ -683,22 +682,20 @@ def solve_sweep(points: list[ModelParams], n_atoms: int, tol: float = 1e-4,
                             f"g2 = {points[row].g2:.6g}", trace) from exc
 
 
-def solve_point(params: ModelParams, space: TruncatedSpace, tol: float = 1e-8, seed: int = 0,
-                with_gap: bool = False) -> GroundStateResult:
-    """Ground-state observables at one parameter point on ``space``.
+def solve_point(params: ModelParams, space: TruncatedSpace, tol: float = 1e-8,
+                seed: int = 0) -> GroundStateResult:
+    """Ground-state observables and the first excitation gap at one parameter point on ``space``.
 
     Exact on any truncation: every parity sector is solved from the
-    ``seed`` vector, E0 is the lowest sector ground energy and the
-    observables are that sector's.  With ``with_gap``, E1 is the lower
-    of that sector's second level and the other sectors' ground energies.
+    ``seed`` vector, and the one with the lowest ground energy is solved
+    for its two lowest levels, which give E0 and the observables; E1 is
+    the lower of its second level and the other sectors' ground energies.
     Raises ValueError for a ``tol`` that is not finite and positive or
     a negative seed.
     """
     _check_solver_settings(seed, {"eigensolver tolerance tol": tol})
     grounds = _sector_grounds(params, space, tol, seed)
     lowest = min(grounds, key=lambda g: g.energy)
-    e0, vec, gap = lowest.energy, lowest.vector, None
-    if with_gap:
-        e0, e1, vec = lowest_two(build_hamiltonian(params, lowest.sector), tol=tol, seed=seed)
-        gap = min([e1] + [g.energy for g in grounds if g is not lowest]) - e0
+    e0, e1, vec = lowest_two(build_hamiltonian(params, lowest.sector), tol=tol, seed=seed)
+    gap = min([e1] + [g.energy for g in grounds if g is not lowest]) - e0
     return observables(lowest.sector, vec, energy=e0, gap=gap)

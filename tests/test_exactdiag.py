@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -425,6 +426,42 @@ def test_ground_state_through_a_linear_operator_wrapper(monkeypatch):
     assert len(matvecs) > 20  # more than one Lanczos cycle, all through the wrapper
 
 
+class _CountingOperator:
+    """``a`` seen through its shape and its products alone, counting the products."""
+
+    def __init__(self, a):
+        self.a, self.shape, self.matvecs = a, a.shape, 0
+
+    def __matmul__(self, x):
+        self.matvecs += 1
+        return self.a @ x
+
+
+def test_lanczos_reads_its_residuals_once_per_cycle(monkeypatch):
+    # a run stops only at the end of a cycle, so on a space larger than the
+    # basis it costs LANCZOS_BASIS matvecs plus LANCZOS_BASIS - LANCZOS_KEEP per
+    # restart: seeded and warm ground solves across a growing sweep, and a point's
+    # sector grounds and its two-level solve
+    basis, keep = exactdiag.LANCZOS_BASIS, exactdiag.LANCZOS_KEEP
+    runs, eigsh = [], exactdiag.eigsh
+
+    def counted(a, *args):
+        operator = _CountingOperator(a)
+        result = eigsh(operator, *args)
+        runs.append((a.shape[0], operator.matvecs))
+        return result
+
+    monkeypatch.setattr(exactdiag, "eigsh", counted)
+    exactdiag._sector_ground.cache_clear()
+    ed_sweep(ModelParams(), np.linspace(0.5, 1.0, 6), 0.75, 4)
+    solve_point(ModelParams(g1=0.9, g2=0.6), TruncatedSpace(3, 8, 8))
+    matvecs = [count for dim, count in runs if dim > basis]
+    assert len(matvecs) >= 20
+    assert all(count >= basis and (count - basis) % (basis - keep) == 0
+               for count in matvecs), matvecs
+    assert max(matvecs) > basis  # some runs restarted
+
+
 # ---------------------------------------------------------------------------
 # observables and cutoff management
 
@@ -500,12 +537,12 @@ def test_converge_cutoffs_capacity_error_carries_trace(monkeypatch):
 def test_solve_point_with_gap():
     p = ModelParams(omega31=1.7, g1=0.8, g2=0.3)
     space = TruncatedSpace(2, 15, 10)
-    res = solve_point(p, space, with_gap=True)
+    res = solve_point(p, space)
     assert res.gap is not None and res.gap > 0.0
     assert res.cutoff_a >= 8 and res.cutoff_b >= 8
-    no_gap = solve_point(p, space)
-    assert no_gap.gap is None
-    assert abs(no_gap.energy - res.energy) < 1e-9
+    # E0 from the two-level solve is the lowest of the sector ground solves
+    grounds = exactdiag._sector_grounds(p, space, 1e-8, 0)
+    assert abs(min(g.energy for g in grounds) - res.energy) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -580,15 +617,11 @@ def test_solve_point_matches_the_dense_whole_space_spectrum():
         dense = np.linalg.eigvalsh(build_hamiltonian(p, space).toarray())
         even = np.linalg.eigvalsh(build_hamiltonian(p, ParitySector(space, 1, 1)).toarray())
         outside_even += bool(even[0] > dense[0] + 1e-9)
-        res = solve_point(p, space, with_gap=True)
+        res = solve_point(p, space)
         assert abs(res.energy - dense[0]) <= 1e-9 * max(1.0, abs(dense[0])), (k, p, space)
         assert abs(res.gap - (dense[1] - dense[0])) <= 1e-9 * max(1.0, abs(dense[1])), (k, p)
         # the observables belong to the lowest sector's ground state
         assert abs(abs(res.parity_l) - 1.0) <= 1e-12 and abs(abs(res.parity_r) - 1.0) <= 1e-12
-        if k % 4 == 0:
-            no_gap = solve_point(p, space)
-            assert no_gap.gap is None
-            assert abs(no_gap.energy - dense[0]) <= 1e-9 * max(1.0, abs(dense[0]))
     # the set holds truncations whose ground state lies outside (+, +)
     assert outside_even >= 10
 
@@ -816,7 +849,7 @@ def test_sweep_resolves_every_row_when_its_last_growth_is_refused(monkeypatch):
     assert lowest[2] < lowest[0] - 1e-8 * exactdiag._h_scale(blocks[2])
     space = TruncatedSpace(3, 18, 9)
     # the certificate alone, given (+, +)'s exact energy, grows (12, 6) to (18, 9)
-    assert exactdiag._hold_sector_order(p_last, refused, lowest[0], 20.0, 1e-8, 0) == space
+    assert exactdiag._hold_sector_order(p_last, refused, lowest[0], 20.0, 1e-8, 0, []) == space
     asked = []
     with monkeypatch.context() as patch:
         patch.setattr(exactdiag, "_hold_sector_order",
@@ -894,50 +927,54 @@ def test_lanczos_restarts_are_bounded(monkeypatch, capsys):
     assert "LANCZOS_MAXITER = 1" in capsys.readouterr().err
 
 
-def _degrading_eigsh(monkeypatch, misses):
-    """Patch exactdiag.eigsh so that its first ``misses`` calls return every Ritz
-    value raised by 1e-3, a residual far above any acceptance bound here.
-    Returns the Lanczos tolerance of each call, in order."""
+def _even_block():
+    """(+, +) of TruncatedSpace(3, 8, 8) at g1 = 0.9, g2 = 0.6: 200-odd states."""
+    return build_hamiltonian(ModelParams(g1=0.9, g2=0.6),
+                             ParitySector(TruncatedSpace(3, 8, 8), 1, 1))
+
+
+def test_a_missed_residual_is_a_convergence_error(monkeypatch, capsys):
+    # one Lanczos run per solve: a pair that misses the acceptance bound is
+    # refused with its residual and the bound, not solved again
+    h = _even_block()
+    bound = 1e-8 * max(1.0, exactdiag._h_scale(h))  # the acceptance bound at tol = 1e-8
     tolerances, eigsh = [], exactdiag.eigsh
 
-    def degraded(a, k, v0, tol):
+    def degraded(a, k, v0, tol):  # every Ritz value raised by 1e-3, far above the bound
         tolerances.append(tol)
         values, vectors = eigsh(a, k, v0, tol)
-        return (values + 1e-3 if len(tolerances) <= misses else values), vectors
+        return values + 1e-3, vectors
 
     monkeypatch.setattr(exactdiag, "eigsh", degraded)
-    return tolerances
-
-
-def _retry_case():
-    h = build_hamiltonian(ModelParams(g1=0.9, g2=0.6),
-                          ParitySector(TruncatedSpace(3, 8, 8), 1, 1))
-    bound = 1e-8 * max(1.0, exactdiag._h_scale(h))  # the acceptance bound at tol = 1e-8
-    return h, bound, bound * exactdiag.LANCZOS_STOP
-
-
-def test_a_missed_residual_is_retried_at_a_tighter_lanczos_tolerance(monkeypatch):
-    h, bound, first = _retry_case()
-    exact = np.linalg.eigvalsh(h.toarray())[0]
-    tolerances = _degrading_eigsh(monkeypatch, misses=1)
-    energy, vec = ground_state(h, tol=1e-8)
-    assert tolerances == [first, first * 1e-3]
-    assert np.linalg.norm(h @ vec - energy * vec) <= bound
-    assert abs(energy - exact) <= bound
-
-
-def test_a_residual_missed_on_every_retry_is_a_convergence_error(monkeypatch, capsys):
-    h, bound, first = _retry_case()
-    tolerances = _degrading_eigsh(monkeypatch, misses=math.inf)
-    with pytest.raises(ConvergenceError, match=f"above {bound} after retries") as refused:
+    with pytest.raises(ConvergenceError,
+                       match=re.escape(f"above the acceptance bound {bound} ")) as refused:
         ground_state(h, tol=1e-8)
-    assert tolerances == [first, first * 1e-3, first * 1e-3 * 1e-3]
+    assert tolerances == [bound * exactdiag.LANCZOS_STOP]
     assert refused.value.residual == pytest.approx(1e-3, rel=1e-3)
+    assert f"residual {refused.value.residual} above" in str(refused.value)
     exactdiag._sector_ground.cache_clear()  # the CLI run below must solve, not recall
     assert cli_run(["ed", "--N", "3", "--g1", "0.9", "--g2", "0.6", "--cutoff-a", "8",
                     "--cutoff-b", "8"]) == 3
     err = capsys.readouterr().err
-    assert "did not converge" in err and "after retries" in err
+    assert "did not converge" in err and "above the acceptance bound" in err
+
+
+def test_ground_state_and_lowest_two_refuse_bad_settings_before_any_matvec(monkeypatch):
+    # tol = inf would accept the start vector's Ritz values, and tol = nan or
+    # a negative one would run every restart before giving up
+    h = _even_block()
+    assert h.shape[0] > exactdiag._DENSE_THRESHOLD
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("Lanczos run with invalid settings")
+
+    monkeypatch.setattr(exactdiag, "eigsh", no_run)
+    for solve in (ground_state, lowest_two):
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="eigensolver tolerance tol must be finite"):
+                solve(h, tol=bad)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            solve(h, seed=-1)
 
 
 def test_solve_point_reuses_the_certificate_solves(monkeypatch):
@@ -949,24 +986,24 @@ def test_solve_point_reuses_the_certificate_solves(monkeypatch):
         solve = getattr(exactdiag, name)
         monkeypatch.setattr(exactdiag, name,
                             lambda *a, _solve=solve, **k: solves.append(1) or _solve(*a, **k))
-    reused = solve_point(p, space, with_gap=True)
+    reused = solve_point(p, space)
     assert len(solves) == 1  # the gap's lowest_two; the four sector grounds are reused
     # an equal truncation built afresh is the same key, so it reuses them too
-    fresh = solve_point(p, TruncatedSpace(3, space.cutoff_a, space.cutoff_b), with_gap=True)
+    fresh = solve_point(p, TruncatedSpace(3, space.cutoff_a, space.cutoff_b))
     assert len(solves) == 2
     assert reused == fresh
     # the memo holds one truncation's four sectors: converging a second
     # point evicts the first point's solves
     converge_cutoffs(replace(p, g1=0.3), 3)
     before = len(solves)
-    assert solve_point(p, space, with_gap=True) == reused
+    assert solve_point(p, space) == reused
     assert len(solves) - before == 5
     # another seed or other params on the same space are solved afresh
     for params, seed in ((p, 1), (replace(p, g2=0.61), 0)):
         solve_point(p, space)  # back in the memo
         before = len(solves)
         solve_point(params, space, seed=seed)
-        assert len(solves) - before == 4, (params, seed)
+        assert len(solves) - before == 5, (params, seed)  # four sector grounds and the gap
     # every caller shares the memoized vectors, so none may write to them
     grounds = exactdiag._sector_grounds(p, space, 1e-8, 1)
     assert not any(g.vector.flags.writeable for g in grounds)
