@@ -327,16 +327,23 @@ def build_hamiltonian(params: ModelParams, space) -> Hamiltonian:
     hops, scale = 0, 1.0 / math.sqrt(truncation.n_atoms)
     src = np.flatnonzero(n1 > 0)
     source, n1 = [n[src] for n in occupations], n1[src]
+    # The destination's atomic state, (n2, n3) with the term's level raised by one,
+    # depends on the term's level alone: one index per level.
+    raised, atoms = {}, {}
+    for level in dict.fromkeys(level for _, level, _, _ in _HOPS):
+        atomic = source[:2]
+        atomic[level] = raised[level] = source[level] + 1
+        atoms[level] = _atom_index(truncation.n_atoms, *atomic)
     for column, (coupling, level, mode, step) in zip(range(0, HOP_COLUMNS, 2), _HOPS):
         moved = source[mode] + step
-        destination = list(source)
-        destination[level] = source[level] + 1
-        destination[mode] = moved.clip(0, truncation.shape[mode - 1] - 1)
-        keep = destination[mode] == moved  # a hop off the truncation is dropped
+        photons = source[2:]
+        photons[mode - 2] = moved.clip(0, truncation.shape[mode - 1] - 1)
+        keep = photons[mode - 2] == moved  # a hop off the truncation is dropped
         from_state = src[keep]
-        dst = np.searchsorted(index, _basis_index(truncation, *destination)[keep])
+        dst = np.searchsorted(index, np.ravel_multi_index((atoms[level], *photons),
+                                                          truncation.shape)[keep])
         value = getattr(params, coupling) * scale * (
-            np.sqrt(n1 * destination[level]) * np.sqrt(np.maximum(source[mode], moved)))[keep]
+            np.sqrt(n1 * raised[level]) * np.sqrt(np.maximum(source[mode], moved)))[keep]
         partners[from_state, column], values[from_state, column] = dst, value
         partners[dst, column + 1], values[dst, column + 1] = from_state, value
         hops += 2 * from_state.size

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import astuple, dataclass
+import operator
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -55,10 +56,17 @@ ENERGY_TIE_TOL = 1e-12
 # Squared-amplitude threshold below which the oracle calls a component zero.
 _ORACLE_AMP_SQ_TOL = 1e-5
 # brute_force_minimize's local search: points per axis of each window, the
-# factor the window shrinks by per level, and the width it stops at.
-_REFINE_POINTS = 41
-_REFINE_SHRINK = 0.25
+# factor the window shrinks by per level, and the half-width it stops at.
+# Covering condition: shrink * (points - 1) / 2 >= 1 (here 1.25), so each
+# window spans at least one spacing of the previous one on either side of
+# its best point, and no point between the previous one's neighbours is skipped.
+_REFINE_POINTS = 21
+_REFINE_SHRINK = 0.125
 _REFINE_STOP = 1e-10
+
+# The six fields of a ModelParams in order, as a shallow tuple (dataclasses.astuple
+# deep-copies, some forty times slower).
+_FIELDS = operator.attrgetter(*(field.name for field in fields(ModelParams)))
 
 _FOUR_SIGNS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 
@@ -179,7 +187,7 @@ def on_degenerate_line(params: ModelParams) -> bool:
     Both conditions are needed for the fully mixed stationary family to
     exist; on the line they imply mu_left = mu_right.
     """
-    return bool(_branch_table(*astuple(params)).degenerate)
+    return bool(_branch_table(*_FIELDS(params)).degenerate)
 
 
 def _generic_mixed_square(params: ModelParams) -> float:
@@ -200,7 +208,7 @@ def stationary_branches(params: ModelParams) -> list[MeanFieldSolution]:
     are admissible) is flagged physical=False: it is a saddle and never
     wins the classification.
     """
-    t = _branch_table(*astuple(params))
+    t = _branch_table(*_FIELDS(params))
     bistable = bool(t.bistable)
 
     def copies(psi2, psi3, phase, energy_value, signs, **flags):
@@ -286,7 +294,9 @@ def _branch_table(omega21, omega31, omega_a, omega_b, g1, g2) -> _BranchTable:
     degenerate = ((g1 > 0.0) & (g2 > 0.0)
                   & (np.abs(alpha - beta) <= DEGENERATE_LINE_RTOL * np.maximum(alpha, beta))
                   & (np.abs(w21 - w31) <= DEGENERATE_LINE_RTOL * np.maximum(w21, w31)))
-    valley = degenerate & (mul < 1.0)
+    # mul = mur on the line, but they can round an ulp apart at threshold;
+    # requiring both keeps the valley symmetric under the branch exchange.
+    valley = degenerate & (np.maximum(mul, mur) < 1.0)
 
     tie = (has_left & has_right & (np.abs(e_left - e_right) <= ENERGY_TIE_TOL)
            & (np.minimum(e_left, e_right) < 0.0))
@@ -355,7 +365,7 @@ def classify_arrays(omega21, omega31, omega_a, omega_b, g1, g2) -> PhaseArrays:
 
 def classify(params: ModelParams) -> MeanFieldSolution:
     """Global minimum of the energy surface: :func:`classify_arrays` at one point."""
-    r = classify_arrays(*astuple(params))
+    r = classify_arrays(*_FIELDS(params))
     return _solution(params, float(r.psi2), float(r.psi3), PHASES[int(r.phase)],
                      energy_value=r.energy, bistable=bool(r.bistable),
                      degenerate_valley=bool(r.degenerate_valley))
@@ -389,17 +399,20 @@ def _oracle_mesh(resolution: int) -> _OracleMesh:
 def _mesh_energies(params: ModelParams, mesh: _OracleMesh) -> np.ndarray:
     """The energy at every mesh point (psi2 along rows, psi3 along columns), +inf off the disc.
 
-    _energy_raw multiplied out in the squares s2, s3 is one outer product
-    plus a vector per axis, which row 0 and column 0 hold exactly:
+    _energy_raw multiplied out in the squares s2, s3,
 
-        E = (omega21 - b) s2 + b s2^2 + (omega31 - a) s3 + a s3^2 + (a + b) s2 s3.
+        E = (a + b) s2 s3 + [(omega21 - b) s2 + b s2^2] + [(omega31 - a) s3 + a s3^2],
+
+    is one (n, 3) @ (3, n) product: rows [(a + b) s2, (omega21 - b) s2 + b s2^2, 1]
+    against columns [s3, 1, (omega31 - a) s3 + a s3^2].  Row 0 and column 0
+    hold the axes' energies exactly, as one of their terms is 0.
     """
     a = 4.0 * params.g1 ** 2 / params.omega_a
     b = 4.0 * params.g2 ** 2 / params.omega_b
-    sq = mesh.sq
-    values = np.multiply.outer((a + b) * sq, sq)
-    values += ((params.omega21 - b) * sq + b * np.square(sq))[:, None]
-    values += (params.omega31 - a) * sq + a * np.square(sq)
+    sq, quartic, ones = mesh.sq, np.square(mesh.sq), np.ones_like(mesh.sq)
+    rows = np.stack(((a + b) * sq, (params.omega21 - b) * sq + b * quartic, ones), axis=1)
+    columns = np.stack((sq, ones, (params.omega31 - a) * sq + a * quartic))
+    values = rows @ columns
     values += mesh.outside
     return values
 
@@ -411,12 +424,14 @@ def brute_force_minimize(params: ModelParams, resolution: int = 400) -> MeanFiel
     psi2, psi3 >= 0 is sampled, on a resolution x resolution grid that
     holds both axes exactly (see _mesh_energies).  The origin, the best
     cell overall and the best cell on each axis start one batched
-    shrinking-window search (_refine_all) down to ~1e-10 in position,
-    which pins the energy far below the 1e-8 contract; the lowest start
-    wins, the earliest on a tie.  Nothing here uses the closed-form
-    branches, so it serves as their oracle.  It judges phase, amplitudes
-    and energy only: ``bistable`` stays False, since whether a second well
-    is locally stable is the closed forms' call, not a grid search's.
+    shrinking-window search (_refine_all): windows of _REFINE_POINTS per
+    axis, each _REFINE_SHRINK as wide as the last, down to a half-width of
+    _REFINE_STOP (1e-10) in position, which pins the energy far below the
+    1e-8 contract; the lowest start wins, the earliest on a tie.  Nothing
+    here uses the closed-form branches, so it serves as their oracle.  It
+    judges phase, amplitudes and energy only: ``bistable`` stays False,
+    since whether a second well is locally stable is the closed forms'
+    call, not a grid search's.
     """
     if resolution < 100:
         raise ValueError(f"resolution must be >= 100, got {resolution}")
@@ -455,23 +470,28 @@ def _refine_all(params: ModelParams, centers: np.ndarray, window: float):
 
     Each level lays a _REFINE_POINTS-square window of half-width w on
     every start's best point and moves it to the window's lowest point
-    inside the disc (the first on a tie) only when that is strictly
-    lower; w shrinks by _REFINE_SHRINK down to _REFINE_STOP.  Returns
-    (energies, psi2, psi3), one entry per start.
+    inside the disc (the first in psi2-major order on a tie) only when
+    that is strictly lower; w shrinks by _REFINE_SHRINK down to
+    _REFINE_STOP.  A window's axes are np.linspace(c - w, c + w) by
+    linspace's own arithmetic, and the energy is evaluated on broadcast
+    (start, psi2, 1) x (start, 1, psi3) blocks.  Returns (energies, psi2,
+    psi3), one entry per start.
     """
     best = _energy_raw(params, centers[0], centers[1])
     rows = np.arange(centers.shape[1])
+    steps = np.arange(_REFINE_POINTS, dtype=float)
     w = window
     while w > _REFINE_STOP:
-        g2s, g3s = np.linspace(centers - w, centers + w, _REFINE_POINTS, axis=-1)
-        # One row per start: its window flattened, psi2 major (contiguous
-        # rows evaluate faster than broadcast (start, psi2, psi3) blocks).
-        p2, p3 = np.repeat(g2s, _REFINE_POINTS, axis=1), np.tile(g3s, _REFINE_POINTS)
+        low, high = centers - w, centers + w
+        axes = steps * ((high - low) / (_REFINE_POINTS - 1))[..., None] + low[..., None]
+        axes[..., -1] = high
+        p2, p3 = axes[0][:, :, None], axes[1][:, None, :]
         vals = np.where(p2 ** 2 + p3 ** 2 <= 1.0, _energy_raw(params, p2, p3), np.inf)
-        flat = vals.argmin(axis=1)
-        lowest = vals[rows, flat]
+        flat = vals.reshape(rows.size, -1).argmin(axis=1)
+        i2, i3 = np.divmod(flat, _REFINE_POINTS)
+        lowest = vals[rows, i2, i3]
         moved = lowest < best
         best = np.where(moved, lowest, best)
-        centers = np.where(moved, (p2[rows, flat], p3[rows, flat]), centers)
+        centers = np.where(moved, (axes[0, rows, i2], axes[1, rows, i3]), centers)
         w *= _REFINE_SHRINK
     return best, centers[0], centers[1]

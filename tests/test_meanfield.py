@@ -3,6 +3,8 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vdicke import meanfield
 from vdicke.errors import DomainError
@@ -295,6 +297,25 @@ def test_brute_force_keeps_its_contract_on_the_axes(point):
     assert oracle.phase in labels and oracle.phase is not PhaseLabel.LEFT_RIGHT_SR
 
 
+@st.composite
+def _query_points(draw):
+    """Frequencies in [0.4, 2] and couplings in [0, 2 g_c], drawn as the point queries are."""
+    w21, w31, wa, wb = (draw(st.floats(0.4, 2.0)) for _ in range(4))
+    return (w21, w31, wa, wb, draw(st.floats(0.0, math.sqrt(wa * w31))),
+            draw(st.floats(0.0, math.sqrt(wb * w21))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_query_points())
+def test_brute_force_keeps_its_contract_on_query_points(point):
+    # the window geometry (_REFINE_POINTS, _REFINE_SHRINK) must still reach
+    # the exact minimum to the 1e-8 contract, in the right well
+    e_min, labels = _exact_minimum(point)
+    oracle = brute_force_minimize(ModelParams(*point), resolution=400)
+    assert abs(oracle.energy - e_min) <= 1e-8 * max(1.0, abs(e_min)), point
+    assert oracle.phase in labels, (point, oracle.phase, labels)
+
+
 def _criterion_1_points(every: int = 1):
     """Acceptance criterion 1's two 50 x 50 coupling grids, every ``every``-th point."""
     points = [replace(base, g1=float(g1), g2=float(g2))
@@ -558,3 +579,15 @@ def test_exchange_symmetry_mirrors_the_branch_list():
                 (b.bistable, b.degeneracy, b.degenerate_valley)
             for x, y in zip(astuple(a)[:6], astuple(b)[:6]):
                 assert _close(x, y), f"{a} vs {b}"
+
+
+def test_valley_at_threshold_commutes_with_the_exchange():
+    # omega21 = omega31 an ulp below 2 puts g1 = 0.5 at its threshold on the
+    # degenerate line, where mu_left and mu_right round an ulp apart: whether
+    # the valley is reached must not depend on which branch is called left
+    w, g2 = 1.9999999999999998, 0.5 * math.sqrt(3.0)
+    picked = classify(ModelParams(w, w, 0.5, 1.5, 0.5, g2))
+    swapped = classify(ModelParams(w, w, 1.5, 0.5, g2, 0.5))
+    assert picked.phase is _MIRROR[swapped.phase]
+    assert (picked.bistable, picked.degenerate_valley) == \
+        (swapped.bistable, swapped.degenerate_valley)
