@@ -136,14 +136,15 @@ def _solution_dict(solution) -> dict:
     return {"phase": record.pop("phase").value, **record}
 
 
-def _spectrum_dict(form) -> dict:
-    return {**asdict(form), **asdict(diagonalize(form))}
+def _spectrum_dict(form) -> dict | None:
+    return None if form is None else {**asdict(form), **asdict(diagonalize(form))}
 
 
-def _mu_or_null(mu, params: ModelParams) -> float | None:
-    """mu_left or mu_right; None at a coupling of 0 and where (g_c / g)^2 overflows."""
+def _or_null(closed_form, params: ModelParams):
+    """closed_form(params), or None outside its domain (DomainError: a coupling of 0,
+    or a branch below the threshold a renormalized form needs) and where it overflows."""
     try:
-        return mu(params)
+        return closed_form(params)
     except (DomainError, OverflowError):
         return None
 
@@ -157,12 +158,10 @@ def _handle_critical(params: ModelParams, opts: dict) -> dict:
         "params": asdict(params),
         "g_c1": critical_g1(params),
         "g_c2": critical_g2(params),
-        "mu_left": _mu_or_null(mu_left, params),
-        "mu_right": _mu_or_null(mu_right, params),
-        "gtilde_c2": (renormalized_critical_g2(params)
-                      if params.g1 >= critical_g1(params) else None),
-        "gtilde_c1": (renormalized_critical_g1(params)
-                      if params.g2 >= critical_g2(params) else None),
+        "mu_left": _or_null(mu_left, params),
+        "mu_right": _or_null(mu_right, params),
+        "gtilde_c2": _or_null(renormalized_critical_g2, params),
+        "gtilde_c1": _or_null(renormalized_critical_g1, params),
     }
 
 
@@ -180,12 +179,10 @@ def _handle_spectrum(params: ModelParams, opts: dict) -> dict:
         "params": asdict(params),
         "normal_left": _spectrum_dict(left),
         "normal_right": _spectrum_dict(right),
-        "right_branch_renormalized": (
-            _spectrum_dict(right_branch_form(params))
-            if params.g1 >= critical_g1(params) else None),
-        "left_branch_renormalized": (
-            _spectrum_dict(left_branch_form(params))
-            if params.g2 >= critical_g2(params) else None),
+        # Only the closed forms are read as null: a block that overflows in
+        # diagonalize is an error, and the first to overflow, in this order, names it.
+        "right_branch_renormalized": _spectrum_dict(_or_null(right_branch_form, params)),
+        "left_branch_renormalized": _spectrum_dict(_or_null(left_branch_form, params)),
     }
 
 

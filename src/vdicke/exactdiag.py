@@ -533,9 +533,13 @@ def _shrunk(marginal: np.ndarray, bound: float) -> int:
     return min(marginal.size - 1, above + TAIL_LEVELS - 1)
 
 
-def _even_sector(n_atoms: int, cutoffs) -> ParitySector:
-    """(+, +) at ``cutoffs``; CapacityError past the dimension limit."""
-    return ParitySector(TruncatedSpace(n_atoms, *cutoffs), 1, 1)
+def _even_sector(n_atoms: int, cutoffs, trace: list) -> ParitySector:
+    """(+, +) at ``cutoffs``; past the dimension limit, a CapacityError that
+    carries ``trace``, the truncations solved before it."""
+    try:
+        return ParitySector(TruncatedSpace(n_atoms, *cutoffs), 1, 1)
+    except CapacityError as exc:
+        raise CapacityError(str(exc), trace) from exc
 
 
 def _hold_tail(params: ModelParams, sector: ParitySector, start: np.ndarray | None,
@@ -567,7 +571,7 @@ def _hold_tail(params: ModelParams, sector: ParitySector, start: np.ndarray | No
             return sector, energy, state
         grown = _even_sector(sector.space.n_atoms,
                              [math.ceil(GROWTH * (m.size - 1)) if w >= bound else m.size - 1
-                              for m, w in zip(marginals, weights)])
+                              for m, w in zip(marginals, weights)], trace)
         sector, start = grown, _transfer(sector, state, grown)
 
 
@@ -618,7 +622,7 @@ def _hold_sector_order(params: ModelParams, space: TruncatedSpace, even_energy: 
         if not any(g.energy < even_energy - g.error for g in others):
             return space
         grown = _even_sector(space.n_atoms, [math.ceil(GROWTH * c) for c in
-                                             (space.cutoff_a, space.cutoff_b)])
+                                             (space.cutoff_a, space.cutoff_b)], trace)
         sector, even_energy, _ = _hold_tail(params, grown, None, tol, eig_tol, seed, trace)
         space = sector.space
 
@@ -638,18 +642,14 @@ def converge_cutoffs(params: ModelParams, n_atoms: int, tol: float = 1e-4, eig_t
     _check_solver_settings(seed, {"photon-number tolerance tol": tol,
                                   "eigensolver tolerance eig_tol": eig_tol})
     trace = []
-    try:
-        sector, energy, state = _hold_tail(
-            params, _even_sector(n_atoms, (CUTOFF_FLOOR, CUTOFF_FLOOR)), None, tol, eig_tol,
-            seed, trace)
-        cutoffs = [_shrunk(m, tol / TAIL_RATIO) for m in _marginals(sector, state)]
-        if cutoffs != [sector.space.cutoff_a, sector.space.cutoff_b]:
-            sector, energy, _ = _hold_tail(params, _even_sector(n_atoms, cutoffs), None, tol,
-                                           eig_tol, seed, trace)
-        return _hold_sector_order(params, sector.space, energy, tol, eig_tol, seed, trace), trace
-    except CapacityError as exc:
-        exc.trace = list(trace)
-        raise
+    sector, energy, state = _hold_tail(
+        params, _even_sector(n_atoms, (CUTOFF_FLOOR, CUTOFF_FLOOR), trace), None, tol, eig_tol,
+        seed, trace)
+    cutoffs = [_shrunk(m, tol / TAIL_RATIO) for m in _marginals(sector, state)]
+    if cutoffs != [sector.space.cutoff_a, sector.space.cutoff_b]:
+        sector, energy, _ = _hold_tail(params, _even_sector(n_atoms, cutoffs, trace), None, tol,
+                                       eig_tol, seed, trace)
+    return _hold_sector_order(params, sector.space, energy, tol, eig_tol, seed, trace), trace
 
 
 def solve_sweep(points: list[ModelParams], n_atoms: int, tol: float = 1e-4,
@@ -657,8 +657,9 @@ def solve_sweep(points: list[ModelParams], n_atoms: int, tol: float = 1e-4,
     """(+, +) ground-state observables of n_atoms atoms at each of ``points``,
     on one truncation grown and certified as the module docstring says; each
     result carries its cutoffs.  Raises as converge_cutoffs does; a
-    CapacityError from a later point names that point's couplings and carries
-    the truncations it solved.  No points give no results, once the solver
+    CapacityError names the point whose truncation grew past the limit and
+    carries the truncations solved for it: the first point's cutoff search,
+    or a later point's growth.  No points give no results, once the solver
     settings pass and n_atoms passes the check at (CUTOFF_FLOOR, CUTOFF_FLOOR).
     """
     if not points:
@@ -666,8 +667,9 @@ def solve_sweep(points: list[ModelParams], n_atoms: int, tol: float = 1e-4,
                                       "eigensolver tolerance eig_tol": eig_tol})
         TruncatedSpace(n_atoms, CUTOFF_FLOOR, CUTOFF_FLOOR)
         return []
-    space, _ = converge_cutoffs(points[0], n_atoms, tol, eig_tol, seed)
+    row = 0
     try:
+        space, _ = converge_cutoffs(points[0], n_atoms, tol, eig_tol, seed)
         while True:
             sector, state, grew, results = ParitySector(space, 1, 1), None, None, []
             for row, params in enumerate(points):
@@ -686,7 +688,7 @@ def solve_sweep(points: list[ModelParams], n_atoms: int, tol: float = 1e-4,
                 return results
     except CapacityError as exc:
         raise CapacityError(f"{exc} at the sweep point g1 = {points[row].g1:.6g}, "
-                            f"g2 = {points[row].g2:.6g}", trace) from exc
+                            f"g2 = {points[row].g2:.6g}", exc.trace) from exc
 
 
 def solve_point(params: ModelParams, space: TruncatedSpace, tol: float = 1e-8,

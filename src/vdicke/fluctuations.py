@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BracketError, DomainError
-from .model import ModelParams, critical_g1, critical_g2, mu_left
+from .model import ModelParams, critical_g1, mu_left
 
 __all__ = [
     "QuadraticBosonForm",
@@ -99,10 +99,10 @@ def right_branch_form(params: ModelParams) -> QuadraticBosonForm:
         freq2 = omega21 + omega31*(1 - mu_l)/(2*mu_l),
         coupling = g2 * sqrt((1 + mu_l)/2).
     """
-    if params.g1 < critical_g1(params):
-        raise DomainError(
-            f"right_branch_form requires g1 >= {critical_g1(params)!r}; got g1 = {params.g1!r}"
-        )
+    gc1 = critical_g1(params)
+    if params.g1 < gc1:
+        raise DomainError(f"the block about a condensate needs a condensed branch: its coupling "
+                          f"{params.g1!r} is below its threshold {gc1!r}")
     mu = mu_left(params)
     shifted = params.omega21 + params.omega31 * (1.0 - mu) / (2.0 * mu)
     dressed = params.g2 * math.sqrt((1.0 + mu) / 2.0)
@@ -110,11 +110,8 @@ def right_branch_form(params: ModelParams) -> QuadraticBosonForm:
 
 
 def left_branch_form(params: ModelParams) -> QuadraticBosonForm:
-    """Left-branch block about the right condensate (mirror of right_branch_form)."""
-    if params.g2 < critical_g2(params):
-        raise DomainError(
-            f"left_branch_form requires g2 >= {critical_g2(params)!r}; got g2 = {params.g2!r}"
-        )
+    """Left-branch block about the right condensate: right_branch_form on the
+    mirrored model, whose domain check (g2 >= critical_g2) it inherits."""
     return right_branch_form(params.mirrored())
 
 

@@ -240,17 +240,17 @@ PHASES = tuple(PhaseLabel)  # phase code -> label: Normal, LeftSR, RightSR, Left
 
 
 class PhaseArrays(NamedTuple):
-    """Global minima over an array of points; ``phase`` holds codes into PHASES."""
+    """Global minima over an array of points: exactly the mean-field columns a sweep
+    writes, in CSV order.  ``phase`` holds codes into PHASES; code 3 (LeftRightSR)
+    is the degenerate valley, and psi1 follows from psi2 and psi3."""
 
     phase: np.ndarray
-    psi1: np.ndarray
     psi2: np.ndarray
     psi3: np.ndarray
     phi_a: np.ndarray
     phi_b: np.ndarray
     energy: np.ndarray
     bistable: np.ndarray
-    degenerate_valley: np.ndarray
 
 
 class _BranchTable(NamedTuple):
@@ -343,7 +343,8 @@ def classify_arrays(omega21, omega31, omega_a, omega_b, g1, g2) -> PhaseArrays:
     symmetric mixed split (any other valley point has the same energy).
     Off the line, an exact left/right tie (|dE| <= 1e-12) is resolved
     toward the larger total excitation psi2^2 + psi3^2, the one with the
-    smaller mu, and flagged bistable.
+    smaller mu, and flagged bistable.  psi1 enters phi_a and phi_b but is
+    not returned (:func:`classify` reports it).
     """
     w21, w31, wa, wb, g1, g2 = (np.asarray(v, dtype=float)
                                 for v in (omega21, omega31, omega_a, omega_b, g1, g2))
@@ -360,15 +361,16 @@ def classify_arrays(omega21, omega31, omega_a, omega_b, g1, g2) -> PhaseArrays:
     psi1 = np.sqrt(np.maximum(0.0, 1.0 - np.square(psi2) - np.square(psi3)))
     phi_a = -2.0 * g1 * psi1 * psi3 / wa
     phi_b = -2.0 * g2 * psi1 * psi2 / wb
-    return PhaseArrays(phase, psi1, psi2, psi3, phi_a, phi_b, energy_value, t.bistable, valley)
+    return PhaseArrays(phase, psi2, psi3, phi_a, phi_b, energy_value, t.bistable)
 
 
 def classify(params: ModelParams) -> MeanFieldSolution:
     """Global minimum of the energy surface: :func:`classify_arrays` at one point."""
     r = classify_arrays(*_FIELDS(params))
-    return _solution(params, float(r.psi2), float(r.psi3), PHASES[int(r.phase)],
-                     energy_value=r.energy, bistable=bool(r.bistable),
-                     degenerate_valley=bool(r.degenerate_valley))
+    phase = PHASES[int(r.phase)]
+    return _solution(params, float(r.psi2), float(r.psi3), phase, energy_value=r.energy,
+                     bistable=bool(r.bistable),
+                     degenerate_valley=phase is PhaseLabel.LEFT_RIGHT_SR)
 
 
 # ---------------------------------------------------------------------------

@@ -100,17 +100,17 @@ def mu_left(params: ModelParams) -> float:
     """Squared ratio of the left bare threshold to the actual coupling.
 
     mu_l = (g_c1 / g1)^2.  Values <= 1 mean the left branch is at or
-    beyond its bare threshold.  Undefined at g1 = 0.
+    beyond its bare threshold.  Undefined (DomainError) at g1 = 0.
     """
+    gc1 = critical_g1(params)
     if params.g1 == 0.0:
-        raise DomainError("mu_left is undefined at g1 = 0")
-    return (critical_g1(params) / params.g1) ** 2
+        raise DomainError(f"(g_c / g)^2 is undefined at a coupling of 0 (threshold {gc1!r})")
+    return (gc1 / params.g1) ** 2
 
 
 def mu_right(params: ModelParams) -> float:
-    """Squared ratio of the right bare threshold to the actual coupling."""
-    if params.g2 == 0.0:
-        raise DomainError("mu_right is undefined at g2 = 0")
+    """Squared ratio of the right bare threshold to the actual coupling:
+    mu_left on the mirrored model, whose domain check it inherits."""
     return mu_left(params.mirrored())
 
 
@@ -123,21 +123,16 @@ def renormalized_critical_g2(params: ModelParams) -> float:
     """
     gc1 = critical_g1(params)
     if params.g1 < gc1:
-        raise DomainError(
-            f"renormalized_critical_g2 requires g1 >= {gc1!r} (left branch condensed); got g1 = {params.g1!r}"
-        )
+        raise DomainError(f"the renormalized threshold needs a condensed branch: its coupling "
+                          f"{params.g1!r} is below its threshold {gc1!r}")
     mu = mu_left(params)
     inner = 2.0 * params.omega21 * params.omega_b + params.omega31 * params.omega_b * (1.0 - mu) / mu
     return 0.5 * math.sqrt(1.0 / (1.0 + mu)) * math.sqrt(inner)
 
 
 def renormalized_critical_g1(params: ModelParams) -> float:
-    """Left-branch threshold when the right branch is condensed (mirror)."""
-    gc2 = critical_g2(params)
-    if params.g2 < gc2:
-        raise DomainError(
-            f"renormalized_critical_g1 requires g2 >= {gc2!r} (right branch condensed); got g2 = {params.g2!r}"
-        )
+    """Left-branch threshold when the right branch is condensed: renormalized_critical_g2
+    on the mirrored model, whose domain check (g2 >= critical_g2) it inherits."""
     return renormalized_critical_g2(params.mirrored())
 
 

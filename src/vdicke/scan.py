@@ -57,7 +57,7 @@ MAX_GRID_POINTS = 1_000_000
 # Rows formatted per write; bounds the CSV text held in memory at once.
 CSV_CHUNK_ROWS = 10_000
 
-CSV_COLUMNS = ("g1", "g2", "phase", "psi2", "psi3", "phi_a", "phi_b", "energy", "bistable")
+CSV_COLUMNS = ("g1", "g2") + PhaseArrays._fields
 ED_COLUMNS = ("photon_a", "photon_b", "n_atoms", "cutoff_a", "cutoff_b")
 
 # Boundary kind -> (coupling sampled as the abscissa, closed form of the boundary).
@@ -237,9 +237,7 @@ _PARSERS = {"phase": PhaseLabel, "bistable": "true".__eq__, "n_atoms": int, "cut
 def write_sweep_csv(table: SweepTable, stream) -> None:
     """Write the table as CSV (floats to 12 significant digits, flags true/false),
     CSV_CHUNK_ROWS rows per write; the finite-N columns follow when present."""
-    p = table.phases
-    columns = [table.g1, table.g2, p.phase, p.psi2, p.psi3, p.phi_a, p.phi_b, p.energy,
-               p.bistable]
+    columns = [table.g1, table.g2, *table.phases]
     header, row = CSV_COLUMNS, _ROW
     if table.n_atoms is not None:
         columns += [table.photon_a, table.photon_b, table.n_atoms, table.cutoff_a,
@@ -255,17 +253,15 @@ def write_sweep_csv(table: SweepTable, stream) -> None:
 
 
 def records_to_csv_text(records: list[SweepRecord]) -> str:
-    """The CSV text of records, as read_records_csv returns them, by write_sweep_csv."""
+    """The CSV text of records, as read_records_csv returns them, by write_sweep_csv.
+
+    A record holds every written column, so the table is the records' own
+    columns, with each phase label as its code into PHASES.
+    """
     names = CSV_COLUMNS + (ED_COLUMNS if records and records[0].n_atoms is not None else ())
     cols = {name: np.array([getattr(r, name) for r in records]) for name in names}
     codes = np.array([PHASES.index(label) for label in cols.pop("phase")], dtype=np.int8)
-    # Records carry neither psi1 nor the valley flag; both follow from
-    # the columns they do carry, as in classify_arrays.  psi1 is never
-    # written, so a square that overflows (clamped to 0 here) is harmless.
-    with np.errstate(over="ignore"):
-        psi1 = np.sqrt(np.maximum(0.0, 1.0 - np.square(cols["psi2"]) - np.square(cols["psi3"])))
-    phases = PhaseArrays(phase=codes, psi1=psi1, degenerate_valley=codes == 3,
-                         **{name: cols.pop(name) for name in CSV_COLUMNS[3:]})
+    phases = PhaseArrays(codes, *(cols.pop(name) for name in CSV_COLUMNS[3:]))
     buffer = io.StringIO()
     write_sweep_csv(SweepTable(cols.pop("g1"), cols.pop("g2"), phases, **cols), buffer)
     return buffer.getvalue()

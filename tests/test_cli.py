@@ -49,6 +49,16 @@ def test_critical_reports_an_overflowing_mu_as_null(flag, field, other, capsys):
     assert payload["gtilde_c1"] is None and payload["gtilde_c2"] is None
 
 
+@pytest.mark.parametrize("couplings", [("1e100", "0.5"), ("0.5", "1e100")])
+def test_spectrum_refuses_a_renormalized_block_that_overflows(couplings, capsys):
+    # the condensate's block exists, but its shifted frequency squared
+    # overflows in diagonalize: an error, not a null field
+    assert run(["spectrum", "--g1", couplings[0], "--g2", couplings[1]]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {_UNREPRESENTABLE} (OverflowError: " in err
+    assert err.count("\n") == 1
+
+
 def test_meanfield_selected_and_branches(capsys):
     assert run(["meanfield", "--g1", "1.0"]) == 0
     payload = _json_out(capsys)
@@ -306,6 +316,19 @@ def test_sweep_capacity_message_names_the_point_and_its_trials(capsys, monkeypat
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert ("exceeds the dimension limit 1000 at the sweep point g1 = 1.06667, g2 = 0.2; "
+            "trials solved: ") in err
+    for t in trace:
+        assert f"cutoffs {t['cutoff_a']}/{t['cutoff_b']} (dimension {t['dimension']}, " in err
+    # a sweep refused in its first point's cutoff search names that point too
+    with pytest.raises(CapacityError) as refused:
+        exactdiag.solve_sweep([ModelParams(g1=1.5, g2=0.2), ModelParams(g1=1.6, g2=0.2)], 3)
+    trace = refused.value.trace
+    assert trace and all(t["dimension"] <= 1000 for t in trace)
+    assert run(["ed", "--N", "3", "--g2", "0.2", "--g1-min", "1.5", "--g1-max", "1.6",
+                "--steps", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert ("exceeds the dimension limit 1000 at the sweep point g1 = 1.5, g2 = 0.2; "
             "trials solved: ") in err
     for t in trace:
         assert f"cutoffs {t['cutoff_a']}/{t['cutoff_b']} (dimension {t['dimension']}, " in err

@@ -486,7 +486,7 @@ def test_classify_arrays_attains_the_exact_minimum():
         assert _support(psi2 ** 2, psi3 ** 2) is label
         if kind == "tie":
             assert result.bistable[k], f"tie at {p} not flagged bistable"
-        if kind == "ray" and result.degenerate_valley[k]:
+        if kind == "ray" and result.phase[k] == 3:  # the degenerate valley
             assert label is PhaseLabel.LEFT_RIGHT_SR and not result.bistable[k]
 
 

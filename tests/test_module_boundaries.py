@@ -63,16 +63,17 @@ def test_no_module_reads_another_modules_private_names(path):
     assert _foreign_private_reads(path.name, path.read_text(encoding="utf-8")) == []
 
 
-def _declared_all(path: Path) -> list[str] | None:
+def _declared_all(text: str) -> list[str] | None:
     """The names a module's source assigns to ``__all__``, or None when it assigns none."""
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for node in ast.parse(text).body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             return ast.literal_eval(node.value)
     return None
 
 
-DECLARED = {path.name: names for path in SOURCES if (names := _declared_all(path)) is not None}
+DECLARED = {path.name: names for path in SOURCES
+            if (names := _declared_all(path.read_text(encoding="utf-8"))) is not None}
 
 
 @pytest.mark.parametrize("filename", sorted(DECLARED))
@@ -81,6 +82,45 @@ def test_every_name_in_all_resolves(filename):
     module = importlib.import_module("vdicke" if stem == "__init__" else f"vdicke.{stem}")
     assert names and len(set(names)) == len(names)
     assert [name for name in names if not hasattr(module, name)] == []
+
+
+def _unused_imports(filename: str, text: str) -> list[str]:
+    """``file:line name`` for each name the source imports, anywhere, but never
+    reads and does not export in ``__all__``."""
+    tree = ast.parse(text)
+    kept = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    kept |= set(_declared_all(text) or ())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):  # import a.b binds a
+            bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        found += [f"{filename}:{node.lineno} {name}" for name in bound if name not in kept]
+    return found
+
+
+def test_the_guard_finds_every_kind_of_unused_import():
+    probe = ("from __future__ import annotations\n"
+             "import os, numpy as np\n"
+             "import vdicke.scan\n"
+             "from . import exactdiag, meanfield as mf\n"
+             "from .model import ModelParams, critical_g1 as gc1, critical_g2, mu_left\n"
+             "__all__ = ['mu_left']\n"
+             "def f(p: ModelParams):\n"
+             "    import math\n"
+             "    return os.sep, exactdiag.solve_point, critical_g2(p)\n")
+    assert _unused_imports("probe.py", probe) == [
+        "probe.py:2 np", "probe.py:3 vdicke", "probe.py:4 mf", "probe.py:5 gc1",
+        "probe.py:8 math"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert _unused_imports(path.name, path.read_text(encoding="utf-8")) == []
 
 
 def _scipy_imports(filename: str, text: str) -> list[str]:

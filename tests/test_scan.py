@@ -12,7 +12,7 @@ from vdicke.fluctuations import (
     normal_phase_forms,
     right_branch_form,
 )
-from vdicke.meanfield import PHASES, classify_arrays
+from vdicke.meanfield import PHASES, PhaseArrays, classify_arrays
 from vdicke.model import ModelParams, PhaseLabel, critical_g1, critical_g2
 from vdicke.scan import (
     CSV_COLUMNS,
@@ -285,6 +285,23 @@ def test_csv_header_and_formatting(ed_table):
     header_ed = text_ed.strip().split("\n")[0]
     assert header_ed.startswith(",".join(CSV_COLUMNS))
     assert header_ed.endswith("photon_a,photon_b,n_atoms,cutoff_a,cutoff_b")
+
+
+def test_the_kernel_returns_exactly_the_written_columns():
+    # the mean-field CSV schema, spelled out: the kernel's fields are its
+    # columns after (g1, g2), in order, so the two cannot drift apart
+    assert CSV_COLUMNS == ("g1", "g2", "phase", "psi2", "psi3", "phi_a", "phi_b", "energy",
+                           "bistable")
+    assert PhaseArrays._fields == CSV_COLUMNS[2:]
+    table = phase_diagram(BASE, np.linspace(0.0, 1.4, 5), np.linspace(0.0, 1.2, 4))
+    header, *rows = _csv(table).splitlines()
+    assert header.split(",") == list(CSV_COLUMNS) and len(rows) == len(table) == 20
+    for i, row in enumerate(rows):
+        cells = dict(zip(CSV_COLUMNS, row.split(",")))
+        assert cells.pop("phase") == PHASES[table.phases.phase[i]].value
+        assert cells.pop("bistable") == ("true" if table.phases.bistable[i] else "false")
+        columns = {"g1": table.g1, "g2": table.g2, **table.phases._asdict()}
+        assert cells == {name: f"{columns[name][i]:.12g}" for name in cells}
 
 
 def test_csv_round_trip_is_lossless(ed_table):

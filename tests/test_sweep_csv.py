@@ -36,9 +36,8 @@ def tables(draw):
 
     codes = column(st.integers(0, len(PHASES) - 1)).astype(np.int8)
     phases = PhaseArrays(
-        phase=codes, psi1=column(_FLOATS).astype(float),
-        **{name: column(_FLOATS).astype(float) for name in _FLOAT_FIELDS},
-        bistable=column(st.booleans()).astype(bool), degenerate_valley=codes == 3,
+        phase=codes, **{name: column(_FLOATS).astype(float) for name in _FLOAT_FIELDS},
+        bistable=column(st.booleans()).astype(bool),
     )
     finite_n = {}
     # A header-only file carries no records to say it had finite-N columns,
