@@ -86,8 +86,8 @@ _MODEL_OPTS = (
     _Opt("omega_b", float, 1.0, "frequency of mode b (right branch)"),
 )
 _COUPLING_OPTS = (
-    _Opt("g1", float, 0.0, "left-branch collective coupling"),
-    _Opt("g2", float, 0.0, "right-branch collective coupling"),
+    _Opt("g1", float, None, "left-branch collective coupling"),
+    _Opt("g2", float, None, "right-branch collective coupling"),
 )
 _IO_OPTS = (
     _Opt("config", str, None, "INI config file; section name = subcommand"),
@@ -96,7 +96,9 @@ _IO_OPTS = (
 
 
 def _params_from(opts: dict) -> ModelParams:
-    return ModelParams(**{f.name: opts[f.name] for f in fields(ModelParams) if f.name in opts})
+    """The model of opts; a field absent or None takes ModelParams' default."""
+    return ModelParams(**{f.name: opts[f.name] for f in fields(ModelParams)
+                          if opts.get(f.name) is not None})
 
 
 def _round_floats(obj):
@@ -226,6 +228,12 @@ def _handle_ed(params: ModelParams, opts: dict) -> dict | SweepTable:
     if not sweep_keys and opts.get("diagonal"):
         raise ConfigError("--diagonal applies to an ed sweep only: give --g1-min, "
                           "--g1-max and --steps")
+    if sweep_keys and opts.get("g1") is not None:
+        raise ConfigError("--g1 sets a single point's coupling; an ed sweep takes g1 "
+                          "from --g1-min, --g1-max and --steps")
+    if opts.get("diagonal") and opts.get("g2") is not None:
+        raise ConfigError("--g2 does not apply to a --diagonal sweep, which sets "
+                          "g2 = g1*sqrt(omega_b/omega_a)")
 
     if sweep_keys:
         g1s = sweep_values(opts["g1_min"], opts["g1_max"], opts["steps"], "ed sweep")
@@ -431,7 +439,7 @@ def run(argv=None) -> int:
 
     opts = {opt.dest: opt.default for opt in command.options}
     option_map = {opt.dest: opt for opt in command.options}
-    config_path = explicit.pop("config", None) or opts.get("config")
+    config_path = explicit.pop("config", None)
     try:
         if config_path:
             opts.update(_load_config_section(config_path, command.name, option_map))

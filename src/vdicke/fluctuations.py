@@ -27,8 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BracketError, DomainError
-from .model import ModelParams, critical_g1, mu_left
+from .errors import BracketError
+from .model import ModelParams, condensed_mu_left
 
 __all__ = [
     "QuadraticBosonForm",
@@ -99,11 +99,7 @@ def right_branch_form(params: ModelParams) -> QuadraticBosonForm:
         freq2 = omega21 + omega31*(1 - mu_l)/(2*mu_l),
         coupling = g2 * sqrt((1 + mu_l)/2).
     """
-    gc1 = critical_g1(params)
-    if params.g1 < gc1:
-        raise DomainError(f"the block about a condensate needs a condensed branch: its coupling "
-                          f"{params.g1!r} is below its threshold {gc1!r}")
-    mu = mu_left(params)
+    mu = condensed_mu_left(params)
     shifted = params.omega21 + params.omega31 * (1.0 - mu) / (2.0 * mu)
     dressed = params.g2 * math.sqrt((1.0 + mu) / 2.0)
     return QuadraticBosonForm(params.omega_b, shifted, dressed)

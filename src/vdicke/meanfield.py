@@ -25,7 +25,6 @@ for diagnostics only.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, fields
@@ -377,29 +376,8 @@ def classify(params: ModelParams) -> MeanFieldSolution:
 # Brute-force oracle
 
 
-class _OracleMesh(NamedTuple):
-    xs: np.ndarray
-    sq: np.ndarray          # xs ** 2
-    outside: np.ndarray     # 0 on the closed quarter disc, +inf beyond it
-
-
-@functools.lru_cache(maxsize=4)
-def _oracle_mesh(resolution: int) -> _OracleMesh:
-    """brute_force_minimize's sampling axis and disc mask, built once per resolution.
-
-    The arrays are shared by every call, so they are made read-only.
-    """
-    xs = np.linspace(0.0, 1.0, resolution)
-    sq = xs ** 2
-    outside = np.where(np.add.outer(sq, sq) <= 1.0, 0.0, np.inf)
-    mesh = _OracleMesh(xs, sq, outside)
-    for array in mesh:
-        array.flags.writeable = False
-    return mesh
-
-
-def _mesh_energies(params: ModelParams, mesh: _OracleMesh) -> np.ndarray:
-    """The energy at every mesh point (psi2 along rows, psi3 along columns), +inf off the disc.
+def _mesh_energies(params: ModelParams, xs: np.ndarray) -> np.ndarray:
+    """The energy on the square mesh xs x xs (psi2 along rows, psi3 along columns).
 
     _energy_raw multiplied out in the squares s2, s3,
 
@@ -408,42 +386,51 @@ def _mesh_energies(params: ModelParams, mesh: _OracleMesh) -> np.ndarray:
     is one (n, 3) @ (3, n) product: rows [(a + b) s2, (omega21 - b) s2 + b s2^2, 1]
     against columns [s3, 1, (omega31 - a) s3 + a s3^2].  Row 0 and column 0
     hold the axes' energies exactly, as one of their terms is 0.
+
+    No point off the unit disc can be the minimum, so none is masked.  With
+    h = 1/(n - 1), such a point (i, j) has i^2 + j^2 >= (n - 1)^2 + 1, so s2,
+    s3 and the excess s2 + s3 - 1 are each >= h^2, and
+
+        E = omega21 s2 + omega31 s3 + (a s3 + b s2)(s2 + s3 - 1) >= h^2 (omega21 + omega31) > 0,
+
+    while the origin holds exactly 0.  The product rounds within a few ulps of
+    max(omega21, omega31, a, b); where a (b) is large enough for that to
+    matter, a >= 2 omega31 (b >= 2 omega21), its well lies below -a/16 (-b/16).
     """
     a = 4.0 * params.g1 ** 2 / params.omega_a
     b = 4.0 * params.g2 ** 2 / params.omega_b
-    sq, quartic, ones = mesh.sq, np.square(mesh.sq), np.ones_like(mesh.sq)
+    sq = xs ** 2
+    quartic, ones = np.square(sq), np.ones_like(sq)
     rows = np.stack(((a + b) * sq, (params.omega21 - b) * sq + b * quartic, ones), axis=1)
     columns = np.stack((sq, ones, (params.omega31 - a) * sq + a * quartic))
-    values = rows @ columns
-    values += mesh.outside
-    return values
+    return rows @ columns
 
 
 def brute_force_minimize(params: ModelParams, resolution: int = 400) -> MeanFieldSolution:
     """Locate the global minimum by dense grid search plus local refinement.
 
-    The surface is even in each amplitude, so only the quarter disc
-    psi2, psi3 >= 0 is sampled, on a resolution x resolution grid that
-    holds both axes exactly (see _mesh_energies).  The origin, the best
-    cell overall and the best cell on each axis start one batched
-    shrinking-window search (_refine_all): windows of _REFINE_POINTS per
-    axis, each _REFINE_SHRINK as wide as the last, down to a half-width of
-    _REFINE_STOP (1e-10) in position, which pins the energy far below the
-    1e-8 contract; the lowest start wins, the earliest on a tie.  Nothing
-    here uses the closed-form branches, so it serves as their oracle.  It
-    judges phase, amplitudes and energy only: ``bistable`` stays False,
-    since whether a second well is locally stable is the closed forms'
-    call, not a grid search's.
+    The surface is even in each amplitude, so only psi2, psi3 >= 0 is
+    sampled, on a resolution x resolution grid of the square [0, 1]^2 that
+    holds both axes exactly; its points off the disc never win, so it needs
+    no mask (see _mesh_energies).  The origin, the best cell overall and
+    the best cell on each axis start one batched shrinking-window search
+    (_refine_all): windows of _REFINE_POINTS per axis, each _REFINE_SHRINK
+    as wide as the last, down to a half-width of _REFINE_STOP (1e-10) in
+    position, which pins the energy far below the 1e-8 contract; the
+    lowest start wins, the earliest on a tie.  Nothing here uses the
+    closed-form branches, so it serves as their oracle.  It judges phase,
+    amplitudes and energy only: ``bistable`` stays False, since whether a
+    second well is locally stable is the closed forms' call, not a grid
+    search's.
     """
     if resolution < 100:
         raise ValueError(f"resolution must be >= 100, got {resolution}")
-    mesh = _oracle_mesh(resolution)
-    values = _mesh_energies(params, mesh)
+    xs = np.linspace(0.0, 1.0, resolution)
+    values = _mesh_energies(params, xs)
 
     # The axes hold the one-branch phases, so nearly degenerate wells on
     # and off them are all polished and compared; on an exact tie (the
     # degenerate valley) the earlier start wins.
-    xs = mesh.xs
     i2, i3 = np.unravel_index(np.argmin(values), values.shape)
     starts = dict.fromkeys([(0.0, 0.0), (xs[i2], xs[i3]), (xs[np.argmin(values[:, 0])], 0.0),
                             (0.0, xs[np.argmin(values[0])])])

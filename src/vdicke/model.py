@@ -34,6 +34,7 @@ __all__ = [
     "critical_g2",
     "mu_left",
     "mu_right",
+    "condensed_mu_left",
     "renormalized_critical_g1",
     "renormalized_critical_g2",
     "alpha_beta",
@@ -100,18 +101,29 @@ def mu_left(params: ModelParams) -> float:
     """Squared ratio of the left bare threshold to the actual coupling.
 
     mu_l = (g_c1 / g1)^2.  Values <= 1 mean the left branch is at or
-    beyond its bare threshold.  Undefined (DomainError) at g1 = 0.
+    beyond its bare threshold.  DomainError at g1 = 0, OverflowError past the float range.
     """
     gc1 = critical_g1(params)
     if params.g1 == 0.0:
         raise DomainError(f"(g_c / g)^2 is undefined at a coupling of 0 (threshold {gc1!r})")
-    return (gc1 / params.g1) ** 2
+    ratio = gc1 / params.g1
+    if math.isinf(ratio):  # a float quotient overflows to inf; only its square would raise
+        raise OverflowError(f"(g_c / g)^2 overflows at a coupling of {params.g1!r}")
+    return ratio ** 2
 
 
 def mu_right(params: ModelParams) -> float:
     """Squared ratio of the right bare threshold to the actual coupling:
     mu_left on the mirrored model, whose domain check it inherits."""
     return mu_left(params.mirrored())
+
+
+def condensed_mu_left(params: ModelParams) -> float:
+    """mu_left of a condensed left branch: the one place that refuses g1 < critical_g1."""
+    if params.g1 < critical_g1(params):
+        raise DomainError(f"the renormalized threshold needs a condensed branch: its coupling "
+                          f"{params.g1!r} is below its threshold {critical_g1(params)!r}")
+    return mu_left(params)
 
 
 def renormalized_critical_g2(params: ModelParams) -> float:
@@ -121,11 +133,7 @@ def renormalized_critical_g2(params: ModelParams) -> float:
     g1 = critical_g1 and tends to g1*sqrt(omega_b/omega_a) for
     g1 -> infinity.
     """
-    gc1 = critical_g1(params)
-    if params.g1 < gc1:
-        raise DomainError(f"the renormalized threshold needs a condensed branch: its coupling "
-                          f"{params.g1!r} is below its threshold {gc1!r}")
-    mu = mu_left(params)
+    mu = condensed_mu_left(params)
     inner = 2.0 * params.omega21 * params.omega_b + params.omega31 * params.omega_b * (1.0 - mu) / mu
     return 0.5 * math.sqrt(1.0 / (1.0 + mu)) * math.sqrt(inner)
 

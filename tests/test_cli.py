@@ -557,6 +557,9 @@ def test_ed_refuses_an_overflowing_hamiltonian(argv, tmp_path, capsys):
     (["boundary", "--which", "gtilde_c1", "--from", "1", "--to", "1e200", "--steps", "2"],
      _UNREPRESENTABLE),
     (["ed", "--N", "2", "--g2", "1e200"], _UNREPRESENTABLE),
+    # a sweep sets g1 itself, and a diagonal sweep g2 too
+    (_ED_SWEEP + ["--g1", "0.9"], "--g1 sets a single point's coupling"),
+    (_ED_SWEEP + ["--diagonal"], "--g2 does not apply to a --diagonal sweep"),
 ])
 def test_numeric_flag_at_its_bound_exits_2(argv, message, tmp_path, capsys, monkeypatch):
     def no_solve(*args, **kwargs):
@@ -569,4 +572,18 @@ def test_numeric_flag_at_its_bound_exits_2(argv, message, tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert f"configuration error: {message}" in err
     assert "Traceback" not in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+# the same refusals when the coupling a sweep sets comes from the config section
+@pytest.mark.parametrize("section, message", [
+    ("g1 = 0.9\n", "--g1 sets a single point's coupling"),
+    ("g2 = 0.3\ndiagonal = true\n", "--g2 does not apply to a --diagonal sweep"),
+])
+def test_ed_sweep_refuses_a_configured_coupling_it_sets(section, message, tmp_path, capsys):
+    cfg = tmp_path / "ed.cfg"
+    cfg.write_text("[ed]\nn_atoms = 2\ng1_min = 0.5\ng1_max = 1\nsteps = 2\n" + section)
+    out = tmp_path / "out"
+    assert run(["ed", "--config", str(cfg), "--output", str(out)]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
     assert not out.exists()

@@ -17,7 +17,6 @@ from vdicke.meanfield import (
     _branch_table,
     _energy_raw,
     _mesh_energies,
-    _oracle_mesh,
     _refine_all,
     brute_force_minimize,
     classify,
@@ -348,10 +347,10 @@ def _refine(params, start, window):
 def test_batched_refinement_is_the_one_start_search():
     # brute_force_minimize's four starts, plus two on the disc's rim,
     # where the windows are cut by it
-    xs = _oracle_mesh(400).xs
+    xs = np.linspace(0.0, 1.0, 400)
     window = 2.0 * (xs[1] - xs[0])
     for p in _criterion_1_points(every=23):
-        values = _mesh_energies(p, _oracle_mesh(400))
+        values = _mesh_energies(p, xs)
         i2, i3 = np.unravel_index(np.argmin(values), values.shape)
         starts = [(0.0, 0.0), (xs[i2], xs[i3]), (xs[np.argmin(values[:, 0])], 0.0),
                   (0.0, xs[np.argmin(values[0])]), (1.0, 0.0), (0.6, 0.8)]

@@ -18,11 +18,15 @@ constant 2 g / omega: continuous across every threshold and first-order
 crossing, though the order parameters jump there.
 
 The brute-force oracle's mesh evaluates the energy multiplied out in
-the squared amplitudes; it must agree with the surface itself.
+the squared amplitudes; it must agree with the surface itself.  It
+covers the whole square [0, 1]^2, since the energy is positive off the
+unit disc and 0 at the origin: masking the points off the disc changes
+none of its minima.
 """
 
 import math
 from dataclasses import astuple, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,10 +35,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from vdicke import meanfield  # noqa: E402
 from vdicke.meanfield import (  # noqa: E402
     _energy_raw,
     _mesh_energies,
-    _oracle_mesh,
+    brute_force_minimize,
     classify,
     classify_arrays,
 )
@@ -208,13 +213,38 @@ def test_ground_energy_is_continuous_across_phase_boundaries(case):
        st.sampled_from([100, 400]))
 def test_oracle_mesh_is_the_energy_surface(point, resolution):
     params = ModelParams(*point)
-    mesh = _oracle_mesh(resolution)
-    values = _mesh_energies(params, mesh)
-    p2, p3 = np.meshgrid(mesh.xs, mesh.xs, indexing="ij")
+    xs = np.linspace(0.0, 1.0, resolution)
+    values = _mesh_energies(params, xs)
+    p2, p3 = np.meshgrid(xs, xs, indexing="ij")
     inside = p2 ** 2 + p3 ** 2 <= 1.0
-    assert np.all(values[~inside] == np.inf)
+    assert values[0, 0] == 0.0 and np.all(values[~inside] > 0.0)
     # a few ulps of the largest term, each at most max(omega21, omega31, a, b)
     a, b = 4.0 * params.g1 ** 2 / params.omega_a, 4.0 * params.g2 ** 2 / params.omega_b
     bound = 8.0 * np.finfo(float).eps * max(params.omega21, params.omega31, a, b)
     error = np.abs(values[inside] - _energy_raw(params, p2[inside], p3[inside]))
     assert error.max() <= bound, point
+
+
+def _masked_mesh_energies(params, xs):
+    """The mesh with every point off the disc set to +inf, as the oracle once searched it."""
+    sq = xs ** 2
+    return _mesh_energies(params, xs) + np.where(np.add.outer(sq, sq) <= 1.0, 0.0, np.inf)
+
+
+def _argmins(values):
+    return np.argmin(values), np.argmin(values[:, 0]), np.argmin(values[0])
+
+
+_LOG_UNIFORM = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[_LOG_UNIFORM] * 4, *[st.one_of(st.just(0.0), _LOG_UNIFORM)] * 2),
+       st.sampled_from([100, 400]))
+def test_the_disc_mask_changes_no_oracle_result(point, resolution):
+    params = ModelParams(*point)
+    xs = np.linspace(0.0, 1.0, resolution)
+    assert _argmins(_mesh_energies(params, xs)) == _argmins(_masked_mesh_energies(params, xs))
+    with mock.patch.object(meanfield, "_mesh_energies", _masked_mesh_energies):
+        masked = brute_force_minimize(params, resolution)
+    assert brute_force_minimize(params, resolution) == masked, point

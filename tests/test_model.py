@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from vdicke.errors import DomainError
+from vdicke.fluctuations import right_branch_form
 from vdicke.model import (
     ModelParams,
     PhaseLabel,
     alpha_beta,
+    condensed_mu_left,
     critical_g1,
     critical_g2,
     mu_left,
@@ -78,6 +80,14 @@ def test_mu_undefined_at_zero_coupling():
         mu_right(p)
 
 
+@pytest.mark.parametrize("g", [1e-200, 5e-324])
+def test_mu_overflows_alike_whether_the_ratio_or_its_square_does(g):
+    # 0.5 / 5e-324 overflows in the division, 0.5 / 1e-200 only in the square
+    for closed_form, params in ((mu_left, ModelParams(g1=g)), (mu_right, ModelParams(g2=g))):
+        with pytest.raises(OverflowError):
+            closed_form(params)
+
+
 def test_renormalized_threshold_frozen_value():
     p = ModelParams(g1=1.0)
     assert math.isclose(renormalized_critical_g2(p), GTILDE_C2_UNIT_G1_1,
@@ -122,6 +132,19 @@ def test_renormalized_threshold_needs_condensed_branch():
         renormalized_critical_g2(p)
     with pytest.raises(DomainError):
         renormalized_critical_g1(ModelParams(g2=0.1))
+
+
+def test_condensed_mu_left_is_the_one_domain_rule():
+    # both closed forms about the left condensate refuse exactly as it does
+    below = ModelParams(g1=math.nextafter(0.5, 0.0))  # g_c1 = 0.5
+    with pytest.raises(DomainError) as refused:
+        condensed_mu_left(below)
+    for form in (renormalized_critical_g2, right_branch_form):
+        with pytest.raises(DomainError) as caught:
+            form(below)
+        assert str(caught.value) == str(refused.value)
+    at = ModelParams(g1=0.5)
+    assert condensed_mu_left(at) == mu_left(at) == 1.0
 
 
 def test_alpha_beta_values_and_internal_agreement():
