@@ -242,17 +242,17 @@ def _handle_ed(params: ModelParams, opts: dict) -> dict | SweepTable:
         return ed_sweep(params, g1s, g2s, n_atoms, cutoff_tol=opts["cutoff_tol"],
                         eig_tol=opts["tol"], seed=opts["seed"])
 
-    trace = []
+    trace, grounds = [], None
     if opts.get("cutoff_a") is not None or opts.get("cutoff_b") is not None:
         if opts.get("cutoff_a") is None or opts.get("cutoff_b") is None:
             raise ConfigError("give both cutoff_a and cutoff_b, or neither")
         space = exactdiag.TruncatedSpace(n_atoms, opts["cutoff_a"], opts["cutoff_b"])
     else:
-        space, trace = exactdiag.converge_cutoffs(
+        space, trace, grounds = exactdiag.converge_cutoffs(
             params, n_atoms, tol=opts["cutoff_tol"], eig_tol=opts["tol"],
             seed=opts["seed"],
         )
-    result = exactdiag.solve_point(params, space, tol=opts["tol"], seed=opts["seed"])
+    result = exactdiag.solve_point(params, space, opts["tol"], opts["seed"], grounds)
     return {
         "params": asdict(params),
         "n_atoms": n_atoms,

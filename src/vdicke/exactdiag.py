@@ -50,31 +50,27 @@ state's marginal Fock weight in the mode's top two levels (its tail
 weight) is below cutoff_tol / TAIL_RATIO.  The weight is read from the
 vector already solved; photon numbers move by about ten times it.
 
- * ``_hold_tail`` solves (+, +) on one truncation and grows it until
-   both weights pass.
+ * ``_hold_tail`` takes a solved (+, +) sector and grows it until both
+   weights pass.
  * ``_hold_sector_order`` is the one certificate: no other sector's
    ground energy may lie below the (+, +) one, which its caller has
    just solved and hands it, by more than the solver's tolerance, or
    both modes grow.  Perron-Frobenius does not fix which block is
    lowest; on a too-small truncation deep in a superradiant phase it can
-   be (+, -) or (-, +).
+   be (+, -) or (-, +).  It returns the four SectorSolves it certified.
  * ``converge_cutoffs`` holds the tail from (CUTOFF_FLOOR, CUTOFF_FLOOR),
    shrinks once to the smallest cutoffs the marginals allow, holds the
    tail there, and certifies the result.
- * ``solve_sweep`` converges at a sweep's first point and holds the tail
-   at every point, warm from the previous one's vector, on one shared
-   truncation; if it grew, the truncation is certified for the point
-   that grew it last, and when that grows it every point is solved again.
+ * ``solve_sweep`` converges at a sweep's first point, takes its (+, +)
+   solve from the certificate, and holds the tail at every point, warm
+   from the previous one's vector, on one shared truncation; if it grew,
+   the truncation is certified for the point that grew it last, and
+   when that grows it every point is solved again.
  * ``solve_point`` is exact on any space: E0 is the lowest of the four
    sector ground energies, the observables are those of that sector's
    ground state, and E1 is the lower of that sector's second level and
-   the lowest ground energy of the other three.
-
-A sector solved from the ``seed`` vector is a pure function of (params,
-sector, tol, seed), so those solves are memoized, one truncation's four
-sectors at a time: solve_point on a truncation just certified (or an
-equal one) reuses the certificate's three solves, and it and a sweep's
-first point reuse (+, +)'s when ``_hold_tail`` accepted it ungrown.
+   the lowest ground energy of the other three.  It solves only the
+   sectors it is not handed: after converge_cutoffs, none.
 
 A TruncatedSpace checks itself when it is constructed: N and both
 cutoffs must be at least 1 (ValueError), and its dimension at most
@@ -87,7 +83,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -100,6 +96,7 @@ __all__ = [
     "TruncatedSpace",
     "ParitySector",
     "GroundStateResult",
+    "SectorSolve",
     "Hamiltonian",
     "build_hamiltonian",
     "parity_operators",
@@ -181,6 +178,11 @@ class ParitySector:
         index.flags.writeable = False
         return index
 
+    @cached_property
+    def occupations(self) -> tuple[np.ndarray, ...]:
+        """n2, n3, n_a and n_b of each state, in ``index`` order and read-only."""
+        return _unravel(self.space, self.index)
+
     @property
     def dimension(self) -> int:
         return self.index.size
@@ -251,14 +253,24 @@ def _enumerate(truncation: TruncatedSpace, parities=None) -> np.ndarray:
     return index
 
 
-def _occupations(space):
-    """The truncation a TruncatedSpace or ParitySector lives in, its ascending
-    whole-space basis indices, and n2, n3, n_a and n_b of each of those states."""
-    truncation, index = ((space.space, space.index) if isinstance(space, ParitySector)
-                         else (space, _enumerate(space)))
+def _unravel(truncation: TruncatedSpace, index: np.ndarray):
+    """n2, n3, n_a and n_b of the basis states ``index``: read-only int32, as each sector
+    keeps its own (every count, and build_hamiltonian's products of two, is below the dimension)."""
     atom, n_a, n_b = np.unravel_index(index, truncation.shape)
     n2, n3 = _atomic_states(truncation.n_atoms)
-    return truncation, index, (n2[atom], n3[atom], n_a, n_b)
+    occupations = tuple(n.astype(np.int32) for n in (n2[atom], n3[atom], n_a, n_b))
+    for n in occupations:
+        n.flags.writeable = False
+    return occupations
+
+
+def _occupations(space):
+    """The truncation a TruncatedSpace or ParitySector lives in, its ascending whole-space
+    basis indices, and n2, n3, n_a and n_b of each of those states (a sector's, cached)."""
+    if isinstance(space, ParitySector):
+        return space.space, space.index, space.occupations
+    index = _enumerate(space)
+    return space, index, _unravel(space, index)
 
 
 def _basis_index(truncation: TruncatedSpace, n2, n3, n_a, n_b):
@@ -288,7 +300,7 @@ class Hamiltonian:
     """
 
     dtype = np.dtype(np.float64)
-    scale = cached_property(_h_scale)  # read by the solve and by the memo's error bound
+    scale = cached_property(_h_scale)  # read by each acceptance bound on this H
 
     def __init__(self, diagonal: np.ndarray, partners: np.ndarray, values: np.ndarray,
                  hops: int):
@@ -512,17 +524,15 @@ def _transfer(sector: ParitySector, state: np.ndarray, target: ParitySector) -> 
     """``state`` on ``sector`` zero-padded to ``target``: the same atoms and
     parities, and no cutoff lower (a lower one raises ValueError)."""
     moved = np.zeros(target.dimension)
-    moved[np.searchsorted(target.index,
-                          _basis_index(target.space, *_occupations(sector)[2]))] = state
+    moved[np.searchsorted(target.index, _basis_index(target.space, *sector.occupations))] = state
     return moved
 
 
 def _marginals(sector: ParitySector, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each mode's Fock distribution in ``state``: weights of levels 0..cutoff, for a and for b."""
-    _, _, (_, _, n_a, n_b) = _occupations(sector)
     weights = np.square(state)
-    return (np.bincount(n_a, weights, sector.space.cutoff_a + 1),
-            np.bincount(n_b, weights, sector.space.cutoff_b + 1))
+    return tuple(np.bincount(n, weights, levels)
+                 for n, levels in zip(sector.occupations[2:], sector.space.shape[1:]))
 
 
 def _shrunk(marginal: np.ndarray, bound: float) -> int:
@@ -542,63 +552,50 @@ def _even_sector(n_atoms: int, cutoffs, trace: list) -> ParitySector:
         raise CapacityError(str(exc), trace) from exc
 
 
-def _hold_tail(params: ModelParams, sector: ParitySector, start: np.ndarray | None,
-               tol: float, eig_tol: float, seed: int, trace: list):
-    """Solve a (+, +) sector and grow it until each mode's tail weight is below tol / TAIL_RATIO.
+class SectorSolve(NamedTuple):
+    """One sector's ground state, and ``error``, the bound its residual test put on the energy."""
 
-    H is solved to ``eig_tol`` from ``start``, or from the ``seed`` vector
-    (memoized) when it is None.  A mode whose top two Fock levels weigh at
-    least the bound grows by GROWTH, and the grown sector is solved from the
-    state zero-padded, until both weights pass.  Returns ``(sector, energy,
-    state)``, ``sector`` itself if they pass at once.  Each truncation
-    checked is appended to ``trace``.
+    sector: ParitySector
+    energy: float
+    vector: np.ndarray
+    error: float
+
+
+def _solve_sector(params: ModelParams, sector: ParitySector, tol: float, seed: int = 0,
+                  start: np.ndarray | None = None) -> SectorSolve:
+    """The ground state of ``sector`` to ``tol``, from ``start`` or else the ``seed`` vector."""
+    h = build_hamiltonian(params, sector)
+    error = _acceptance_bound(h, tol)  # before the solve: it refuses an H it cannot represent
+    return SectorSolve(sector, *ground_state(h, tol, seed, start), error)
+
+
+def _hold_tail(params: ModelParams, ground: SectorSolve, tol: float, eig_tol: float,
+               trace: list) -> SectorSolve:
+    """Grow a solved (+, +) sector until each mode's tail weight is below tol / TAIL_RATIO.
+
+    A mode whose top two Fock levels weigh at least the bound grows by
+    GROWTH, and the grown sector is solved to ``eig_tol`` from the state
+    zero-padded, until both weights pass.  Returns the solve that passes,
+    ``ground`` itself if it passes at once.  Each truncation checked is
+    appended to ``trace``.
     """
     bound = tol / TAIL_RATIO
     while True:
-        if start is None:
-            _, energy, state, _ = _sector_ground(params, sector, eig_tol, seed)
-        else:
-            energy, state = ground_state(build_hamiltonian(params, sector), eig_tol, start=start)
-        marginals = _marginals(sector, state)
+        sector = ground.sector
+        marginals = _marginals(sector, ground.vector)
         weights = [float(m[-TAIL_LEVELS:].sum()) for m in marginals]
         # photon numbers per atom, from the marginals
         photons = [float(m @ np.arange(m.size)) / sector.space.n_atoms for m in marginals]
         trace.append({"cutoff_a": sector.space.cutoff_a, "cutoff_b": sector.space.cutoff_b,
-                      "dimension": sector.space.dimension, "energy": energy,
+                      "dimension": sector.space.dimension, "energy": ground.energy,
                       "photon_a": photons[0], "photon_b": photons[1],
                       "weight_a": weights[0], "weight_b": weights[1]})
         if max(weights) < bound:
-            return sector, energy, state
+            return ground
         grown = _even_sector(sector.space.n_atoms,
                              [math.ceil(GROWTH * (m.size - 1)) if w >= bound else m.size - 1
                               for m, w in zip(marginals, weights)], trace)
-        sector, start = grown, _transfer(sector, state, grown)
-
-
-class _SectorGround(NamedTuple):
-    """One parity sector's ground state, solved from the ``seed`` vector."""
-
-    sector: ParitySector
-    energy: float
-    vector: np.ndarray  # read-only: the memo hands it to every caller
-    error: float  # the bound the residual test puts on ``energy``: _acceptance_bound
-
-
-@lru_cache(maxsize=len(PARITY_SECTORS))
-def _sector_ground(params: ModelParams, sector: ParitySector, tol: float,
-                   seed: int) -> _SectorGround:
-    h = build_hamiltonian(params, sector)
-    error = _acceptance_bound(h, tol)  # before the solve: it refuses an H it cannot represent
-    energy, vector = ground_state(h, tol=tol, seed=seed)
-    vector.flags.writeable = False
-    return _SectorGround(sector, energy, vector, error)
-
-
-def _sector_grounds(params: ModelParams, space: TruncatedSpace, tol: float,
-                    seed: int) -> list[_SectorGround]:
-    """The ground state of every parity sector of ``space``, in PARITY_SECTORS order."""
-    return [_sector_ground(params, ParitySector(space, left, right), tol, seed)
-            for left, right in PARITY_SECTORS]
+        ground = _solve_sector(params, grown, eig_tol, start=_transfer(sector, ground.vector, grown))
 
 
 def _check_solver_settings(seed: int, tolerances: dict[str, float]) -> None:
@@ -610,46 +607,47 @@ def _check_solver_settings(seed: int, tolerances: dict[str, float]) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
-def _hold_sector_order(params: ModelParams, space: TruncatedSpace, even_energy: float,
-                       tol: float, eig_tol: float, seed: int, trace: list) -> TruncatedSpace:
-    """The certificate: grow ``space`` until (+, +), whose ground energy there
-    is ``even_energy``, holds the lowest.  The other sectors are solved from
-    the ``seed`` vector (memoized); ``trace`` as in _hold_tail.
-    """
+def _hold_sector_order(params: ModelParams, even: SectorSolve, tol: float, eig_tol: float,
+                       seed: int, trace: list) -> list[SectorSolve]:
+    """The certificate: grow ``even``'s truncation until (+, +), solved there as ``even``,
+    holds the lowest ground energy; every other solve starts from the ``seed`` vector
+    and ``trace`` is as in _hold_tail.  Returns the four SectorSolves on the truncation
+    certified, in PARITY_SECTORS order: (+, +) first, the solve accepted."""
     while True:
-        others = [_sector_ground(params, ParitySector(space, left, right), eig_tol, seed)
-                  for left, right in PARITY_SECTORS[1:]]
-        if not any(g.energy < even_energy - g.error for g in others):
-            return space
+        space = even.sector.space
+        grounds = [even] + [_solve_sector(params, ParitySector(space, *parities), eig_tol, seed)
+                            for parities in PARITY_SECTORS[1:]]
+        if not any(g.energy < even.energy - g.error for g in grounds[1:]):
+            return grounds
         grown = _even_sector(space.n_atoms, [math.ceil(GROWTH * c) for c in
                                              (space.cutoff_a, space.cutoff_b)], trace)
-        sector, even_energy, _ = _hold_tail(params, grown, None, tol, eig_tol, seed, trace)
-        space = sector.space
+        even = _hold_tail(params, _solve_sector(params, grown, eig_tol, seed), tol, eig_tol, trace)
 
 
 def converge_cutoffs(params: ModelParams, n_atoms: int, tol: float = 1e-4, eig_tol: float = 1e-8,
                      seed: int = 0):
     """The boson cutoffs that hold the ground state: each mode's tail weight below tol / TAIL_RATIO.
 
-    ``_hold_tail`` solves (+, +) from the ``seed`` vector at (CUTOFF_FLOOR,
-    CUTOFF_FLOOR), read at call time, and grows it; the truncation is then
-    shrunk once, to the smallest cutoffs its marginals allow, held again,
-    and certified by ``_hold_sector_order``.  Returns ``(space, trace)``,
-    ``trace`` recording every truncation solved with its tail weights.
-    Raises ValueError for a tolerance that is not finite and positive or a
-    negative seed, and CapacityError (with the trace) past the dimension limit.
+    ``_hold_tail`` holds (+, +) solved from the ``seed`` vector at (CUTOFF_FLOOR,
+    CUTOFF_FLOOR), read at call time; the truncation is then shrunk once, to
+    the smallest cutoffs its marginals allow, held again, and certified by
+    ``_hold_sector_order``.  Returns ``(space, trace, grounds)``: ``trace``
+    records every truncation solved with its tail weights, ``grounds`` the
+    certificate's SectorSolves.  Raises ValueError for a tolerance that is not
+    finite and positive or a negative seed, and CapacityError (with the trace)
+    past the dimension limit.
     """
     _check_solver_settings(seed, {"photon-number tolerance tol": tol,
                                   "eigensolver tolerance eig_tol": eig_tol})
     trace = []
-    sector, energy, state = _hold_tail(
-        params, _even_sector(n_atoms, (CUTOFF_FLOOR, CUTOFF_FLOOR), trace), None, tol, eig_tol,
-        seed, trace)
-    cutoffs = [_shrunk(m, tol / TAIL_RATIO) for m in _marginals(sector, state)]
-    if cutoffs != [sector.space.cutoff_a, sector.space.cutoff_b]:
-        sector, energy, _ = _hold_tail(params, _even_sector(n_atoms, cutoffs, trace), None, tol,
-                                       eig_tol, seed, trace)
-    return _hold_sector_order(params, sector.space, energy, tol, eig_tol, seed, trace), trace
+    floor = _even_sector(n_atoms, (CUTOFF_FLOOR, CUTOFF_FLOOR), trace)
+    even = _hold_tail(params, _solve_sector(params, floor, eig_tol, seed), tol, eig_tol, trace)
+    cutoffs = [_shrunk(m, tol / TAIL_RATIO) for m in _marginals(even.sector, even.vector)]
+    if cutoffs != [even.sector.space.cutoff_a, even.sector.space.cutoff_b]:
+        shrunk = _even_sector(n_atoms, cutoffs, trace)
+        even = _hold_tail(params, _solve_sector(params, shrunk, eig_tol, seed), tol, eig_tol, trace)
+    grounds = _hold_sector_order(params, even, tol, eig_tol, seed, trace)
+    return grounds[0].sector.space, trace, grounds
 
 
 def solve_sweep(points: list[ModelParams], n_atoms: int, tol: float = 1e-4,
@@ -669,41 +667,43 @@ def solve_sweep(points: list[ModelParams], n_atoms: int, tol: float = 1e-4,
         return []
     row = 0
     try:
-        space, _ = converge_cutoffs(points[0], n_atoms, tol, eig_tol, seed)
+        ground = converge_cutoffs(points[0], n_atoms, tol, eig_tol, seed)[2][0]
         while True:
-            sector, state, grew, results = ParitySector(space, 1, 1), None, None, []
+            sector, grew, results = ground.sector, None, []
             for row, params in enumerate(points):
-                trace = []
-                held, energy, state = _hold_tail(params, sector, state, tol, eig_tol, seed,
-                                                 trace)
-                if held != sector:
-                    sector, grew = held, row
-                results.append(observables(sector, state, energy))
+                if row:
+                    ground = _solve_sector(params, sector, eig_tol, start=ground.vector)
+                ground = _hold_tail(params, ground, tol, eig_tol, [])
+                if ground.sector != sector:
+                    sector, grew = ground.sector, (row, ground)
+                results.append(observables(sector, ground.vector, ground.energy))
             if grew is None:
                 return results
-            row, trace = grew, []
-            space = _hold_sector_order(points[grew], sector.space, results[grew].energy, tol,
-                                       eig_tol, seed, trace)
-            if space == sector.space:
+            row, even = grew
+            certified = _hold_sector_order(points[row], even, tol, eig_tol, seed, [])[0].sector
+            if certified == sector:
                 return results
+            ground = _solve_sector(points[0], certified, eig_tol, seed)
     except CapacityError as exc:
         raise CapacityError(f"{exc} at the sweep point g1 = {points[row].g1:.6g}, "
                             f"g2 = {points[row].g2:.6g}", exc.trace) from exc
 
 
 def solve_point(params: ModelParams, space: TruncatedSpace, tol: float = 1e-8,
-                seed: int = 0) -> GroundStateResult:
+                seed: int = 0, grounds: list[SectorSolve] | None = None) -> GroundStateResult:
     """Ground-state observables and the first excitation gap at one parameter point on ``space``.
 
-    Exact on any truncation: every parity sector is solved from the
-    ``seed`` vector, and the one with the lowest ground energy is solved
-    for its two lowest levels, which give E0 and the observables; E1 is
-    the lower of its second level and the other sectors' ground energies.
-    Raises ValueError for a ``tol`` that is not finite and positive or
-    a negative seed.
+    Exact on any truncation: every parity sector not in ``grounds`` (such as
+    converge_cutoffs' at the same params, tol and seed) is solved from the
+    ``seed`` vector, and the one with the lowest ground energy is solved for
+    its two lowest levels, which give E0 and the observables; E1 is the lower
+    of its second level and the other sectors' ground energies.  Raises
+    ValueError for a ``tol`` that is not finite and positive or a negative seed.
     """
     _check_solver_settings(seed, {"eigensolver tolerance tol": tol})
-    grounds = _sector_grounds(params, space, tol, seed)
+    handed = {g.sector: g for g in grounds or ()}
+    grounds = [handed.get(sector) or _solve_sector(params, sector, tol, seed)
+               for sector in (ParitySector(space, *parities) for parities in PARITY_SECTORS)]
     lowest = min(grounds, key=lambda g: g.energy)
     e0, e1, vec = lowest_two(build_hamiltonian(params, lowest.sector), tol=tol, seed=seed)
     gap = min([e1] + [g.energy for g in grounds if g is not lowest]) - e0

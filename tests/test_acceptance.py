@@ -243,7 +243,7 @@ def test_criterion_7_finite_n():
     balanced = ModelParams(g1=0.75, g2=0.75)
     deviations = []
     for n in (4, 6, 8, 10):
-        space, _ = converge_cutoffs(balanced, n)
+        space, _, _ = converge_cutoffs(balanced, n)
         res = solve_point(balanced, space=space)
         assert abs(res.photon_a - res.photon_b) <= 1e-6, \
             f"N={n}: mode symmetry broken by {abs(res.photon_a - res.photon_b)}"

@@ -122,7 +122,6 @@ def test_the_traced_pass_keeps_the_bytes_and_counts_every_ed_layer(mode, tmp_pat
     outputs = []
     for traced in (False, True):
         out = tmp_path / f"{mode}-{traced}.out"
-        exactdiag._sector_ground.cache_clear()  # solve, do not recall the other run's solves
         tracer = tracing.Tracer()
         try:
             if traced:

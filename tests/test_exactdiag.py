@@ -1,8 +1,8 @@
 import ast
 import itertools
+import json
 import math
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -452,7 +452,6 @@ def test_lanczos_reads_its_residuals_once_per_cycle(monkeypatch):
         return result
 
     monkeypatch.setattr(exactdiag, "eigsh", counted)
-    exactdiag._sector_ground.cache_clear()
     ed_sweep(ModelParams(), np.linspace(0.5, 1.0, 6), 0.75, 4)
     solve_point(ModelParams(g1=0.9, g2=0.6), TruncatedSpace(3, 8, 8))
     matvecs = [count for dim, count in runs if dim > basis]
@@ -490,7 +489,7 @@ def test_converge_cutoffs_settles_immediately_when_decoupled():
     # the vacuum has no weight above n = 0: accepted at the floor (8, 8)
     # with no growth, then shrunk once to (2, 2), whose top two levels are 1
     # and 2; the vacuum is exact there too
-    space, trace = converge_cutoffs(ModelParams(), 3)
+    space, trace, _ = converge_cutoffs(ModelParams(), 3)
     assert (space.cutoff_a, space.cutoff_b) == (2, 2)
     assert [(t["cutoff_a"], t["cutoff_b"]) for t in trace] == [(8, 8), (2, 2)]
     assert trace[0]["dimension"] > trace[1]["dimension"] == space.dimension
@@ -506,7 +505,7 @@ def test_every_cutoff_search_starts_at_the_floor(monkeypatch):
     for floor in (exactdiag.CUTOFF_FLOOR, 5):
         monkeypatch.setattr(exactdiag, "CUTOFF_FLOOR", floor)
         for p in (ModelParams(), ModelParams(g1=1.0, g2=0.75), ModelParams(g1=0.4, g2=1.1)):
-            _, trace = converge_cutoffs(p, 4)
+            _, trace, _ = converge_cutoffs(p, 4)
             assert (trace[0]["cutoff_a"], trace[0]["cutoff_b"]) == (floor, floor), (floor, p)
 
 
@@ -541,7 +540,8 @@ def test_solve_point_with_gap():
     assert res.gap is not None and res.gap > 0.0
     assert res.cutoff_a >= 8 and res.cutoff_b >= 8
     # E0 from the two-level solve is the lowest of the sector ground solves
-    grounds = exactdiag._sector_grounds(p, space, 1e-8, 0)
+    grounds = [exactdiag._solve_sector(p, ParitySector(space, *s), 1e-8, 0)
+               for s in PARITY_SECTORS]
     assert abs(min(g.energy for g in grounds) - res.energy) < 1e-9
 
 
@@ -558,16 +558,22 @@ def test_sector_index_matches_an_enumeration_of_the_occupations():
     # independent of the module's hop table and parities: the basis runs over
     # the atomic states, then mode a's levels, then mode b's, so a state's
     # whole-space index is its position in that product; its parities are
-    # computed here
+    # computed here, and so are the occupations a sector caches
     for n in range(1, 7):
         atomic = [(s[1], s[2]) for s in _enumerated_states(n)]
         for ca, cb in itertools.product(range(1, 9), repeat=2):
-            states = [((-1) ** (n3 + n_a), (-1) ** (n2 + n_b)) for (n2, n3), n_a, n_b
-                      in itertools.product(atomic, range(ca + 1), range(cb + 1))]
+            occupations = np.array([(n2, n3, n_a, n_b) for (n2, n3), n_a, n_b
+                                    in itertools.product(atomic, range(ca + 1), range(cb + 1))])
+            states = [((-1) ** (n3 + n_a), (-1) ** (n2 + n_b)) for n2, n3, n_a, n_b in occupations]
             for left, right in PARITY_SECTORS:
                 expected = [i for i, parities in enumerate(states) if parities == (left, right)]
-                assert ParitySector(TruncatedSpace(n, ca, cb), left, right).index.tolist() \
-                    == expected, (n, ca, cb, left, right)
+                sector = ParitySector(TruncatedSpace(n, ca, cb), left, right)
+                assert sector.index.tolist() == expected, (n, ca, cb, left, right)
+                assert np.array_equal(np.stack(sector.occupations, axis=1),
+                                      occupations[expected]), (n, ca, cb, left, right)
+    # both are computed once per sector and read-only
+    assert sector.occupations is sector.occupations and sector.index is sector.index
+    assert not any(a.flags.writeable for a in (sector.index, *sector.occupations))
 
 
 def _random_params(rng, g_low=0.0, g_high=1.5) -> ModelParams:
@@ -688,7 +694,7 @@ def test_converge_cutoffs_refuses_a_truncation_with_its_ground_state_outside_eve
     lowest = [np.linalg.eigvalsh(build_hamiltonian(p, ParitySector(first, *s)).toarray())[0]
               for s in PARITY_SECTORS]
     assert min(lowest[1:]) < lowest[0] - 1e-4
-    space, trace = converge_cutoffs(p, 3, tol=50.0)
+    space, trace, _ = converge_cutoffs(p, 3, tol=50.0)
     assert (trace[0]["cutoff_a"], trace[0]["cutoff_b"]) == start
     assert max(trace[0]["weight_a"], trace[0]["weight_b"]) < 50.0 / exactdiag.TAIL_RATIO
     assert (space.cutoff_a, space.cutoff_b) != start
@@ -762,7 +768,7 @@ QUERY_POINTS = [(5, ModelParams(g1=a, g2=b))
                          ids=[f"criterion-9-{i}" for i in range(4)]
                          + [f"query-{p.g1}-{p.g2}" for _, p in QUERY_POINTS])
 def test_converged_cutoffs_meet_the_doubling_loop(n_atoms, params):
-    space, trace = converge_cutoffs(params, n_atoms, tol=CUTOFF_TOL)
+    space, trace, _ = converge_cutoffs(params, n_atoms, tol=CUTOFF_TOL)
     result = solve_point(params, space)
     photons, _, weights = _doubling_oracle(params, n_atoms, (space.cutoff_a, space.cutoff_b),
                                            CUTOFF_TOL / 10)
@@ -800,12 +806,12 @@ def test_floor_start_holds_the_competing_condensates(n_atoms, monkeypatch):
     points = _bistable_points()
     assert len(points) == 3
     for p in points:
-        space, _ = converge_cutoffs(p, n_atoms)
+        space, _, _ = converge_cutoffs(p, n_atoms)
         result = solve_point(p, space)
         with monkeypatch.context() as patch:
             start = _branch_covering_floor(p, n_atoms)
             patch.setattr(exactdiag, "CUTOFF_FLOOR", start)
-            wide_space, trace = converge_cutoffs(p, n_atoms)
+            wide_space, trace, _ = converge_cutoffs(p, n_atoms)
         assert (trace[0]["cutoff_a"], trace[0]["cutoff_b"]) == (start, start)
         wide = solve_point(p, wide_space)
         photons, energy, _ = _doubling_oracle(p, n_atoms, (space.cutoff_a, space.cutoff_b),
@@ -829,11 +835,11 @@ def test_every_sweep_row_holds_its_tail_weight():
         assert max(weights) < CUTOFF_TOL / exactdiag.TAIL_RATIO, (i, cutoffs, weights)
         assert abs(table.photon_a[i] - photons[0]) <= CUTOFF_TOL / 10, i
         assert abs(table.photon_b[i] - photons[1]) <= CUTOFF_TOL / 10, i
-    first, _ = converge_cutoffs(ModelParams(g1=g1[0], g2=0.75), 6)
+    first, _, _ = converge_cutoffs(ModelParams(g1=g1[0], g2=0.75), 6)
     assert (table.cutoff_a[0], table.cutoff_b[0]) == (first.cutoff_a, first.cutoff_b)
     assert table.cutoff_a[-1] > first.cutoff_a
     # and the last point's own truncation is too small for the first rows
-    last, _ = converge_cutoffs(ModelParams(g1=g1[-1], g2=0.75), 6)
+    last, _, _ = converge_cutoffs(ModelParams(g1=g1[-1], g2=0.75), 6)
     assert table.cutoff_b[0] > last.cutoff_b
 
 
@@ -848,13 +854,18 @@ def test_sweep_resolves_every_row_when_its_last_growth_is_refused(monkeypatch):
     lowest = [np.linalg.eigvalsh(h.toarray())[0] for h in blocks]
     assert lowest[2] < lowest[0] - 1e-8 * exactdiag._h_scale(blocks[2])
     space = TruncatedSpace(3, 18, 9)
-    # the certificate alone, given (+, +)'s exact energy, grows (12, 6) to (18, 9)
-    assert exactdiag._hold_sector_order(p_last, refused, lowest[0], 20.0, 1e-8, 0, []) == space
+    # the certificate alone, given (+, +)'s exact ground state, grows (12, 6) to
+    # (18, 9) and returns the four sector solves there, (+, +) first
+    even = exactdiag.SectorSolve(ParitySector(refused, 1, 1), lowest[0],
+                                 np.linalg.eigh(blocks[0].toarray())[1][:, 0],
+                                 1e-8 * exactdiag._h_scale(blocks[0]))
+    certified = exactdiag._hold_sector_order(p_last, even, 20.0, 1e-8, 0, [])
+    assert [g.sector for g in certified] == [ParitySector(space, *s) for s in PARITY_SECTORS]
     asked = []
     with monkeypatch.context() as patch:
         patch.setattr(exactdiag, "_hold_sector_order",
-                      lambda params, truncation, *args: asked.append((params, truncation))
-                      or truncation)
+                      lambda params, even, *args: asked.append((params, even.sector.space))
+                      or [even])
         uncertified = ed_sweep(ModelParams(), g1, 0.75, 3, cutoff_tol=20.0)
     assert (uncertified.cutoff_a[-1], uncertified.cutoff_b[-1]) == (12, 6)
     # the sweep asked about (12, 6) for the last row, the one that grew it last
@@ -887,20 +898,23 @@ def test_sweep_certificate_reuses_the_rows_even_solve(monkeypatch):
     monkeypatch.setattr(exactdiag, "ground_state",
                         lambda *a, **k: solves.append(1) or solve(*a, **k))
 
-    def recording(params, space, *args):
+    def recording(params, even, *args):
         before = len(built)
-        accepted = certify(params, space, *args)
-        certified.append((space, accepted, built[before:]))
-        return accepted
+        grounds = certify(params, even, *args)
+        certified.append((even.sector.space, grounds[0].sector.space, built[before:]))
+        return grounds
 
-    def seeded(params, space, even_energy, tol, eig_tol, seed, *args):
-        even = exactdiag._sector_ground(params, ParitySector(space, 1, 1), eig_tol, seed)
-        return certify(params, space, even.energy, tol, eig_tol, seed, *args)
+    def seeded(params, even, tol, eig_tol, seed, *args):
+        # the sweep's certificate (at a later row than the cutoff search's)
+        # handed (+, +)'s seed solve in place of the row's warm one
+        if params != g1_first:
+            even = exactdiag._solve_sector(params, even.sector, eig_tol, seed)
+        return certify(params, even, tol, eig_tol, seed, *args)
 
+    g1_first = ModelParams(g1=g1[0], g2=0.75)
     tables, counts = [], []
     for certificate in (recording, seeded):
         monkeypatch.setattr(exactdiag, "_hold_sector_order", certificate)
-        exactdiag._sector_ground.cache_clear()
         before = len(solves)
         tables.append(ed_sweep(ModelParams(), g1, 0.75, 6, cutoff_tol=CUTOFF_TOL))
         counts.append(len(solves) - before)
@@ -920,7 +934,6 @@ def test_lanczos_restarts_are_bounded(monkeypatch, capsys):
                           ParitySector(TruncatedSpace(6, 30, 30), 1, 1))
     ground_state(h, tol=1e-8)
     monkeypatch.setattr(exactdiag, "LANCZOS_MAXITER", 1)
-    exactdiag._sector_ground.cache_clear()  # the CLI run below must solve, not recall
     with pytest.raises(ConvergenceError, match="within LANCZOS_MAXITER = 1 restarts"):
         ground_state(h, tol=1e-8)
     assert cli_run(["ed", "--N", "6", "--g1", "0.9", "--g2", "0.8"]) == 3
@@ -952,7 +965,6 @@ def test_a_missed_residual_is_a_convergence_error(monkeypatch, capsys):
     assert tolerances == [bound * exactdiag.LANCZOS_STOP]
     assert refused.value.residual == pytest.approx(1e-3, rel=1e-3)
     assert f"residual {refused.value.residual} above" in str(refused.value)
-    exactdiag._sector_ground.cache_clear()  # the CLI run below must solve, not recall
     assert cli_run(["ed", "--N", "3", "--g1", "0.9", "--g2", "0.6", "--cutoff-a", "8",
                     "--cutoff-b", "8"]) == 3
     err = capsys.readouterr().err
@@ -977,36 +989,58 @@ def test_ground_state_and_lowest_two_refuse_bad_settings_before_any_matvec(monke
             solve(h, seed=-1)
 
 
-def test_solve_point_reuses_the_certificate_solves(monkeypatch):
-    exactdiag._sector_ground.cache_clear()
-    p = ModelParams(g1=0.9, g2=0.6)
-    space, _ = converge_cutoffs(p, 3)
-    solves = []
+def _counted_solves(monkeypatch) -> list[str]:
+    """The names of the sector and two-level solves made from here on, in order."""
+    calls = []
     for name in ("ground_state", "lowest_two"):
         solve = getattr(exactdiag, name)
-        monkeypatch.setattr(exactdiag, name,
-                            lambda *a, _solve=solve, **k: solves.append(1) or _solve(*a, **k))
-    reused = solve_point(p, space)
-    assert len(solves) == 1  # the gap's lowest_two; the four sector grounds are reused
-    # an equal truncation built afresh is the same key, so it reuses them too
-    fresh = solve_point(p, TruncatedSpace(3, space.cutoff_a, space.cutoff_b))
-    assert len(solves) == 2
-    assert reused == fresh
-    # the memo holds one truncation's four sectors: converging a second
-    # point evicts the first point's solves
-    converge_cutoffs(replace(p, g1=0.3), 3)
-    before = len(solves)
+        monkeypatch.setattr(exactdiag, name, lambda *a, _name=name, _solve=solve, **k:
+                            calls.append(_name) or _solve(*a, **k))
+    return calls
+
+
+def test_solve_point_reuses_the_certificate_solves(monkeypatch):
+    # converge_cutoffs hands back its certificate's four sector solves on the
+    # space it returns, (+, +) first; handed them, solve_point makes only its
+    # two-level solve, and its result is the one it solves without them
+    p = ModelParams(g1=0.9, g2=0.6)
+    space, _, grounds = converge_cutoffs(p, 3)
+    assert [g.sector for g in grounds] == [ParitySector(space, *s) for s in PARITY_SECTORS]
+    calls = _counted_solves(monkeypatch)
+    reused = solve_point(p, space, grounds=grounds)
+    assert calls == ["lowest_two"]
+    del calls[:]
     assert solve_point(p, space) == reused
-    assert len(solves) - before == 5
-    # another seed or other params on the same space are solved afresh
-    for params, seed in ((p, 1), (replace(p, g2=0.61), 0)):
-        solve_point(p, space)  # back in the memo
-        before = len(solves)
-        solve_point(params, space, seed=seed)
-        assert len(solves) - before == 5, (params, seed)  # four sector grounds and the gap
-    # every caller shares the memoized vectors, so none may write to them
-    grounds = exactdiag._sector_grounds(p, space, 1e-8, 1)
-    assert not any(g.vector.flags.writeable for g in grounds)
+    assert calls == ["ground_state"] * 4 + ["lowest_two"]
+    # only the sectors of ``space`` it is not handed are solved
+    del calls[:]
+    assert solve_point(p, space, grounds=grounds[1:]) == reused
+    assert calls == ["ground_state", "lowest_two"]
+    del calls[:]
+    other = TruncatedSpace(3, space.cutoff_a + 1, space.cutoff_b)
+    assert solve_point(p, other, grounds=grounds) == solve_point(p, other)
+    assert calls == (["ground_state"] * 4 + ["lowest_two"]) * 2
+
+
+def test_identical_ed_runs_do_identical_work(monkeypatch, tmp_path):
+    # no solve outlives the run that made it: a second identical run in one
+    # process solves as much as the first and writes the same bytes, and an
+    # explicit-cutoff run on the truncation a converged run has just certified
+    # solves all four sectors again
+    calls = _counted_solves(monkeypatch)
+    point = ["ed", "--N", "5", "--g1", "0.9", "--g2", "0.6"]
+    counts, outputs = [], []
+    for run in range(2):
+        before, out = len(calls), tmp_path / f"run{run}.json"
+        assert cli_run([*point, "--output", str(out)]) == 0
+        counts.append(len(calls) - before)
+        outputs.append(out.read_bytes())
+    assert counts[0] == counts[1] > 5 and outputs[1] == outputs[0]
+    converged = json.loads(outputs[0])
+    del calls[:]
+    assert cli_run([*point, "--cutoff-a", str(converged["cutoff_a"]), "--cutoff-b",
+                    str(converged["cutoff_b"]), "--output", str(tmp_path / "cut.json")]) == 0
+    assert calls == ["ground_state"] * 4 + ["lowest_two"]
 
 
 def test_solver_settings_are_refused_before_solving(monkeypatch):

@@ -51,10 +51,10 @@ def test_the_guard_finds_every_kind_of_private_read():
              "from .meanfield import _branch_table, classify\n"
              "import vdicke.scan\n"
              "import vdicke.model as model\n"
-             "exactdiag._sector_ground, exactdiag.solve_point, exactdiag.__name__\n"
+             "exactdiag._hold_tail, exactdiag.solve_point, exactdiag.__name__\n"
              "vdicke.scan._classified, model._quadratic_roots, self._own\n")
     assert sorted(_foreign_private_reads("probe.py", probe)) == [
-        "probe.py:2 _branch_table", "probe.py:5 _sector_ground", "probe.py:6 _classified",
+        "probe.py:2 _branch_table", "probe.py:5 _hold_tail", "probe.py:6 _classified",
         "probe.py:6 _quadratic_roots"]
 
 
@@ -154,3 +154,63 @@ def test_the_guard_finds_every_kind_of_scipy_import():
 def test_no_module_imports_scipy(path):
     # numpy is the package's one runtime dependency; scipy serves the tests as an oracle
     assert _scipy_imports(path.name, path.read_text(encoding="utf-8")) == []
+
+
+_CACHES = ("lru_cache", "cache")  # functools' memos: one per decorated function, process-wide
+
+
+def _module_level_caches(filename: str, text: str) -> list[str]:
+    """``file:line name`` for each functools cache the source applies at module level:
+    in a module or class body, or as a decorator there, where it outlives every call."""
+    tree = ast.parse(text)
+    names, modules = set(), set()  # local names of the caches, and of functools
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names |= {alias.asname or alias.name for alias in node.names
+                      if alias.name in _CACHES}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "functools"}
+    found, pending = [], list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.ClassDef):
+            pending += node.body
+            parts = node.decorator_list + node.bases
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            parts = node.decorator_list  # the body runs per call
+        else:
+            parts = [node]
+        for part in parts:
+            for child in ast.walk(part):
+                if isinstance(child, ast.Name) and child.id in names or (
+                        isinstance(child, ast.Attribute) and child.attr in _CACHES
+                        and isinstance(child.value, ast.Name) and child.value.id in modules):
+                    found.append(f"{filename}:{child.lineno} {ast.unparse(child)}")
+    return sorted(found)
+
+
+def test_the_guard_finds_every_kind_of_module_level_cache():
+    probe = ("import functools, functools as ft\n"
+             "from functools import cache as memo, cached_property, lru_cache\n"
+             "@lru_cache(maxsize=4)\n"
+             "def solve(x):\n"
+             "    local = lru_cache(None)(abs)\n"
+             "    return local(x)\n"
+             "class Space:\n"
+             "    @ft.cache\n"
+             "    def index(self): ...\n"
+             "    @cached_property\n"
+             "    def occupations(self): ...\n"
+             "square = memo(lambda x: x * x)\n"
+             "cube = functools.lru_cache(lambda x: x ** 3)\n")
+    assert _module_level_caches("probe.py", probe) == [
+        "probe.py:12 memo", "probe.py:13 functools.lru_cache", "probe.py:3 lru_cache",
+        "probe.py:8 ft.cache"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+def test_no_module_holds_a_module_level_cache(path):
+    # a memo shared by the whole process makes a call's work depend on what ran
+    # before it; solves are handed on explicitly instead
+    assert _module_level_caches(path.name, path.read_text(encoding="utf-8")) == []
