@@ -11,26 +11,26 @@ collective operators act like bilinears of three Schwinger bosons:
 
 for m != n, and J_mm is diagonal with eigenvalue n_m.
 
-Layout.  A TruncatedSpace is the value (N, cutoff_a, cutoff_b), each
+Layout.  The box of (N, cutoff_a, cutoff_b) holds every state with each
 mode truncated at its Fock cutoff.  A basis state is (n2, n3, n_a, n_b),
 n1 = N - n2 - n3 implied; the atomic states run over n3, then n2, so
-(n2, n3) sits at n3 (N + 1) - n3 (n3 - 1) / 2 + n2, and the basis index
-runs over (atomic state, n_a, n_b) in C order.  No state is stored:
-``_occupations`` maps the ascending basis indices of a TruncatedSpace (all
-of them) or a ParitySector to their occupations, and ``_basis_index``
-maps occupations back.  ``_HOPS`` is the one hop table: g1 takes an atom
-from level 1 to 3 with mode a, g2 from 1 to 2 with mode b, each with a
-photon down or up.  ``build_hamiltonian`` walks it in one loop on a space
-or a sector; the whole-space H is parity-check's operator, and the solves
-only ever build sector blocks.
+(n2, n3) sits at n3 (N + 1) - n3 (n3 - 1) / 2 + n2, and the box index
+runs over (atomic state, n_a, n_b) in C order.  A TruncatedSpace is the
+box or one of its parity blocks, and each value caches, read-only, the
+ascending box indices of its states (``index``) and their occupations
+(``occupations``); ``_basis_index`` maps occupations back.  ``_HOPS`` is
+the one hop table: g1 takes an atom from level 1 to 3 with mode a, g2
+from 1 to 2 with mode b, each with a photon down or up.
+``build_hamiltonian`` walks it in one loop on any space; the box's H is
+parity-check's operator, and the solves only ever build blocks.
 
 Parity sectors.  A hop keeps the parity of its level's and its mode's
 quanta, so the table's two (level, mode) pairs give the left parity
 (-1)^(n3 + n_a) and the right one (-1)^(n2 + n_b), and H splits into four
-blocks, one per ParitySector (left, right) in {+1, -1}^2.  Its ascending
-whole-space basis indices, ``ParitySector.index``, are enumerated from
-those pairs without reading a state outside it; a whole-space index maps
-into a sector by a binary search.
+blocks, one per (left, right) in PARITY_SECTORS, a TruncatedSpace with
+those ``parities``.  A block's index is enumerated from those pairs
+without reading a state outside it; a box index maps into a block by a
+binary search.
 
 Solves.  H is a ``Hamiltonian``: its diagonal and, per row, one partner
 column for each hop term and direction (ELL layout), applied by a
@@ -73,16 +73,16 @@ vector already solved; photon numbers move by about ten times it.
    sectors it is not handed: after converge_cutoffs, none.
 
 A TruncatedSpace checks itself when it is constructed: N and both
-cutoffs must be at least 1 (ValueError), and its dimension at most
-DEFAULT_DIM_LIMIT, read at call time (CapacityError), before any array
-of its size is allocated.  The limit applies to the whole truncated
-space, of which a sector is about a quarter.
+cutoffs must be at least 1 and its parities None or one of PARITY_SECTORS
+(ValueError), and its box's dimension at most DEFAULT_DIM_LIMIT, read at
+call time (CapacityError), before any array of its size is allocated.
+The limit applies to the box, of which a block is about a quarter.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -94,7 +94,6 @@ from .model import ModelParams
 __all__ = [
     "PARITY_SECTORS",
     "TruncatedSpace",
-    "ParitySector",
     "GroundStateResult",
     "SectorSolve",
     "Hamiltonian",
@@ -127,65 +126,62 @@ GROWTH = 1.5  # factor one growth step applies to a cutoff
 
 @dataclass(frozen=True)
 class TruncatedSpace:
-    """The symmetric sector of ``n_atoms`` atoms tensor two Fock-truncated modes.
+    """The symmetric sector of ``n_atoms`` atoms tensor two Fock-truncated modes: the
+    whole box when ``parities`` is None, else its block of (left, right) ``parities``.
 
-    Construction refuses an atom number or a cutoff below 1 (ValueError)
-    and a dimension above DEFAULT_DIM_LIMIT, read at call time
-    (CapacityError); it allocates nothing of the space's size.
+    Construction refuses an atom number or a cutoff below 1 and parities
+    that are not None or one of PARITY_SECTORS (ValueError), and a box
+    above DEFAULT_DIM_LIMIT, read at call time (CapacityError); it
+    allocates nothing of the box's size.
     """
 
     n_atoms: int
     cutoff_a: int
     cutoff_b: int
+    parities: tuple[int, int] | None = None
 
     def __post_init__(self):
         if min(self.n_atoms, self.cutoff_a, self.cutoff_b) < 1:
             raise ValueError(f"n_atoms and both cutoffs must be >= 1, got "
                              f"{self.n_atoms}, {self.cutoff_a}, {self.cutoff_b}")
-        if self.dimension > DEFAULT_DIM_LIMIT:
+        if self.parities not in (None, *PARITY_SECTORS):
+            raise ValueError(f"parities must be None or one of PARITY_SECTORS "
+                             f"{PARITY_SECTORS}, got {self.parities!r}")
+        box = math.prod(self.shape)
+        if box > DEFAULT_DIM_LIMIT:
             raise CapacityError(
-                f"space dimension {self.dimension} (N = {self.n_atoms}, cutoffs "
+                f"space dimension {box} (N = {self.n_atoms}, cutoffs "
                 f"{self.cutoff_a} and {self.cutoff_b}) exceeds the dimension limit "
                 f"{DEFAULT_DIM_LIMIT}",
             )
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        """(atomic states, mode-a levels, mode-b levels); the basis index runs over it in C order."""
+        """(atomic states, mode-a levels, mode-b levels); the box index runs over it in C order."""
         return (self.n_atoms + 1) * (self.n_atoms + 2) // 2, self.cutoff_a + 1, self.cutoff_b + 1
 
     @property
     def dimension(self) -> int:
-        return math.prod(self.shape)
-
-
-@dataclass(frozen=True)
-class ParitySector:
-    """The block of ``space`` with left parity ``left`` and right parity ``right``."""
-
-    space: TruncatedSpace
-    left: int
-    right: int
-
-    def __post_init__(self):
-        if self.left not in (1, -1) or self.right not in (1, -1):
-            raise ValueError(f"parities must be +1 or -1, got {self.left}, {self.right}")
+        """The number of states: the box's, or the block's ``index.size``."""
+        return math.prod(self.shape) if self.parities is None else self.index.size
 
     @cached_property
     def index(self) -> np.ndarray:
-        """Whole-space basis indices of the sector's states, ascending and read-only."""
-        index = _enumerate(self.space, (self.left, self.right))
+        """Box basis indices of the states, ascending and read-only."""
+        index = np.arange(self.dimension) if self.parities is None else _enumerate(self)
         index.flags.writeable = False
         return index
 
     @cached_property
     def occupations(self) -> tuple[np.ndarray, ...]:
-        """n2, n3, n_a and n_b of each state, in ``index`` order and read-only."""
-        return _unravel(self.space, self.index)
-
-    @property
-    def dimension(self) -> int:
-        return self.index.size
+        """n2, n3, n_a and n_b of each state, in ``index`` order: read-only int32, as
+        every count, and build_hamiltonian's products of two, is below the box's size."""
+        atom, n_a, n_b = np.unravel_index(self.index, self.shape)
+        n2, n3 = _atomic_states(self.n_atoms)
+        occupations = tuple(n.astype(np.int32) for n in (n2[atom], n3[atom], n_a, n_b))
+        for n in occupations:
+            n.flags.writeable = False
+        return occupations
 
 
 @dataclass(frozen=True)
@@ -232,19 +228,16 @@ HOP_COLUMNS = 2 * len(_HOPS)  # each term fills one partner column per direction
 _ROW_SUM = np.ones(HOP_COLUMNS)
 
 
-def _enumerate(truncation: TruncatedSpace, parities=None) -> np.ndarray:
-    """Ascending whole-space basis indices of ``truncation``, all of them or those of
-    its sector of (left, right) ``parities``: the one maker of a space's index set.  A
-    sector reads no state outside it: each prefix, an atomic state and then an (atomic
-    state, n_a) pair, takes every second level of the next mode in _PARITY_PAIRS (which
-    lists mode a, then b, as the layout does) from the first level that matches.
+def _enumerate(block: TruncatedSpace) -> np.ndarray:
+    """Ascending box basis indices of a block, read without a state outside it: each
+    prefix, an atomic state and then an (atomic state, n_a) pair, takes every second
+    level of the next mode in _PARITY_PAIRS (which lists mode a, then b, as the layout
+    does) from the first level that matches.
     """
-    if parities is None:
-        return np.arange(truncation.dimension)
-    atomic = _atomic_states(truncation.n_atoms)
-    index = owner = np.arange(truncation.shape[0])  # owner: each prefix's atomic state
-    for (level, mode), parity in zip(_PARITY_PAIRS, parities):
-        levels = truncation.shape[mode - 1]
+    atomic = _atomic_states(block.n_atoms)
+    index = owner = np.arange(block.shape[0])  # owner: each prefix's atomic state
+    for (level, mode), parity in zip(_PARITY_PAIRS, block.parities):
+        levels = block.shape[mode - 1]
         first = (atomic[level][owner] + (parity < 0)) % 2
         counts = (levels - first + 1) // 2
         starts = np.cumsum(counts) - counts
@@ -253,31 +246,10 @@ def _enumerate(truncation: TruncatedSpace, parities=None) -> np.ndarray:
     return index
 
 
-def _unravel(truncation: TruncatedSpace, index: np.ndarray):
-    """n2, n3, n_a and n_b of the basis states ``index``: read-only int32, as each sector
-    keeps its own (every count, and build_hamiltonian's products of two, is below the dimension)."""
-    atom, n_a, n_b = np.unravel_index(index, truncation.shape)
-    n2, n3 = _atomic_states(truncation.n_atoms)
-    occupations = tuple(n.astype(np.int32) for n in (n2[atom], n3[atom], n_a, n_b))
-    for n in occupations:
-        n.flags.writeable = False
-    return occupations
-
-
-def _occupations(space):
-    """The truncation a TruncatedSpace or ParitySector lives in, its ascending whole-space
-    basis indices, and n2, n3, n_a and n_b of each of those states (a sector's, cached)."""
-    if isinstance(space, ParitySector):
-        return space.space, space.index, space.occupations
-    index = _enumerate(space)
-    return space, index, _unravel(space, index)
-
-
-def _basis_index(truncation: TruncatedSpace, n2, n3, n_a, n_b):
-    """Whole-space basis index of the occupations, the inverse of _occupations;
-    ValueError for a mode level outside the truncation."""
-    return np.ravel_multi_index((_atom_index(truncation.n_atoms, n2, n3), n_a, n_b),
-                                truncation.shape)
+def _basis_index(space: TruncatedSpace, n2, n3, n_a, n_b):
+    """Box basis index of the occupations, the inverse of ``space.occupations``;
+    ValueError for a mode level outside the cutoffs."""
+    return np.ravel_multi_index((_atom_index(space.n_atoms, n2, n3), n_a, n_b), space.shape)
 
 
 def _h_scale(h: Hamiltonian) -> float:
@@ -321,22 +293,22 @@ class Hamiltonian:
         return dense
 
 
-def build_hamiltonian(params: ModelParams, space) -> Hamiltonian:
-    """Assemble the collective Hamiltonian on a TruncatedSpace or one ParitySector.
+def build_hamiltonian(params: ModelParams, space: TruncatedSpace) -> Hamiltonian:
+    """Assemble the collective Hamiltonian on a box or one of its parity blocks.
 
     H is assembled on the space's basis indices alone, in their order, so a
-    sector's block is the whole-space H restricted to it.  Each _HOPS term
-    maps its sources, the states with an atom in level 1, one to one onto
-    their destinations: one partner column for it, one for its mirror.
+    block is the box's H restricted to it.  Each _HOPS term maps its
+    sources, the states with an atom in level 1, one to one onto their
+    destinations: one partner column for it, one for its mirror.
     """
-    truncation, index, occupations = _occupations(space)
+    index, occupations = space.index, space.occupations
     n2, n3, n_a, n_b = occupations
-    n1 = truncation.n_atoms - n2 - n3
+    n1 = space.n_atoms - n2 - n3
     diagonal = (params.omega21 * n2 + params.omega31 * n3
                 + params.omega_a * n_a + params.omega_b * n_b)
     partners = np.repeat(np.arange(index.size)[:, None], HOP_COLUMNS, axis=1)
     values = np.zeros((index.size, HOP_COLUMNS))
-    hops, scale = 0, 1.0 / math.sqrt(truncation.n_atoms)
+    hops, scale = 0, 1.0 / math.sqrt(space.n_atoms)
     src = np.flatnonzero(n1 > 0)
     source, n1 = [n[src] for n in occupations], n1[src]
     # The destination's atomic state, (n2, n3) with the term's level raised by one,
@@ -345,15 +317,15 @@ def build_hamiltonian(params: ModelParams, space) -> Hamiltonian:
     for level in dict.fromkeys(level for _, level, _, _ in _HOPS):
         atomic = source[:2]
         atomic[level] = raised[level] = source[level] + 1
-        atoms[level] = _atom_index(truncation.n_atoms, *atomic)
+        atoms[level] = _atom_index(space.n_atoms, *atomic)
     for column, (coupling, level, mode, step) in zip(range(0, HOP_COLUMNS, 2), _HOPS):
         moved = source[mode] + step
         photons = source[2:]
-        photons[mode - 2] = moved.clip(0, truncation.shape[mode - 1] - 1)
+        photons[mode - 2] = moved.clip(0, space.shape[mode - 1] - 1)
         keep = photons[mode - 2] == moved  # a hop off the truncation is dropped
         from_state = src[keep]
         dst = np.searchsorted(index, np.ravel_multi_index((atoms[level], *photons),
-                                                          truncation.shape)[keep])
+                                                          space.shape)[keep])
         value = getattr(params, coupling) * scale * (
             np.sqrt(n1 * raised[level]) * np.sqrt(np.maximum(source[mode], moved)))[keep]
         partners[from_state, column], values[from_state, column] = dst, value
@@ -363,8 +335,8 @@ def build_hamiltonian(params: ModelParams, space) -> Hamiltonian:
 
 
 def _parities(occupations):
-    """Left, right and global parity of the occupations from _occupations, integer
-    arrays of +-1: the quanta of each _PARITY_PAIRS level and mode, then their product."""
+    """Left, right and global parity of a space's occupations, integer arrays of
+    +-1: the quanta of each _PARITY_PAIRS level and mode, then their product."""
     left, right = (1 - 2 * ((occupations[level] + occupations[mode]) % 2)
                    for level, mode in _PARITY_PAIRS)
     return left, right, left * right
@@ -372,7 +344,7 @@ def _parities(occupations):
 
 def parity_operators(space: TruncatedSpace):
     """The diagonals of the parity operators (left, right, global): arrays of +-1."""
-    return _parities(_occupations(space)[2])
+    return _parities(space.occupations)
 
 
 def parity_commutator_norms(params: ModelParams,
@@ -508,31 +480,30 @@ def lowest_two(h: Hamiltonian, tol: float = 1e-10, seed: int = 0):
     return float(vals[0]), float(vals[1]), vec / np.linalg.norm(vec)
 
 
-def observables(space, state: np.ndarray, energy: float,
+def observables(space: TruncatedSpace, state: np.ndarray, energy: float,
                 gap: float | None = None) -> GroundStateResult:
-    """Scaled observables of a normalized state on a TruncatedSpace or one ParitySector."""
-    truncation, _, occupations = _occupations(space)
+    """Scaled observables of a normalized state on a box or one of its parity blocks."""
     weights = np.abs(np.asarray(state)) ** 2
-    pop2, pop3, photon_a, photon_b = (float(np.sum(weights * n)) / truncation.n_atoms
-                                      for n in occupations)
-    parities = (float(np.sum(weights * p)) for p in _parities(occupations))
+    pop2, pop3, photon_a, photon_b = (float(np.sum(weights * n)) / space.n_atoms
+                                      for n in space.occupations)
+    parities = (float(np.sum(weights * p)) for p in _parities(space.occupations))
     return GroundStateResult(energy, photon_a, photon_b, pop2, pop3, *parities, gap,
-                             truncation.cutoff_a, truncation.cutoff_b)
+                             space.cutoff_a, space.cutoff_b)
 
 
-def _transfer(sector: ParitySector, state: np.ndarray, target: ParitySector) -> np.ndarray:
+def _transfer(sector: TruncatedSpace, state: np.ndarray, target: TruncatedSpace) -> np.ndarray:
     """``state`` on ``sector`` zero-padded to ``target``: the same atoms and
     parities, and no cutoff lower (a lower one raises ValueError)."""
     moved = np.zeros(target.dimension)
-    moved[np.searchsorted(target.index, _basis_index(target.space, *sector.occupations))] = state
+    moved[np.searchsorted(target.index, _basis_index(target, *sector.occupations))] = state
     return moved
 
 
-def _marginals(sector: ParitySector, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _marginals(sector: TruncatedSpace, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each mode's Fock distribution in ``state``: weights of levels 0..cutoff, for a and for b."""
     weights = np.square(state)
     return tuple(np.bincount(n, weights, levels)
-                 for n, levels in zip(sector.occupations[2:], sector.space.shape[1:]))
+                 for n, levels in zip(sector.occupations[2:], sector.shape[1:]))
 
 
 def _shrunk(marginal: np.ndarray, bound: float) -> int:
@@ -543,11 +514,11 @@ def _shrunk(marginal: np.ndarray, bound: float) -> int:
     return min(marginal.size - 1, above + TAIL_LEVELS - 1)
 
 
-def _even_sector(n_atoms: int, cutoffs, trace: list) -> ParitySector:
+def _even_sector(n_atoms: int, cutoffs, trace: list) -> TruncatedSpace:
     """(+, +) at ``cutoffs``; past the dimension limit, a CapacityError that
     carries ``trace``, the truncations solved before it."""
     try:
-        return ParitySector(TruncatedSpace(n_atoms, *cutoffs), 1, 1)
+        return TruncatedSpace(n_atoms, *cutoffs, parities=(1, 1))
     except CapacityError as exc:
         raise CapacityError(str(exc), trace) from exc
 
@@ -555,13 +526,13 @@ def _even_sector(n_atoms: int, cutoffs, trace: list) -> ParitySector:
 class SectorSolve(NamedTuple):
     """One sector's ground state, and ``error``, the bound its residual test put on the energy."""
 
-    sector: ParitySector
+    sector: TruncatedSpace
     energy: float
     vector: np.ndarray
     error: float
 
 
-def _solve_sector(params: ModelParams, sector: ParitySector, tol: float, seed: int = 0,
+def _solve_sector(params: ModelParams, sector: TruncatedSpace, tol: float, seed: int = 0,
                   start: np.ndarray | None = None) -> SectorSolve:
     """The ground state of ``sector`` to ``tol``, from ``start`` or else the ``seed`` vector."""
     h = build_hamiltonian(params, sector)
@@ -585,14 +556,14 @@ def _hold_tail(params: ModelParams, ground: SectorSolve, tol: float, eig_tol: fl
         marginals = _marginals(sector, ground.vector)
         weights = [float(m[-TAIL_LEVELS:].sum()) for m in marginals]
         # photon numbers per atom, from the marginals
-        photons = [float(m @ np.arange(m.size)) / sector.space.n_atoms for m in marginals]
-        trace.append({"cutoff_a": sector.space.cutoff_a, "cutoff_b": sector.space.cutoff_b,
-                      "dimension": sector.space.dimension, "energy": ground.energy,
+        photons = [float(m @ np.arange(m.size)) / sector.n_atoms for m in marginals]
+        trace.append({"cutoff_a": sector.cutoff_a, "cutoff_b": sector.cutoff_b,
+                      "dimension": math.prod(sector.shape), "energy": ground.energy,
                       "photon_a": photons[0], "photon_b": photons[1],
                       "weight_a": weights[0], "weight_b": weights[1]})
         if max(weights) < bound:
             return ground
-        grown = _even_sector(sector.space.n_atoms,
+        grown = _even_sector(sector.n_atoms,
                              [math.ceil(GROWTH * (m.size - 1)) if w >= bound else m.size - 1
                               for m, w in zip(marginals, weights)], trace)
         ground = _solve_sector(params, grown, eig_tol, start=_transfer(sector, ground.vector, grown))
@@ -614,13 +585,13 @@ def _hold_sector_order(params: ModelParams, even: SectorSolve, tol: float, eig_t
     and ``trace`` is as in _hold_tail.  Returns the four SectorSolves on the truncation
     certified, in PARITY_SECTORS order: (+, +) first, the solve accepted."""
     while True:
-        space = even.sector.space
-        grounds = [even] + [_solve_sector(params, ParitySector(space, *parities), eig_tol, seed)
-                            for parities in PARITY_SECTORS[1:]]
+        sector = even.sector
+        grounds = [even] + [_solve_sector(params, replace(sector, parities=parities), eig_tol,
+                                          seed) for parities in PARITY_SECTORS[1:]]
         if not any(g.energy < even.energy - g.error for g in grounds[1:]):
             return grounds
-        grown = _even_sector(space.n_atoms, [math.ceil(GROWTH * c) for c in
-                                             (space.cutoff_a, space.cutoff_b)], trace)
+        grown = _even_sector(sector.n_atoms, [math.ceil(GROWTH * c) for c in
+                                              (sector.cutoff_a, sector.cutoff_b)], trace)
         even = _hold_tail(params, _solve_sector(params, grown, eig_tol, seed), tol, eig_tol, trace)
 
 
@@ -643,11 +614,11 @@ def converge_cutoffs(params: ModelParams, n_atoms: int, tol: float = 1e-4, eig_t
     floor = _even_sector(n_atoms, (CUTOFF_FLOOR, CUTOFF_FLOOR), trace)
     even = _hold_tail(params, _solve_sector(params, floor, eig_tol, seed), tol, eig_tol, trace)
     cutoffs = [_shrunk(m, tol / TAIL_RATIO) for m in _marginals(even.sector, even.vector)]
-    if cutoffs != [even.sector.space.cutoff_a, even.sector.space.cutoff_b]:
+    if cutoffs != [even.sector.cutoff_a, even.sector.cutoff_b]:
         shrunk = _even_sector(n_atoms, cutoffs, trace)
         even = _hold_tail(params, _solve_sector(params, shrunk, eig_tol, seed), tol, eig_tol, trace)
     grounds = _hold_sector_order(params, even, tol, eig_tol, seed, trace)
-    return grounds[0].sector.space, trace, grounds
+    return replace(grounds[0].sector, parities=None), trace, grounds
 
 
 def solve_sweep(points: list[ModelParams], n_atoms: int, tol: float = 1e-4,
@@ -703,7 +674,7 @@ def solve_point(params: ModelParams, space: TruncatedSpace, tol: float = 1e-8,
     _check_solver_settings(seed, {"eigensolver tolerance tol": tol})
     handed = {g.sector: g for g in grounds or ()}
     grounds = [handed.get(sector) or _solve_sector(params, sector, tol, seed)
-               for sector in (ParitySector(space, *parities) for parities in PARITY_SECTORS)]
+               for sector in (replace(space, parities=parities) for parities in PARITY_SECTORS)]
     lowest = min(grounds, key=lambda g: g.energy)
     e0, e1, vec = lowest_two(build_hamiltonian(params, lowest.sector), tol=tol, seed=seed)
     gap = min([e1] + [g.energy for g in grounds if g is not lowest]) - e0

@@ -421,10 +421,17 @@ def brute_force_minimize(params: ModelParams, resolution: int = 400) -> MeanFiel
     closed-form branches, so it serves as their oracle.  It judges phase,
     amplitudes and energy only: ``bistable`` stays False, since whether a
     second well is locally stable is the closed forms' call, not a grid
-    search's.
+    search's.  OverflowError where alpha + beta, the scale of the surface,
+    is past the float range.
     """
     if resolution < 100:
         raise ValueError(f"resolution must be >= 100, got {resolution}")
+    # g * g, unlike g ** 2, overflows to inf rather than raising
+    alpha, beta = (4.0 * g * g / omega for g, omega in ((params.g1, params.omega_a),
+                                                        (params.g2, params.omega_b)))
+    if math.isinf(alpha + beta):
+        raise OverflowError(f"the oracle's surface overflows a float: alpha = 4 g1^2 / omega_a "
+                            f"= {alpha!r}, beta = 4 g2^2 / omega_b = {beta!r}")
     xs = np.linspace(0.0, 1.0, resolution)
     values = _mesh_energies(params, xs)
 

@@ -96,7 +96,7 @@ def test_every_arpack_run_goes_through_the_patched_eigsh(monkeypatch):
         return _eigsh(*args, **kwargs)
 
     monkeypatch.setattr(exactdiag, "eigsh", counting)
-    sector = exactdiag.ParitySector(exactdiag.TruncatedSpace(6, 30, 30), 1, 1)
+    sector = exactdiag.TruncatedSpace(6, 30, 30, (1, 1))
     h = exactdiag.build_hamiltonian(ModelParams(g1=0.9, g2=0.8), sector)
     assert h.shape[0] > exactdiag._DENSE_THRESHOLD
     exactdiag.ground_state(h, tol=1e-8)

@@ -15,6 +15,11 @@ from vdicke.errors import CapacityError
 from vdicke.model import ModelParams
 from vdicke.scan import CSV_COLUMNS
 
+# the interpreters started here import vdicke from the tree under test, as pytest does
+_SRC = os.path.dirname(os.path.dirname(exactdiag.__file__))
+_ENV = dict(os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+
 
 def _json_out(capsys):
     return json.loads(capsys.readouterr().out)
@@ -247,10 +252,10 @@ def test_ed_partial_sweep_flags_exit_2(capsys):
 
 def test_ed_capacity_exhaustion_exits_3(tmp_path, capsys, monkeypatch):
     # every size here is refused before any array of its size is allocated
-    def refuse(space, parities=None):
-        raise AssertionError(f"_enumerate({space}, {parities}) called for a rejected size")
+    def refuse(space):
+        raise AssertionError(f"the index of {space} built for a rejected size")
 
-    monkeypatch.setattr(exactdiag, "_enumerate", refuse)
+    monkeypatch.setattr(exactdiag.TruncatedSpace, "index", property(refuse))
     code = run(["ed", "--N", "40", "--g1", "0.7", "--cutoff-a", "400",
                 "--cutoff-b", "400"])
     assert code == 3
@@ -406,7 +411,7 @@ def test_seed_gives_byte_identical_output(capsys):
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "vdicke.cli", "critical", "--g1", "1.0"],
-        capture_output=True, text=True,
+        env=_ENV, capture_output=True, text=True,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["gtilde_c2"] == pytest.approx(1.0, abs=1e-9)
@@ -417,7 +422,7 @@ def test_tiny_coupling_prints_no_warning():
     # numpy must not report that on stderr
     proc = subprocess.run(
         [sys.executable, "-m", "vdicke.cli", "meanfield", "--g1", "1e-200"],
-        capture_output=True, text=True,
+        env=_ENV, capture_output=True, text=True,
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
@@ -426,7 +431,7 @@ def test_tiny_coupling_prints_no_warning():
 
 def test_import_defaults_blas_to_one_thread():
     # a value the user set is kept; otherwise the package asks for one thread
-    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env = {key: value for key, value in _ENV.items() if key != "OPENBLAS_NUM_THREADS"}
     probe = [sys.executable, "-c", "import os, vdicke; print(os.environ['OPENBLAS_NUM_THREADS'])"]
     for given, expected in ((None, "1"), ("2", "2")):
         if given is not None:
@@ -458,7 +463,7 @@ for argv in (["critical", "--g1", "0.75"], ["meanfield", "--g1", "0.9", "--g2", 
     assert run(argv + ["--output", os.devnull]) == 0, argv
     assert not scipy_loaded(), (argv, scipy_loaded())
 """
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", probe], env=_ENV, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ from vdicke.cli import run as cli_run
 from vdicke.errors import CapacityError, ConvergenceError
 from vdicke.exactdiag import (
     PARITY_SECTORS,
-    ParitySector,
     TruncatedSpace,
     build_hamiltonian,
     converge_cutoffs,
@@ -147,7 +147,7 @@ def test_hamiltonian_matches_explicit_tensor_product():
             n2, n3, na, nb = occupations.T
             for left, right in PARITY_SECTORS:
                 mask = ((-1) ** (n3 + na) == left) & ((-1) ** (n2 + nb) == right)
-                block = build_hamiltonian(p, ParitySector(space, left, right)).toarray()
+                block = build_hamiltonian(p, replace(space, parities=(left, right))).toarray()
                 expected = projected[np.ix_(mask, mask)]
                 assert block.shape == expected.shape
                 assert np.max(np.abs(block - expected)) <= 1e-13, (n, trial, left, right)
@@ -315,7 +315,7 @@ def test_lowest_two_orders_the_doublet():
 
 def test_operator_counts_and_applies_its_stored_entries():
     rng = np.random.default_rng(5)
-    sector = ParitySector(TruncatedSpace(3, 4, 5), 1, -1)
+    sector = TruncatedSpace(3, 4, 5, (1, -1))
     h = build_hamiltonian(ModelParams(omega31=1.4, g1=0.8, g2=0.5), sector)
     dense = h.toarray()
     # every hop is stored, and so is every diagonal entry, the zero ones too
@@ -335,7 +335,7 @@ def test_lanczos_matches_dense_eigh_on_random_sectors():
             p = ModelParams(g1=0.0, g2=0.0)
         space = TruncatedSpace(int(rng.integers(2, 6)), int(rng.integers(3, 12)),
                                int(rng.integers(3, 12)))
-        h = build_hamiltonian(p, ParitySector(space, *PARITY_SECTORS[trial % 4]))
+        h = build_hamiltonian(p, replace(space, parities=PARITY_SECTORS[trial % 4]))
         if h.shape[0] <= exactdiag._DENSE_THRESHOLD:
             continue
         dense = np.linalg.eigvalsh(h.toarray())
@@ -374,7 +374,7 @@ def _arpack_lowest(h, k: int) -> np.ndarray:
 def test_lanczos_matches_arpack_on_sectors(n_atoms, cutoffs, params):
     space = TruncatedSpace(n_atoms, *cutoffs)
     for left, right in ((1, 1), (1, -1)):
-        h = build_hamiltonian(params, ParitySector(space, left, right))
+        h = build_hamiltonian(params, replace(space, parities=(left, right)))
         bound = 1e-8 * max(1.0, exactdiag._h_scale(h))
         expected = _arpack_lowest(h, 2)
         energy, vec = ground_state(h, tol=1e-8)
@@ -387,7 +387,7 @@ def test_lanczos_matches_arpack_on_sectors(n_atoms, cutoffs, params):
 
 def test_lanczos_started_on_an_eigenvector():
     # decoupled, every basis vector is an eigenvector: the first step breaks down
-    h = build_hamiltonian(ModelParams(), ParitySector(TruncatedSpace(4, 3, 3), 1, 1))
+    h = build_hamiltonian(ModelParams(), TruncatedSpace(4, 3, 3, (1, 1)))
     levels = np.sort(h.diagonal)
     for start in (np.argmin(h.diagonal), np.argmax(h.diagonal)):
         v0 = np.zeros(h.shape[0])
@@ -397,7 +397,7 @@ def test_lanczos_started_on_an_eigenvector():
             assert np.max(np.abs(vals - levels[:k])) <= 1e-12, (start, k)
             assert np.linalg.norm(h @ vecs[:, 0]) <= 1e-12
     # coupled: a start on the ground vector or on an excited one still ends on the lowest
-    h = build_hamiltonian(ModelParams(g1=0.9, g2=0.8), ParitySector(TruncatedSpace(3, 8, 8), 1, 1))
+    h = build_hamiltonian(ModelParams(g1=0.9, g2=0.8), TruncatedSpace(3, 8, 8, (1, 1)))
     dense_vals, dense_vecs = np.linalg.eigh(h.toarray())
     tol = 1e-10 * max(1.0, exactdiag._h_scale(h))
     for start, k in ((0, 1), (0, 2), (2, 1), (2, 2)):
@@ -410,7 +410,7 @@ def test_ground_state_through_a_linear_operator_wrapper(monkeypatch):
     from scipy.sparse.linalg import LinearOperator
 
     h = build_hamiltonian(ModelParams(g1=0.9, g2=0.8),
-                          ParitySector(TruncatedSpace(6, 20, 20), 1, 1))
+                          TruncatedSpace(6, 20, 20, (1, 1)))
     energy, vec = ground_state(h, tol=1e-8)
     solve, matvecs = exactdiag.eigsh, []
 
@@ -540,7 +540,7 @@ def test_solve_point_with_gap():
     assert res.gap is not None and res.gap > 0.0
     assert res.cutoff_a >= 8 and res.cutoff_b >= 8
     # E0 from the two-level solve is the lowest of the sector ground solves
-    grounds = [exactdiag._solve_sector(p, ParitySector(space, *s), 1e-8, 0)
+    grounds = [exactdiag._solve_sector(p, replace(space, parities=s), 1e-8, 0)
                for s in PARITY_SECTORS]
     assert abs(min(g.energy for g in grounds) - res.energy) < 1e-9
 
@@ -557,23 +557,24 @@ def _sector_mask(space: TruncatedSpace, left: int, right: int) -> np.ndarray:
 def test_sector_index_matches_an_enumeration_of_the_occupations():
     # independent of the module's hop table and parities: the basis runs over
     # the atomic states, then mode a's levels, then mode b's, so a state's
-    # whole-space index is its position in that product; its parities are
-    # computed here, and so are the occupations a sector caches
+    # box index is its position in that product; its parities are computed
+    # here, and so are the occupations the box and each block cache
     for n in range(1, 7):
         atomic = [(s[1], s[2]) for s in _enumerated_states(n)]
         for ca, cb in itertools.product(range(1, 9), repeat=2):
             occupations = np.array([(n2, n3, n_a, n_b) for (n2, n3), n_a, n_b
                                     in itertools.product(atomic, range(ca + 1), range(cb + 1))])
             states = [((-1) ** (n3 + n_a), (-1) ** (n2 + n_b)) for n2, n3, n_a, n_b in occupations]
-            for left, right in PARITY_SECTORS:
-                expected = [i for i, parities in enumerate(states) if parities == (left, right)]
-                sector = ParitySector(TruncatedSpace(n, ca, cb), left, right)
-                assert sector.index.tolist() == expected, (n, ca, cb, left, right)
-                assert np.array_equal(np.stack(sector.occupations, axis=1),
-                                      occupations[expected]), (n, ca, cb, left, right)
-    # both are computed once per sector and read-only
-    assert sector.occupations is sector.occupations and sector.index is sector.index
-    assert not any(a.flags.writeable for a in (sector.index, *sector.occupations))
+            for parities in (None, *PARITY_SECTORS):
+                expected = [i for i, state in enumerate(states) if parities in (None, state)]
+                space = TruncatedSpace(n, ca, cb, parities)
+                assert space.index.tolist() == expected, (n, ca, cb, parities)
+                assert space.dimension == len(expected), (n, ca, cb, parities)
+                assert np.array_equal(np.stack(space.occupations, axis=1),
+                                      occupations[expected]), (n, ca, cb, parities)
+                # both are computed once per value and read-only
+                assert space.occupations is space.occupations and space.index is space.index
+                assert not any(a.flags.writeable for a in (space.index, *space.occupations))
 
 
 def _random_params(rng, g_low=0.0, g_high=1.5) -> ModelParams:
@@ -592,15 +593,17 @@ def test_sector_hamiltonian_is_the_whole_space_h_restricted():
         whole = build_hamiltonian(p, space).toarray()
         dimensions = 0
         for left, right in PARITY_SECTORS:
-            sector = ParitySector(space, left, right)
+            sector = replace(space, parities=(left, right))
             mask = _sector_mask(space, left, right)
             block = build_hamiltonian(p, sector)
             assert sector.dimension == block.shape[0] == mask.sum()
             assert np.array_equal(block.toarray(), whole[np.ix_(mask, mask)]), (trial, left, right)
             dimensions += sector.dimension
         assert dimensions == space.dimension
-    with pytest.raises(ValueError, match="must be"):
-        ParitySector(space, 0, 1)
+    # parities are None or one of PARITY_SECTORS, and nothing else
+    for bad in ((0, 1), (1, 2), (1,), (1, 1, 1), [1, 1], (True, -1.5), 1):
+        with pytest.raises(ValueError, match="parities must be None or one of PARITY_SECTORS"):
+            replace(space, parities=bad)
 
 
 def _seeded_points(count: int, seed: int):
@@ -621,7 +624,7 @@ def test_solve_point_matches_the_dense_whole_space_spectrum():
     for k, (p, space) in enumerate(_seeded_points(210, 8)):
         n = space.n_atoms
         dense = np.linalg.eigvalsh(build_hamiltonian(p, space).toarray())
-        even = np.linalg.eigvalsh(build_hamiltonian(p, ParitySector(space, 1, 1)).toarray())
+        even = np.linalg.eigvalsh(build_hamiltonian(p, replace(space, parities=(1, 1))).toarray())
         outside_even += bool(even[0] > dense[0] + 1e-9)
         res = solve_point(p, space)
         assert abs(res.energy - dense[0]) <= 1e-9 * max(1.0, abs(dense[0])), (k, p, space)
@@ -657,8 +660,7 @@ def test_warm_started_sweep_agrees_with_cold_solves():
     g1 = np.linspace(0.5, 1.0, 9)
     table = ed_sweep(ModelParams(), g1, 0.75, 4)
     for i, g in enumerate(g1):
-        sector = ParitySector(TruncatedSpace(4, int(table.cutoff_a[i]), int(table.cutoff_b[i])),
-                              1, 1)
+        sector = TruncatedSpace(4, int(table.cutoff_a[i]), int(table.cutoff_b[i]), (1, 1))
         energy, vec = ground_state(build_hamiltonian(ModelParams(g1=g, g2=0.75), sector), tol=1e-8)
         cold = observables(sector, vec, energy)
         assert abs(table.photon_a[i] - cold.photon_a) <= 1e-8
@@ -667,8 +669,8 @@ def test_warm_started_sweep_agrees_with_cold_solves():
     # a grown truncation starts from the smaller one's vector, zero-padded:
     # the padded vector is the same state
     p = ModelParams(g1=0.9, g2=0.75)
-    small = ParitySector(TruncatedSpace(4, 10, 9), 1, 1)
-    large = ParitySector(TruncatedSpace(4, 20, 18), 1, 1)
+    small = TruncatedSpace(4, 10, 9, (1, 1))
+    large = TruncatedSpace(4, 20, 18, (1, 1))
     energy, vec = ground_state(build_hamiltonian(p, small), tol=1e-8)
     padded = exactdiag._transfer(small, vec, large)
     assert np.linalg.norm(padded) == pytest.approx(1.0, abs=1e-14)
@@ -691,7 +693,7 @@ def test_converge_cutoffs_refuses_a_truncation_with_its_ground_state_outside_eve
     p, start = ModelParams(g1=2.5, g2=2.5), (6, 6)
     monkeypatch.setattr(exactdiag, "CUTOFF_FLOOR", 6)
     first = TruncatedSpace(3, *start)
-    lowest = [np.linalg.eigvalsh(build_hamiltonian(p, ParitySector(first, *s)).toarray())[0]
+    lowest = [np.linalg.eigvalsh(build_hamiltonian(p, replace(first, parities=s)).toarray())[0]
               for s in PARITY_SECTORS]
     assert min(lowest[1:]) < lowest[0] - 1e-4
     space, trace, _ = converge_cutoffs(p, 3, tol=50.0)
@@ -702,7 +704,7 @@ def test_converge_cutoffs_refuses_a_truncation_with_its_ground_state_outside_eve
     # on the accepted truncation (+, +) is lowest up to the solver's
     # eigenvalue tolerance, eig_tol times the scale of H
     dense = np.linalg.eigvalsh(build_hamiltonian(p, space).toarray())[0]
-    h_even = build_hamiltonian(p, ParitySector(space, 1, 1))
+    h_even = build_hamiltonian(p, replace(space, parities=(1, 1)))
     even = np.linalg.eigvalsh(h_even.toarray())[0]
     assert even - dense <= 1e-8 * exactdiag._h_scale(h_even) < 1e-4
 
@@ -731,7 +733,7 @@ def _doubling_oracle(params: ModelParams, n_atoms: int, cutoffs: tuple[int, int]
     """
     previous, weights = None, None
     while True:
-        sector = ParitySector(TruncatedSpace(n_atoms, *cutoffs), 1, 1)
+        sector = TruncatedSpace(n_atoms, *cutoffs, (1, 1))
         energy, vec = ground_state(build_hamiltonian(params, sector), tol=1e-10)
         result = observables(sector, vec, energy)
         photons = np.array([result.photon_a, result.photon_b])
@@ -850,33 +852,33 @@ def test_sweep_resolves_every_row_when_its_last_growth_is_refused(monkeypatch):
     # (18, 9), and every row is solved again there
     g1, p_last = np.linspace(0.3, 2.5, 6), ModelParams(g1=2.5, g2=0.75)
     refused = TruncatedSpace(3, 12, 6)
-    blocks = [build_hamiltonian(p_last, ParitySector(refused, *s)) for s in PARITY_SECTORS]
+    blocks = [build_hamiltonian(p_last, replace(refused, parities=s)) for s in PARITY_SECTORS]
     lowest = [np.linalg.eigvalsh(h.toarray())[0] for h in blocks]
     assert lowest[2] < lowest[0] - 1e-8 * exactdiag._h_scale(blocks[2])
     space = TruncatedSpace(3, 18, 9)
     # the certificate alone, given (+, +)'s exact ground state, grows (12, 6) to
     # (18, 9) and returns the four sector solves there, (+, +) first
-    even = exactdiag.SectorSolve(ParitySector(refused, 1, 1), lowest[0],
+    even = exactdiag.SectorSolve(replace(refused, parities=(1, 1)), lowest[0],
                                  np.linalg.eigh(blocks[0].toarray())[1][:, 0],
                                  1e-8 * exactdiag._h_scale(blocks[0]))
     certified = exactdiag._hold_sector_order(p_last, even, 20.0, 1e-8, 0, [])
-    assert [g.sector for g in certified] == [ParitySector(space, *s) for s in PARITY_SECTORS]
+    assert [g.sector for g in certified] == [replace(space, parities=s) for s in PARITY_SECTORS]
     asked = []
     with monkeypatch.context() as patch:
         patch.setattr(exactdiag, "_hold_sector_order",
-                      lambda params, even, *args: asked.append((params, even.sector.space))
+                      lambda params, even, *args: asked.append((params, even.sector))
                       or [even])
         uncertified = ed_sweep(ModelParams(), g1, 0.75, 3, cutoff_tol=20.0)
     assert (uncertified.cutoff_a[-1], uncertified.cutoff_b[-1]) == (12, 6)
     # the sweep asked about (12, 6) for the last row, the one that grew it last
-    assert asked[-1] == (p_last, refused)
+    assert asked[-1] == (p_last, replace(refused, parities=(1, 1)))
     table = ed_sweep(ModelParams(), g1, 0.75, 3, cutoff_tol=20.0)
     assert set(zip(table.cutoff_a.tolist(), table.cutoff_b.tolist())) == {(18, 9)}
     dense = np.linalg.eigvalsh(build_hamiltonian(p_last, space).toarray())[0]
-    h_even = build_hamiltonian(p_last, ParitySector(space, 1, 1))
+    h_even = build_hamiltonian(p_last, replace(space, parities=(1, 1)))
     assert np.linalg.eigvalsh(h_even.toarray())[0] - dense <= 1e-8 * exactdiag._h_scale(h_even)
     for i, g in enumerate(g1):
-        sector = ParitySector(space, 1, 1)
+        sector = replace(space, parities=(1, 1))
         energy, vec = ground_state(build_hamiltonian(ModelParams(g1=g, g2=0.75), sector), tol=1e-8)
         cold = observables(sector, vec, energy)
         assert abs(table.photon_a[i] - cold.photon_a) <= 1e-8, i
@@ -901,7 +903,7 @@ def test_sweep_certificate_reuses_the_rows_even_solve(monkeypatch):
     def recording(params, even, *args):
         before = len(built)
         grounds = certify(params, even, *args)
-        certified.append((even.sector.space, grounds[0].sector.space, built[before:]))
+        certified.append((even.sector, grounds[0].sector, built[before:]))
         return grounds
 
     def seeded(params, even, tol, eig_tol, seed, *args):
@@ -919,11 +921,10 @@ def test_sweep_certificate_reuses_the_rows_even_solve(monkeypatch):
         tables.append(ed_sweep(ModelParams(), g1, 0.75, 6, cutoff_tol=CUTOFF_TOL))
         counts.append(len(solves) - before)
     assert tables[0].cutoff_a[-1] > tables[0].cutoff_a[0]  # the sweep grew
-    space, accepted, sectors = certified[-1]
-    assert (space.cutoff_a, space.cutoff_b) == (tables[0].cutoff_a[-1], tables[0].cutoff_b[-1])
-    assert accepted == space
-    assert [(s.space, s.left, s.right) for s in sectors] == \
-        [(space, left, right) for left, right in PARITY_SECTORS[1:]]
+    even, accepted, sectors = certified[-1]
+    assert (even.cutoff_a, even.cutoff_b) == (tables[0].cutoff_a[-1], tables[0].cutoff_b[-1])
+    assert accepted == even == replace(even, parities=(1, 1))
+    assert sectors == [replace(even, parities=s) for s in PARITY_SECTORS[1:]]
     assert counts[0] == counts[1] - 1
     for name in ("photon_a", "photon_b", "cutoff_a", "cutoff_b"):
         np.testing.assert_array_equal(getattr(tables[0], name), getattr(tables[1], name))
@@ -931,7 +932,7 @@ def test_sweep_certificate_reuses_the_rows_even_solve(monkeypatch):
 
 def test_lanczos_restarts_are_bounded(monkeypatch, capsys):
     h = build_hamiltonian(ModelParams(g1=0.9, g2=0.8),
-                          ParitySector(TruncatedSpace(6, 30, 30), 1, 1))
+                          TruncatedSpace(6, 30, 30, (1, 1)))
     ground_state(h, tol=1e-8)
     monkeypatch.setattr(exactdiag, "LANCZOS_MAXITER", 1)
     with pytest.raises(ConvergenceError, match="within LANCZOS_MAXITER = 1 restarts"):
@@ -943,7 +944,7 @@ def test_lanczos_restarts_are_bounded(monkeypatch, capsys):
 def _even_block():
     """(+, +) of TruncatedSpace(3, 8, 8) at g1 = 0.9, g2 = 0.6: 200-odd states."""
     return build_hamiltonian(ModelParams(g1=0.9, g2=0.6),
-                             ParitySector(TruncatedSpace(3, 8, 8), 1, 1))
+                             TruncatedSpace(3, 8, 8, (1, 1)))
 
 
 def test_a_missed_residual_is_a_convergence_error(monkeypatch, capsys):
@@ -1005,7 +1006,7 @@ def test_solve_point_reuses_the_certificate_solves(monkeypatch):
     # two-level solve, and its result is the one it solves without them
     p = ModelParams(g1=0.9, g2=0.6)
     space, _, grounds = converge_cutoffs(p, 3)
-    assert [g.sector for g in grounds] == [ParitySector(space, *s) for s in PARITY_SECTORS]
+    assert [g.sector for g in grounds] == [replace(space, parities=s) for s in PARITY_SECTORS]
     calls = _counted_solves(monkeypatch)
     reused = solve_point(p, space, grounds=grounds)
     assert calls == ["lowest_two"]

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -277,6 +278,22 @@ def test_brute_force_needs_no_closed_form_branch(monkeypatch):
     assert abs(oracle.psi2 ** 2 - picked.psi2 ** 2) < 1e-5
     assert abs(oracle.psi3 ** 2 - picked.psi3 ** 2) < 1e-5
     assert not oracle.bistable
+
+
+@pytest.mark.parametrize("couplings, alpha, beta", [
+    ({"g1": 1e154}, "inf", "0.0"), ({"g2": 1e154}, "0.0", "inf"),
+    ({"g1": 1e155}, "inf", "0.0"), ({"g2": 1e155}, "0.0", "inf"),
+    ({"g1": 5e153, "g2": 5e153}, "1e+308", "1e+308"),
+])
+def test_brute_force_refuses_a_surface_past_the_float_range(couplings, alpha, beta):
+    # at 1e154 a scale 4 g^2 / omega is inf while g^2 is finite (the oracle
+    # returned a Normal point with energy nan); at 1e155 g^2 itself is past
+    # the range (a bare OverflowError from g ** 2); at 5e153 each scale is
+    # finite but their sum, the surface's scale, is not (a wrong minimum)
+    with pytest.raises(OverflowError, match=re.escape(
+            f"alpha = 4 g1^2 / omega_a = {alpha}, beta = 4 g2^2 / omega_b = {beta}")):
+        brute_force_minimize(ModelParams(**couplings))
+
 
 # Points where a grid without the axes stopped the oracle off an axis, 1e-6
 # to 5e-6 above a one-branch minimum, labelled LeftRightSR: the true phase
