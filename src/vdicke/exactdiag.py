@@ -42,8 +42,10 @@ against the bound then accepts the pairs or raises ConvergenceError.
 Tiny spaces are diagonalized densely.  A solve starts from a given
 vector when one is passed (the previous sweep point, or the previous
 truncation's ground vector moved onto the new cutoffs), and otherwise
-from a vector drawn from ``seed``; a Lanczos run gets at most
-LANCZOS_MAXITER restarts.
+from ``_seed_vector``, a counter-based SplitMix64 hash of ``seed``, so a
+solve loads no random-number generator; a Lanczos run gets at most
+LANCZOS_MAXITER restarts, and rotates its basis at a restart
+LANCZOS_BLOCK columns at a time.
 
 Cutoffs.  A truncation holds a ground state when, for each mode, the
 state's marginal Fock weight in the mode's top two levels (its tail
@@ -57,7 +59,9 @@ vector already solved; photon numbers move by about ten times it.
    just solved and hands it, by more than the solver's tolerance, or
    both modes grow.  Perron-Frobenius does not fix which block is
    lowest; on a too-small truncation deep in a superradiant phase it can
-   be (+, -) or (-, +).  It returns the four SectorSolves it certified.
+   be (+, -) or (-, +).  It returns the four SectorSolves it certified,
+   the three besides (+, +) with their energies alone: no vector, and a
+   sector that caches no index or occupations.
  * ``converge_cutoffs`` holds the tail from (CUTOFF_FLOOR, CUTOFF_FLOOR),
    shrinks once to the smallest cutoffs the marginals allow, holds the
    tail there, and certifies the result.
@@ -82,6 +86,7 @@ The limit applies to the box, of which a block is about a quarter.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -116,6 +121,9 @@ LANCZOS_KEEP = 10  # Ritz vectors a restart keeps
 LANCZOS_STOP = 1e-3  # a Lanczos run stops at this share of the acceptance bound
 _REORTHOGONALISE = 1 / math.sqrt(2)  # beta below this share of |a v|: orthogonalise twice
 _BREAKDOWN = 1e-12  # beta at most this share of |a v|: the basis spans an invariant subspace
+LANCZOS_BLOCK = 4096  # columns a restart rotates at a time
+_START, _RESTART = 0, 1  # _seed_vector's streams: start vectors, invariant-subspace restarts
+_GOLDEN, _MASK64 = 0x9E3779B97F4A7C15, 2 ** 64 - 1  # SplitMix64's increment, and 64 bits
 PARITY_SECTORS = ((1, 1), (1, -1), (-1, 1), (-1, -1))  # (left, right) parities
 _DENSE_THRESHOLD = 16  # below this dimension just diagonalize densely
 TAIL_LEVELS = 2  # a mode's tail weight is its marginal weight in its top two Fock levels
@@ -358,9 +366,29 @@ def parity_commutator_norms(params: ModelParams,
                  for p in parity_operators(space))
 
 
-def _seed_vector(dimension: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(dimension)
+def _splitmix(z):
+    """SplitMix64's output function, on a uint64 array or a Python int below 2**64."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
+def _seed_vector(dimension: int, seed: int, stream: int = _START) -> np.ndarray:
+    """A unit vector hashed from (seed, stream): entry i is uniform in [-1/2, 1/2),
+    SplitMix64's output i + 1 from a key that absorbs the stream and then each
+    64-bit word of the seed, one SplitMix64 step per word, so any seed >= 0 is
+    taken and a zero high word still moves the key (seeds 1 and 2**64 differ).
+    The key is a Python int, and only the uint64 arrays wrap."""
+    key, seed = _splitmix(stream), operator.index(seed)
+    while True:
+        key = _splitmix(((key + _GOLDEN) & _MASK64) ^ (seed & _MASK64))
+        seed >>= 64
+        if not seed:
+            break
+    z = np.arange(1, dimension + 1, dtype=np.uint64)
+    z *= _GOLDEN
+    z += key
+    v0 = (_splitmix(z) >> 11) * 2.0 ** -53 - 0.5
     return v0 / np.linalg.norm(v0)
 
 
@@ -375,8 +403,11 @@ def eigsh(a, k: int, v0: np.ndarray, tol: float):
     LANCZOS_KEEP lowest Ritz vectors and the residual direction (Wu and
     Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)), so a run on a space
     larger than the basis costs LANCZOS_BASIS + r (LANCZOS_BASIS -
-    LANCZOS_KEEP) matvecs after r restarts.  When beta vanishes the basis
-    spans an invariant subspace: the run goes on from a random vector
+    LANCZOS_KEEP) matvecs after r restarts.  A restart rotates the basis
+    LANCZOS_BLOCK columns at a time, so it allocates LANCZOS_KEEP x
+    LANCZOS_BLOCK floats, not LANCZOS_KEEP x dim.  When beta vanishes the
+    basis spans an invariant subspace: the run goes on from the next vector
+    of _seed_vector's restart stream (seeds 0, 1, ... in each run), made
     orthogonal to it, and as the residuals are read only at the end of the
     cycle, a start on an excited eigenvector is not taken for the lowest.
     Returns ``(values, vectors)``, ascending, one vector per column;
@@ -390,8 +421,7 @@ def eigsh(a, k: int, v0: np.ndarray, tol: float):
     basis = np.empty((size + 1, dim))
     basis[0] = v0 / np.linalg.norm(v0)
     projected = np.zeros((size, size))
-    rng = np.random.default_rng(0)
-    first = 0
+    first = draws = 0
     for _restart in range(LANCZOS_MAXITER + 1):
         for j in range(first, size):
             v, known = basis[j], basis[:j + 1]
@@ -409,7 +439,8 @@ def eigsh(a, k: int, v0: np.ndarray, tol: float):
             if beta <= _BREAKDOWN * norm:  # the basis spans an invariant subspace
                 beta = 0.0
                 if j + 1 < dim:
-                    w = rng.standard_normal(dim)
+                    w = _seed_vector(dim, draws, _RESTART)
+                    draws += 1
                     for _pass in range(2):
                         w -= (known @ w) @ known
                     w /= np.linalg.norm(w)
@@ -423,7 +454,10 @@ def eigsh(a, k: int, v0: np.ndarray, tol: float):
         if residual <= tol:
             return ritz[:k], (vectors[:, :k].T @ basis[:size]).T
         # restart from the lowest Ritz vectors and the residual direction
-        basis[:keep] = vectors[:, :keep].T @ basis[:size]
+        rotation = vectors[:, :keep].T
+        for start in range(0, dim, LANCZOS_BLOCK):
+            columns = slice(start, start + LANCZOS_BLOCK)
+            basis[:keep, columns] = rotation @ basis[:size, columns]
         basis[keep] = basis[size]
         projected[:] = 0.0
         projected[np.arange(keep), np.arange(keep)] = ritz[:keep]
@@ -524,11 +558,12 @@ def _even_sector(n_atoms: int, cutoffs, trace: list) -> TruncatedSpace:
 
 
 class SectorSolve(NamedTuple):
-    """One sector's ground state, and ``error``, the bound its residual test put on the energy."""
+    """One sector's ground state, and ``error``, the bound its residual test put on the energy;
+    ``vector`` is None where only the energy is kept."""
 
     sector: TruncatedSpace
     energy: float
-    vector: np.ndarray
+    vector: np.ndarray | None
     error: float
 
 
@@ -578,16 +613,24 @@ def _check_solver_settings(seed: int, tolerances: dict[str, float]) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
+def _energy_only(solve: SectorSolve) -> SectorSolve:
+    """``solve`` with no vector, on an equal sector that has cached nothing yet."""
+    return solve._replace(sector=replace(solve.sector), vector=None)
+
+
 def _hold_sector_order(params: ModelParams, even: SectorSolve, tol: float, eig_tol: float,
                        seed: int, trace: list) -> list[SectorSolve]:
     """The certificate: grow ``even``'s truncation until (+, +), solved there as ``even``,
     holds the lowest ground energy; every other solve starts from the ``seed`` vector
     and ``trace`` is as in _hold_tail.  Returns the four SectorSolves on the truncation
-    certified, in PARITY_SECTORS order: (+, +) first, the solve accepted."""
+    certified, in PARITY_SECTORS order: (+, +) first, the solve accepted.  The other
+    three keep only their energies: each is released of its vector, and of its
+    sector's cached index and occupations, as soon as it is solved."""
     while True:
         sector = even.sector
-        grounds = [even] + [_solve_sector(params, replace(sector, parities=parities), eig_tol,
-                                          seed) for parities in PARITY_SECTORS[1:]]
+        grounds = [even] + [_energy_only(_solve_sector(params, replace(sector, parities=parities),
+                                                       eig_tol, seed))
+                            for parities in PARITY_SECTORS[1:]]
         if not any(g.energy < even.energy - g.error for g in grounds[1:]):
             return grounds
         grown = _even_sector(sector.n_atoms, [math.ceil(GROWTH * c) for c in

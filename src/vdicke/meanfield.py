@@ -284,12 +284,14 @@ def _branch_table(omega21, omega31, omega_a, omega_b, g1, g2) -> _BranchTable:
     it beyond threshold, where the balanced split is a minimum.  ``tie``
     marks an exact left/right energy tie below zero; ``bistable``
     either such a tie or two competing, locally stable condensates.
+    OverflowError, as in _refuse_overflow, at a point past the float range.
     """
     w21, w31, wa, wb, g1, g2 = (np.asarray(v, dtype=float)
                                 for v in (omega21, omega31, omega_a, omega_b, g1, g2))
     # The right branch is the left one with the two branches' arguments swapped.
     has_left, mul, alpha, e_left, gt2, psi3_left, psi3_valley = _condensate(w31, wa, g1, w21, wb)
     has_right, mur, beta, e_right, gt1, psi2_right, psi2_valley = _condensate(w21, wb, g2, w31, wa)
+    _refuse_overflow(alpha, beta)
     degenerate = ((g1 > 0.0) & (g2 > 0.0)
                   & (np.abs(alpha - beta) <= DEGENERATE_LINE_RTOL * np.maximum(alpha, beta))
                   & (np.abs(w21 - w31) <= DEGENERATE_LINE_RTOL * np.maximum(w21, w31)))
@@ -308,6 +310,20 @@ def _branch_table(omega21, omega31, omega_a, omega_b, g1, g2) -> _BranchTable:
     bistable = ~valley & (tie | (~degenerate & both_stable))
     return _BranchTable(has_left, has_right, degenerate, valley, mul, mur, gt1, gt2, e_left,
                         e_right, psi3_left, psi2_right, psi2_valley, psi3_valley, tie, bistable)
+
+
+def _refuse_overflow(alpha, beta) -> None:
+    """The one overflow rule of the closed forms and the oracle: OverflowError where
+    alpha + beta (broadcast), the scale of the energy surface, is past the float
+    range, naming alpha and beta at the first such point."""
+    with np.errstate(over="ignore"):
+        over = np.isinf(np.add(alpha, beta))
+    if over.any():
+        alpha, beta, over = np.broadcast_arrays(alpha, beta, over)
+        first = np.argmax(over)
+        raise OverflowError(f"the mean-field energy surface overflows a float: alpha = 4 g1^2 / "
+                            f"omega_a = {float(alpha.flat[first])!r}, beta = 4 g2^2 / omega_b = "
+                            f"{float(beta.flat[first])!r}")
 
 
 def _condensate(w, w_mode, g, w_other, w_mode_other):
@@ -343,7 +359,8 @@ def classify_arrays(omega21, omega31, omega_a, omega_b, g1, g2) -> PhaseArrays:
     Off the line, an exact left/right tie (|dE| <= 1e-12) is resolved
     toward the larger total excitation psi2^2 + psi3^2, the one with the
     smaller mu, and flagged bistable.  psi1 enters phi_a and phi_b but is
-    not returned (:func:`classify` reports it).
+    not returned (:func:`classify` reports it).  OverflowError where alpha +
+    beta is past the float range, as :func:`brute_force_minimize` refuses it.
     """
     w21, w31, wa, wb, g1, g2 = (np.asarray(v, dtype=float)
                                 for v in (omega21, omega31, omega_a, omega_b, g1, g2))
@@ -429,9 +446,7 @@ def brute_force_minimize(params: ModelParams, resolution: int = 400) -> MeanFiel
     # g * g, unlike g ** 2, overflows to inf rather than raising
     alpha, beta = (4.0 * g * g / omega for g, omega in ((params.g1, params.omega_a),
                                                         (params.g2, params.omega_b)))
-    if math.isinf(alpha + beta):
-        raise OverflowError(f"the oracle's surface overflows a float: alpha = 4 g1^2 / omega_a "
-                            f"= {alpha!r}, beta = 4 g2^2 / omega_b = {beta!r}")
+    _refuse_overflow(alpha, beta)
     xs = np.linspace(0.0, 1.0, resolution)
     values = _mesh_energies(params, xs)
 

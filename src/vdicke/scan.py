@@ -129,15 +129,21 @@ def sweep_values(lo: float, hi: float, steps: int, what: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def _classified(base: ModelParams, g1, g2) -> SweepTable:
-    """Classify broadcast coupling arrays at base's frequencies in one call, C order.
-
-    Raises ValueError unless every coupling is finite and >= 0.
-    """
+def _couplings(g1, g2) -> tuple[np.ndarray, np.ndarray]:
+    """g1 and g2 as float arrays; ValueError unless every coupling is finite and >= 0."""
     g1, g2 = np.asarray(g1, dtype=float), np.asarray(g2, dtype=float)
     for name, values in (("g1", g1), ("g2", g2)):
         if not np.all(np.isfinite(values) & (values >= 0.0)):
             raise ValueError(f"{name} couplings must be finite and >= 0")
+    return g1, g2
+
+
+def _classified(base: ModelParams, g1, g2) -> SweepTable:
+    """Classify broadcast coupling arrays at base's frequencies in one call, C order.
+
+    Raises as _couplings does.
+    """
+    g1, g2 = _couplings(g1, g2)
     result = classify_arrays(base.omega21, base.omega31, base.omega_a, base.omega_b, g1, g2)
     shape = result.phase.shape
     return SweepTable(np.broadcast_to(g1, shape).ravel(), np.broadcast_to(g2, shape).ravel(),
@@ -208,9 +214,11 @@ def ed_sweep(base: ModelParams, g1, g2, n_atoms: int, cutoff_tol: float = 1e-4,
     # No truncation below is smaller: an atom number too large for the
     # dimension limit is refused here, before any per-point work.
     exactdiag.TruncatedSpace(n_atoms, exactdiag.CUTOFF_FLOOR, exactdiag.CUTOFF_FLOOR)
-    table = _classified(base, g1, g2)
-    sweep = [replace(base, g1=a, g2=b) for a, b in zip(table.g1.tolist(), table.g2.tolist())]
+    g1, g2 = (g.ravel() for g in np.broadcast_arrays(*_couplings(g1, g2)))
+    sweep = [replace(base, g1=a, g2=b) for a, b in zip(g1.tolist(), g2.tolist())]
     results = exactdiag.solve_sweep(sweep, n_atoms, cutoff_tol, eig_tol, seed)
+    # classified after the solves, so an H too large to represent is refused as such
+    table = _classified(base, g1, g2)
     columns = {name: np.array([getattr(r, name) for r in results])
                for name in ("photon_a", "photon_b", "cutoff_a", "cutoff_b")}
     return replace(table, n_atoms=np.full(len(sweep), n_atoms), **columns)

@@ -467,6 +467,21 @@ for argv in (["critical", "--g1", "0.75"], ["meanfield", "--g1", "0.9", "--g2", 
     assert proc.returncode == 0, proc.stderr
 
 
+def test_no_ed_run_imports_numpy_random():
+    # start vectors are hashed from the seed: an ed sweep and an ed point run
+    # without numpy.random, which costs a process megabytes of RSS to import
+    probe = """
+import os, sys
+from vdicke.cli import run
+for argv in (["ed", "--N", "3", "--g2", "0.75", "--g1-min", "0.5", "--g1-max", "1", "--steps", "3"],
+             ["ed", "--N", "3", "--g1", "0.9", "--g2", "0.6"]):
+    assert run(argv + ["--output", os.devnull]) == 0, argv
+    assert "numpy.random" not in sys.modules, argv
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], env=_ENV, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 # sha256 of each output, recorded before the handlers returned their
 # results; `ed` is left out, as its last digit depends on the CPU and BLAS
 @pytest.mark.parametrize("argv, digest", [
@@ -519,6 +534,21 @@ def test_ed_refuses_an_overflowing_hamiltonian(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"configuration error: {_UNREPRESENTABLE}" in err
     assert "squared overflows a float" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+# the closed forms refuse a surface past the float range as the oracle does:
+# alpha + beta overflows (the selected energy was null, and a line cut wrote -inf)
+@pytest.mark.parametrize("argv", [
+    ["meanfield", "--g1", "1e155"],
+    ["line-cut", "--g2", "0.5", "--g1-min", "1e154", "--g1-max", "1e156", "--steps", "3"],
+])
+def test_meanfield_commands_refuse_an_overflowing_surface(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {_UNREPRESENTABLE} (OverflowError: " in err
+    assert "alpha = 4 g1^2 / omega_a = inf" in err and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -3,6 +3,8 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -403,6 +405,72 @@ def test_lanczos_started_on_an_eigenvector():
     for start, k in ((0, 1), (0, 2), (2, 1), (2, 2)):
         vals, _ = exactdiag.eigsh(h, k=k, v0=dense_vecs[:, start], tol=tol)
         assert np.max(np.abs(vals - dense_vals[:k])) <= tol, (start, k)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_lanczos_restarts_rotated_in_column_blocks_match_dense_eigh(block, monkeypatch):
+    # a restart rotates the basis LANCZOS_BLOCK columns at a time: blocks of
+    # one column, of a few and of a quarter of the 211 states (the last two short)
+    monkeypatch.setattr(exactdiag, "LANCZOS_BLOCK", block)
+    h = build_hamiltonian(ModelParams(g1=0.9, g2=0.6), TruncatedSpace(3, 8, 8, (1, 1)))
+    assert h.shape[0] > 3 * block
+    dense = np.linalg.eigvalsh(h.toarray())
+    tol = 1e-10 * max(1.0, exactdiag._h_scale(h))
+    for k in (1, 2):
+        operator = _CountingOperator(h)
+        vals, vecs = exactdiag.eigsh(operator, k, exactdiag._seed_vector(h.shape[0], 0), tol)
+        assert operator.matvecs > exactdiag.LANCZOS_BASIS  # the run restarted
+        assert np.max(np.abs(vals - dense[:k])) <= tol, (block, k)
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(k))) <= 1e-13
+        for value, vec in zip(vals, vecs.T):
+            assert np.linalg.norm(h @ vec - value * vec) <= 2 * tol
+
+
+def test_a_lanczos_restart_allocates_a_column_block_not_a_basis():
+    # on a diagonal operator a matvec allocates one vector, so the run's peak is
+    # the basis (LANCZOS_BASIS + 1 vectors) and a few vectors more; a rotation of
+    # the whole basis at once would add LANCZOS_KEEP more
+    dim = 20_000
+
+    class Diagonal:
+        shape = (dim, dim)
+        levels = np.concatenate([[0.9], np.linspace(1.0, 2.0, dim - 1)])
+
+        def __matmul__(self, x):
+            return self.levels * x
+
+    operator = _CountingOperator(Diagonal())
+    v0 = exactdiag._seed_vector(dim, 0)
+    tracemalloc.start()
+    try:
+        vals, _ = exactdiag.eigsh(operator, 1, v0, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(vals[0] - 0.9) <= 1e-6 and operator.matvecs > exactdiag.LANCZOS_BASIS
+    vector = 8 * dim
+    assert peak <= (exactdiag.LANCZOS_BASIS + 1 + exactdiag.LANCZOS_KEEP / 2) * vector, peak / vector
+
+
+def test_seed_vector_is_a_hash_of_the_seed_and_its_stream():
+    # deterministic per (dimension, seed, stream) and of unit norm; any seed >= 0
+    # is taken, 2**64 and beyond too, with no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dim, seed in ((17, 0), (1000, 1), (300, 2 ** 64), (5, 2 ** 200 + 7)):
+            v = exactdiag._seed_vector(dim, seed)
+            assert v.shape == (dim,) and abs(np.linalg.norm(v) - 1.0) <= 1e-14
+            np.testing.assert_array_equal(v, exactdiag._seed_vector(dim, seed))
+        # the stream and every word of the seed count, a zero high word too
+        vectors = [exactdiag._seed_vector(100, seed, stream) for seed, stream in
+                   ((0, exactdiag._START), (0, exactdiag._RESTART), (3, exactdiag._RESTART),
+                    (1, exactdiag._START), (2 ** 64, exactdiag._START),
+                    (2 ** 64 + 1, exactdiag._START), (2 ** 128 + 1, exactdiag._START))]
+    for a, b in itertools.combinations(vectors, 2):
+        assert np.abs(a - b).max() > 0.1
+    # counter-based: a longer vector begins with the shorter one's entries, up to the norm
+    longer = exactdiag._seed_vector(400, 0)
+    np.testing.assert_allclose(longer[:100] / np.linalg.norm(longer[:100]), vectors[0], rtol=1e-13)
 
 
 def test_ground_state_through_a_linear_operator_wrapper(monkeypatch):
@@ -1021,6 +1089,17 @@ def test_solve_point_reuses_the_certificate_solves(monkeypatch):
     other = TruncatedSpace(3, space.cutoff_a + 1, space.cutoff_b)
     assert solve_point(p, other, grounds=grounds) == solve_point(p, other)
     assert calls == (["ground_state"] * 4 + ["lowest_two"]) * 2
+
+
+def test_the_certificate_keeps_only_the_energies_of_the_other_sectors():
+    # solve_point reads only the energies of the three sectors that are not
+    # (+, +): each comes back with no vector, on a sector that caches nothing
+    space, _, grounds = converge_cutoffs(ModelParams(g1=0.9, g2=0.6), 3)
+    assert grounds[0].vector.shape == (grounds[0].sector.dimension,)
+    for ground, parities in zip(grounds[1:], PARITY_SECTORS[1:]):
+        assert ground.sector == replace(space, parities=parities)
+        assert ground.vector is None and math.isfinite(ground.energy)
+        assert not {"index", "occupations"} & set(vars(ground.sector))
 
 
 def test_identical_ed_runs_do_identical_work(monkeypatch, tmp_path):
