@@ -3,9 +3,11 @@
 Subcommands map one-to-one onto the package operations; sweeps emit
 CSV, single points emit JSON, and every floating-point value is printed
 with 12 significant digits.  Options may come from an INI-style config
-file (one section per subcommand, keys named like the option dests);
-command-line flags always win.  Exit codes: 0 success, 2 configuration
-error, 3 numerical non-convergence.
+file, one section per subcommand: ``key = value`` is read as the flag
+``--key=value`` (a true boolean as the bare flag) ahead of the command
+line, so argparse types, checks and defaults it as that flag, and a flag
+on the command line wins.  Exit codes: 0 success, 2 configuration error,
+3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -70,15 +72,6 @@ class _Opt:
         return self.flag or "--" + self.dest.replace("_", "-")
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = str(raw).strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
 _MODEL_OPTS = (
     _Opt("omega21", float, 1.0, "transition frequency of level 2 (energy unit)"),
     _Opt("omega31", float, 1.0, "transition frequency of level 3"),
@@ -113,15 +106,15 @@ def _round_floats(obj):
     return obj
 
 
-def _emit(result, output: str | None) -> None:
+def _emit(result, params: ModelParams, output: str | None) -> None:
     """Write a handler's result to the output file or stdout: a dict as
-    JSON, a SweepTable as CSV, text as it is.
+    JSON headed by the model's params, a SweepTable as CSV, text as it is.
 
     ``run`` calls this after the handler returns, so a run that fails
     leaves no file.
     """
     if isinstance(result, dict):
-        result = json.dumps(_round_floats(result), indent=2) + "\n"
+        result = json.dumps(_round_floats({"params": asdict(params), **result}), indent=2) + "\n"
     with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as stream:
         if isinstance(result, SweepTable):
             write_sweep_csv(result, stream)
@@ -157,7 +150,6 @@ def _or_null(closed_form, params: ModelParams):
 
 def _handle_critical(params: ModelParams, opts: dict) -> dict:
     return {
-        "params": asdict(params),
         "g_c1": critical_g1(params),
         "g_c2": critical_g2(params),
         "mu_left": _or_null(mu_left, params),
@@ -169,7 +161,6 @@ def _handle_critical(params: ModelParams, opts: dict) -> dict:
 
 def _handle_meanfield(params: ModelParams, opts: dict) -> dict:
     return {
-        "params": asdict(params),
         "selected": _solution_dict(classify(params)),
         "branches": [_solution_dict(s) for s in stationary_branches(params)],
     }
@@ -178,7 +169,6 @@ def _handle_meanfield(params: ModelParams, opts: dict) -> dict:
 def _handle_spectrum(params: ModelParams, opts: dict) -> dict:
     left, right = normal_phase_forms(params)
     return {
-        "params": asdict(params),
         "normal_left": _spectrum_dict(left),
         "normal_right": _spectrum_dict(right),
         # Only the closed forms are read as null: a block that overflows in
@@ -253,24 +243,11 @@ def _handle_ed(params: ModelParams, opts: dict) -> dict | SweepTable:
             seed=opts["seed"],
         )
     result = exactdiag.solve_point(params, space, opts["tol"], opts["seed"], grounds)
-    return {
-        "params": asdict(params),
-        "n_atoms": n_atoms,
-        "cutoff_a": space.cutoff_a,
-        "cutoff_b": space.cutoff_b,
-        "dimension": space.dimension,
-        "energy": result.energy,
-        "energy_per_atom": result.energy / n_atoms,
-        "photon_a": result.photon_a,
-        "photon_b": result.photon_b,
-        "pop2": result.pop2,
-        "pop3": result.pop3,
-        "parity_l": result.parity_l,
-        "parity_r": result.parity_r,
-        "parity_g": result.parity_g,
-        "gap": result.gap,
-        "convergence_trace": trace,
-    }
+    # the energy per atom follows the energy; the other observables keep the result's order
+    return {"n_atoms": n_atoms, "cutoff_a": space.cutoff_a, "cutoff_b": space.cutoff_b,
+            "dimension": space.dimension, "energy": result.energy,
+            "energy_per_atom": result.energy / n_atoms, **asdict(result),
+            "convergence_trace": trace}
 
 
 def _handle_parity_check(params: ModelParams, opts: dict) -> dict:
@@ -280,15 +257,8 @@ def _handle_parity_check(params: ModelParams, opts: dict) -> dict:
     space = exactdiag.TruncatedSpace(n_atoms, opts["cutoff_a"], opts["cutoff_b"])
     names = ("commutator_l", "commutator_r", "commutator_g")
     norms = dict(zip(names, exactdiag.parity_commutator_norms(params, space)))
-    return {
-        "params": asdict(params),
-        "n_atoms": n_atoms,
-        "cutoff_a": space.cutoff_a,
-        "cutoff_b": space.cutoff_b,
-        "dimension": space.dimension,
-        **norms,
-        "max_commutator": max(norms.values()),
-    }
+    return {"n_atoms": n_atoms, "cutoff_a": space.cutoff_a, "cutoff_b": space.cutoff_b,
+            "dimension": space.dimension, **norms, "max_commutator": max(norms.values())}
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +354,16 @@ _COMMANDS = (
 _COMMAND_MAP = {command.name: command for command in _COMMANDS}
 
 
+def _add_options(parser: argparse.ArgumentParser, command: _Command, required: bool = True):
+    for opt in command.options:
+        if opt.type is bool:
+            parser.add_argument(opt.flag_name, dest=opt.dest, action="store_true", help=opt.help)
+        else:
+            parser.add_argument(opt.flag_name, dest=opt.dest, type=opt.type, default=opt.default,
+                                required=required and opt.required, choices=opt.choices,
+                                help=opt.help)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vdicke",
@@ -391,72 +371,67 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     for command in _COMMANDS:
-        sub = subparsers.add_parser(
-            command.name, help=command.help, argument_default=argparse.SUPPRESS,
-        )
-        for opt in command.options:
-            if opt.type is bool:
-                sub.add_argument(opt.flag_name, dest=opt.dest, action="store_true",
-                                 help=opt.help)
-                continue
-            kwargs = {"dest": opt.dest, "type": opt.type, "help": opt.help}
-            if opt.choices:
-                kwargs["choices"] = list(opt.choices)
-            sub.add_argument(opt.flag_name, **kwargs)
+        _add_options(subparsers.add_parser(command.name, help=command.help), command)
     return parser
 
 
-def _load_config_section(path: str, section: str, options: dict[str, _Opt]) -> dict:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    if not parser.read(path):
-        raise ConfigError(f"config file not found or unreadable: {path}")
-    if not parser.has_section(section):
-        return {}
-    out = {}
-    for key, raw in parser.items(section):
+class _RaisingParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _config_tokens(command: _Command, args: list[str]) -> list[str]:
+    """The flags that the config section named in args stands for.
+
+    A parser of the command's flags, none required, finds --config as the
+    command's parser does.  Where args ask for help or do not parse, there
+    are none, and the command's parser reports it.
+    """
+    finder = _RaisingParser(add_help=False)
+    finder.add_argument("-h", "--help", action="store_true")
+    _add_options(finder, command, required=False)
+    try:
+        found = finder.parse_known_args(args)[0]
+    except ValueError:
+        return []
+    if found.help or found.config is None:
+        return []
+    config = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    if not config.read(found.config):
+        raise ConfigError(f"config file not found or unreadable: {found.config}")
+    options, section, tokens = {opt.dest: opt for opt in command.options}, command.name, []
+    for key, raw in config.items(section) if config.has_section(section) else ():
         if key not in options:
             raise ConfigError(f"unknown key '{key}' in config section [{section}]")
         opt = options[key]
-        try:
-            if opt.type is bool:
-                out[key] = _parse_bool(raw)
-            else:
-                out[key] = opt.type(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for '{key}' in section [{section}]: {exc}") from exc
-    return out
+        if opt.type is not bool:
+            tokens.append(f"{opt.flag_name}={raw}")
+        elif raw.lower() not in config.BOOLEAN_STATES:  # true/yes/on/1, false/no/off/0
+            raise ConfigError(f"bad value for '{key}' in section [{section}]: "
+                              f"expected a boolean, got {raw!r}")
+        elif config.BOOLEAN_STATES[raw.lower()]:
+            tokens.append(opt.flag_name)
+    return tokens
 
 
 def run(argv=None) -> int:
     """Entry point returning the process exit code (0, 2, or 3)."""
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _COMMAND_MAP.get(argv[0] if argv else None)
     try:
-        namespace = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    command = _COMMAND_MAP[namespace.command]
-    explicit = {key: value for key, value in vars(namespace).items() if key != "command"}
-
-    opts = {opt.dest: opt.default for opt in command.options}
-    option_map = {opt.dest: opt for opt in command.options}
-    config_path = explicit.pop("config", None)
-    try:
-        if config_path:
-            opts.update(_load_config_section(config_path, command.name, option_map))
-        opts.update(explicit)
-        for opt in command.options:
-            if opt.required and opts.get(opt.dest) is None:
-                raise ConfigError(f"missing required option '{opt.dest}' "
-                                  f"(flag {opt.flag_name} or config key)")
-            if opt.choices and opts.get(opt.dest) is not None \
-                    and opts[opt.dest] not in opt.choices:
-                raise ConfigError(f"option '{opt.dest}' must be one of {opt.choices}")
-        _emit(command.handler(_params_from(opts), opts), opts.get("output"))
+        if command:
+            argv[1:1] = _config_tokens(command, argv[1:])
+        try:
+            opts = vars(_build_parser().parse_args(argv))  # so argv[0] is the command
+        except SystemExit as exc:
+            return int(exc.code) if exc.code else 0
+        params = _params_from(opts)
+        _emit(command.handler(params, opts), params, opts["output"])
         return 0
     except (ConvergenceError, CapacityError) as exc:
         print(f"vdicke {command.name}: did not converge: {exc}{_trials(exc)}", file=sys.stderr)
         return 3
-    except ValueError as exc:  # ConfigError and DomainError among them
+    except (ValueError, configparser.Error) as exc:  # ConfigError, DomainError, a bad INI file
         print(f"vdicke {command.name}: configuration error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:  # a closed form overflowed or divided by an underflowed 0

@@ -69,11 +69,18 @@ class FluctuationSpectrum:
 
 
 def diagonalize(form: QuadraticBosonForm) -> FluctuationSpectrum:
-    """Eigenfrequencies of one two-mode block, from the closed form."""
-    w1sq = form.freq1 ** 2
-    w2sq = form.freq2 ** 2
-    root = math.sqrt((w1sq - w2sq) ** 2 + 16.0 * form.coupling ** 2 * form.freq1 * form.freq2)
-    lo_sq, hi_sq = 0.5 * (w1sq + w2sq - root), 0.5 * (w1sq + w2sq + root)
+    """Eigenfrequencies of one two-mode block, from the closed form; OverflowError naming
+    the block where a square or a squared frequency is past the float range."""
+    try:
+        w1sq = form.freq1 ** 2  # ** on a float raises OverflowError where x * x is inf
+        w2sq = form.freq2 ** 2
+        root = math.sqrt((w1sq - w2sq) ** 2 + 16.0 * form.coupling ** 2 * form.freq1 * form.freq2)
+        lo_sq, hi_sq = 0.5 * (w1sq + w2sq - root), 0.5 * (w1sq + w2sq + root)
+        if not (math.isfinite(lo_sq) and math.isfinite(hi_sq)):
+            raise OverflowError
+    except OverflowError as exc:
+        raise OverflowError(f"the fluctuation block overflows a float: freq1 = {form.freq1!r}, "
+                            f"freq2 = {form.freq2!r}, coupling = {form.coupling!r}") from exc
     scale = max(1.0, abs(hi_sq))
     stable = lo_sq >= -1e-12 * scale
     eps_minus = math.sqrt(lo_sq) if lo_sq > 0.0 else 0.0

@@ -108,13 +108,15 @@ def energy(params: ModelParams, psi2, psi3):
     """Scaled ground-state energy per atom at (psi2, psi3).
 
     Accepts scalars or numpy arrays.  Raises DomainError when
-    psi2^2 + psi3^2 exceeds 1 (beyond roundoff).
+    psi2^2 + psi3^2 exceeds 1 (beyond roundoff), and OverflowError where
+    alpha + beta is past the float range, as brute_force_minimize does.
     """
     psi2 = np.asarray(psi2, dtype=float)
     psi3 = np.asarray(psi3, dtype=float)
     total = psi2 ** 2 + psi3 ** 2
     if np.any(total > 1.0 + 1e-12):
         raise DomainError("psi2^2 + psi3^2 must not exceed 1")
+    _checked_alpha_beta(params)
     value = _energy_raw(params, psi2, psi3)
     if value.ndim == 0:
         return float(value)
@@ -145,10 +147,9 @@ def gradient(params: ModelParams, psi2, psi3):
         bracket3 = omega31 + b*psi2^2 + a*psi3^2 - a*psi1^2
 
     and a = 4*g1^2/omega_a, b = 4*g2^2/omega_b; stationarity needs each
-    bracket or its amplitude to vanish.
+    bracket or its amplitude to vanish.  OverflowError as :func:`energy`.
     """
-    a = 4.0 * params.g1 ** 2 / params.omega_a
-    b = 4.0 * params.g2 ** 2 / params.omega_b
+    a, b = _checked_alpha_beta(params)
     psi2, psi3 = np.asarray(psi2, dtype=float), np.asarray(psi3, dtype=float)
     s2, s3 = psi2 ** 2, psi3 ** 2
     psi1_sq = 1.0 - s2 - s3
@@ -326,6 +327,15 @@ def _refuse_overflow(alpha, beta) -> None:
                             f"{float(beta.flat[first])!r}")
 
 
+def _checked_alpha_beta(params: ModelParams) -> tuple[float, float]:
+    """(alpha, beta) through _refuse_overflow: energy's, gradient's and the oracle's check."""
+    # g * g, unlike g ** 2, overflows to inf rather than raising
+    alpha, beta = (4.0 * g * g / omega for g, omega in ((params.g1, params.omega_a),
+                                                        (params.g2, params.omega_b)))
+    _refuse_overflow(alpha, beta)
+    return alpha, beta
+
+
 def _condensate(w, w_mode, g, w_other, w_mode_other):
     """The left branch's condensate closed forms at broadcast points.
 
@@ -339,7 +349,9 @@ def _condensate(w, w_mode, g, w_other, w_mode_other):
     rounds alike for one point and for many (** on numpy scalars goes
     through C pow, which can differ by one ulp).
     """
-    gc = 0.5 * np.sqrt(w_mode * w)
+    product = w_mode * w  # not a normal float: the two roots instead, as in model.critical_g1
+    gc = np.where((product >= np.finfo(float).tiny) & (product < np.inf), 0.5 * np.sqrt(product),
+                  0.5 * np.sqrt(w_mode) * np.sqrt(w))
     exists = g >= gc
     mu = np.square(gc / g)
     energy = np.where(exists, -w * np.square(1.0 - mu) / (4.0 * mu), np.inf)
@@ -443,10 +455,7 @@ def brute_force_minimize(params: ModelParams, resolution: int = 400) -> MeanFiel
     """
     if resolution < 100:
         raise ValueError(f"resolution must be >= 100, got {resolution}")
-    # g * g, unlike g ** 2, overflows to inf rather than raising
-    alpha, beta = (4.0 * g * g / omega for g, omega in ((params.g1, params.omega_a),
-                                                        (params.g2, params.omega_b)))
-    _refuse_overflow(alpha, beta)
+    _checked_alpha_beta(params)
     xs = np.linspace(0.0, 1.0, resolution)
     values = _mesh_energies(params, xs)
 

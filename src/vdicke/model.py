@@ -22,6 +22,7 @@ its condensed phase.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -89,7 +90,10 @@ class ModelParams:
 
 def critical_g1(params: ModelParams) -> float:
     """Bare superradiant threshold of the left branch, sqrt(omega_a*omega31)/2."""
-    return 0.5 * math.sqrt(params.omega_a * params.omega31)
+    product = params.omega_a * params.omega31
+    if sys.float_info.min <= product < math.inf:  # else it underflowed or overflowed
+        return 0.5 * math.sqrt(product)
+    return 0.5 * math.sqrt(params.omega_a) * math.sqrt(params.omega31)
 
 
 def critical_g2(params: ModelParams) -> float:

@@ -622,3 +622,93 @@ def test_ed_sweep_refuses_a_configured_coupling_it_sets(section, message, tmp_pa
     assert run(["ed", "--config", str(cfg), "--output", str(out)]) == 2
     assert f"configuration error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_spectrum_names_the_block_that_overflows(capsys):
+    # g1 ** 2 raised OverflowError(34, 'Numerical result out of range'), naming nothing
+    assert run(["spectrum", "--g1", "1e155"]) == 2
+    err = capsys.readouterr().err
+    assert (f"configuration error: {_UNREPRESENTABLE} (OverflowError: the fluctuation block "
+            "overflows a float: freq1 = 1.0, freq2 = 1.0, coupling = 1e+155)") in err
+    assert err.count("\n") == 1
+
+
+def _config(tmp_path, command, section):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[{command}]\n{section}")
+    return str(cfg)
+
+
+# a config section is read as the flags it stands for, ahead of the command line
+@pytest.mark.parametrize("command, section, given, flags", [
+    ("ed", "n_atoms = 2\ng2 = 0.2\ng1_min = 0.3\ng1_max = 0.9\nsteps = 3\ndiagonal = false\n",
+     [], ["--N", "2", "--g2", "0.2", "--g1-min", "0.3", "--g1-max", "0.9", "--steps", "3"]),
+    ("ed", "n_atoms = 2\ng1_min = 0.3\ng1_max = 0.9\nsteps = 3\ndiagonal = yes\n",
+     ["--steps", "2"], ["--N", "2", "--g1-min", "0.3", "--g1-max", "0.9", "--diagonal",
+                        "--steps", "2"]),
+    # required options given in the config alone
+    ("line-cut", "g1_min = 0.5\ng1_max = 1.0\n", ["--g2", "0.75", "--steps", "5"],
+     ["--g2", "0.75", "--g1-min", "0.5", "--g1-max", "1.0", "--steps", "5"]),
+    ("boundary", "which = gtilde_c2\nomega31 = 1.7\nlo = 0.66\nhi = 1.0\nsteps = 9\n",
+     ["--steps", "4"], ["--which", "gtilde_c2", "--omega31", "1.7", "--from", "0.66",
+                        "--to", "1.0", "--steps", "4"]),
+    ("overlap-area", "ratios = 1.0,1.4\nresolution = 25\n", [],
+     ["--ratios", "1.0,1.4", "--resolution", "25"]),
+    ("critical", "g1 = -0.5\n", ["--g1", "0.75"], ["--g1", "0.75"]),
+])
+def test_a_config_section_reads_as_its_flags(command, section, given, flags, tmp_path):
+    from_config, from_flags = tmp_path / "config.out", tmp_path / "flags.out"
+    cfg = _config(tmp_path, command, section)
+    assert run([command, "--config", cfg, *given, "--output", str(from_config)]) == 0
+    assert run([command, *flags, "--output", str(from_flags)]) == 0
+    assert from_config.read_bytes() == from_flags.read_bytes()
+
+
+# argparse types, checks and requires a config value as its flag, and refuses
+# an invalid one even where a flag on the command line overrides it
+@pytest.mark.parametrize("command, section, given, message", [
+    ("ed", "n_atoms = 2\ndiagonal = maybe\n", [],
+     "configuration error: bad value for 'diagonal' in section [ed]: "
+     "expected a boolean, got 'maybe'"),
+    ("phase-diagram", "g1_min = 0\ng1_max = 1\ng2_min = 0\ng2_max = 1\nn1 = 3.5\n", [],
+     "error: argument --n1: invalid int value: '3.5'"),
+    ("phase-diagram", "g1_min = 0\ng1_max = 1\ng2_min = 0\ng2_max = 1\nn1 = 3.5\n",
+     ["--n1", "3"], "error: argument --n1: invalid int value: '3.5'"),
+    ("boundary", "which = nope\nlo = 0.5\nhi = 1\n", [],
+     "error: argument --which: invalid choice: 'nope'"),
+    ("boundary", "which = nope\nlo = 0.5\nhi = 1\n", ["--which", "normal_left"],
+     "error: argument --which: invalid choice: 'nope'"),
+    ("line-cut", "g2 = 0.75\n", [],
+     "vdicke line-cut: error: the following arguments are required: --g1-min, --g1-max"),
+    ("critical", "g1 = 0.5\ncoupling = 1\n", [],
+     "configuration error: unknown key 'coupling' in config section [critical]"),
+    # a file that configparser cannot read exited 1 with a traceback
+    ("critical", "g1 = 5%\n", [], "configuration error: '%' must be followed by '%' or '('"),
+    ("critical", "g1 = 1\ng1 = 2\n", [], "option 'g1' in section 'critical' already exists"),
+])
+def test_a_config_value_is_refused_as_its_flag(command, section, given, message, tmp_path,
+                                               capsys):
+    out = tmp_path / "out"
+    assert run([command, "--config", _config(tmp_path, command, section), *given,
+                "--output", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_flag_is_found_as_the_command_parser_finds_it(tmp_path, capsys):
+    cfg = _config(tmp_path, "critical", "g1 = 0.75\n")
+    for spelling in (["--config", cfg], [f"--config={cfg}"], ["--conf", cfg]):
+        assert run(["critical", *spelling]) == 0
+        assert _json_out(capsys)["params"]["g1"] == 0.75
+    # ambiguous among ed's flags: refused by argparse, and no file is read
+    assert run(["ed", "--N", "2", "--c", str(tmp_path / "absent.cfg")]) == 2
+    assert "ambiguous option: --c could match --config, --cutoff-a" in capsys.readouterr().err
+    headless = tmp_path / "headless.cfg"
+    headless.write_text("g1 = 0.75\n")
+    assert run(["critical", "--config", str(headless)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: File contains no section headers." in err
+    # help is printed before the config is read
+    broken = _config(tmp_path, "critical", "coupling = 1\n")
+    assert run(["critical", "--config", broken, "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: vdicke critical")

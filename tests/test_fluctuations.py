@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -240,3 +241,19 @@ def test_spectrum_record_fields():
     assert isinstance(spec, FluctuationSpectrum)
     assert spec.eps_minus <= spec.eps_plus
     assert spec.eps_minus_sq == pytest.approx(spec.eps_minus ** 2, abs=1e-14)
+
+
+@pytest.mark.parametrize("form", [
+    QuadraticBosonForm(1.0, 1.0, 1e155),    # the coupling's square overflows
+    QuadraticBosonForm(1e155, 1.0, 0.5),    # a frequency's square overflows
+    QuadraticBosonForm(1.0, 2e200, 0.5),
+    QuadraticBosonForm(1.0, 1.0, 1e154),    # every square is finite, the root is not
+    QuadraticBosonForm(1e154, 1e154, 0.0),  # the roots are finite, a squared frequency is not
+])
+def test_diagonalize_names_the_block_that_overflows(form):
+    # ** on a float raised OverflowError(34, 'Numerical result out of range'),
+    # and a squared frequency past the range came out as inf
+    with pytest.raises(OverflowError, match=re.escape(
+            f"the fluctuation block overflows a float: freq1 = {form.freq1!r}, "
+            f"freq2 = {form.freq2!r}, coupling = {form.coupling!r}")):
+        diagonalize(form)

@@ -295,6 +295,36 @@ def test_brute_force_refuses_a_surface_past_the_float_range(couplings, alpha, be
         brute_force_minimize(ModelParams(**couplings))
 
 
+@pytest.mark.parametrize("couplings, alpha, beta", [
+    ({"g1": 1e154}, "inf", "0.0"), ({"g2": 1e154}, "0.0", "inf"),
+    ({"g1": 1e155}, "inf", "0.0"), ({"g2": 1e155}, "0.0", "inf"),
+])
+def test_energy_and_gradient_refuse_what_the_oracle_refuses(couplings, alpha, beta):
+    # at 1e154 energy returned -inf and gradient nan; at 1e155 both raised a
+    # bare OverflowError from g ** 2
+    for surface in (energy, gradient):
+        with pytest.raises(OverflowError, match=re.escape(
+                f"alpha = 4 g1^2 / omega_a = {alpha}, beta = 4 g2^2 / omega_b = {beta}")):
+            surface(ModelParams(**couplings), 0.0, 0.5)
+
+
+@pytest.mark.parametrize("frequency", [1e-200, 1e200])
+def test_a_threshold_whose_frequency_product_is_not_a_normal_float(frequency):
+    # omega_a * omega31 underflows to 0 (overflows to inf), so the threshold is
+    # the product of the two roots; at 1e-200 the kernel took g_c1 = 0 and
+    # labelled g1 = 0 Normal and g1 > 0 LeftSR at energy -inf
+    gc1 = 0.5 * math.sqrt(frequency) * math.sqrt(frequency)
+    for g1 in (0.0, 5e-301, 1e-300):
+        params = ModelParams(omega31=frequency, omega_a=frequency, g1=g1, g2=0.8)
+        assert critical_g1(params) == gc1 == critical_g2(params.mirrored())
+        picked = classify(params)
+        assert picked.phase is PhaseLabel.RIGHT_SR
+        assert picked.energy == pytest.approx(-0.23765625, abs=1e-15)
+        oracle = brute_force_minimize(params)
+        assert oracle.phase is PhaseLabel.RIGHT_SR
+        assert oracle.energy == pytest.approx(picked.energy, abs=1e-8)
+
+
 # Points where a grid without the axes stopped the oracle off an axis, 1e-6
 # to 5e-6 above a one-branch minimum, labelled LeftRightSR: the true phase
 # is RightSR at the first and LeftSR at the other two.
